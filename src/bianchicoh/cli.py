@@ -25,8 +25,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .cohom import (
     PARABOLIC_UNIT,
     CoefficientModulus,
@@ -50,6 +48,7 @@ from .ideals import (
     parse_ideal,
     search_prime_coprime_normminus1,
 )
+from .modlinalg import block_diag2
 from .projline import p1_table
 from .qfield import field
 from . import schreier
@@ -236,15 +235,6 @@ def _spaces(level, ctx, q):
     return full, par, unit_invariants(par)
 
 
-def _double_block(mat):
-    """Block diagonal matrix diag(mat, mat) acting on two stacked copies."""
-    r, c = mat.nrows, mat.ncols
-    arr = np.zeros((2 * r, 2 * c), dtype=np.int64)
-    arr[:r, :c] = mat.arr
-    arr[r:, c:] = mat.arr
-    return type(mat)(mat.q, arr)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     n, p = _check_theorem_hypotheses(cfg)
     q = cfg.modulus
@@ -269,7 +259,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for l in primes:
         t_src = hecke_matrix(l, us)
         t_dst = hecke_matrix(l, ud)
-        lhs = _double_block(t_src.mat) @ amap.mat
+        lhs = block_diag2(t_src.mat) @ amap.mat
         rhs = amap.mat @ t_dst.mat
         equivariance.append({
             "l": format_ideal(l),
@@ -277,7 +267,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "holds": bool((lhs.arr == rhs.arr).all()),
         })
         try:
-            eisenstein.append(eisenstein_check(us, ker, l))
+            eisenstein.append(eisenstein_check(t_src, ker, l))
         except NotStable:
             eisenstein.append({
                 "l": format_ideal(l), "norm": l.norm(),

@@ -31,6 +31,7 @@ from .modlinalg import (
     coordinates_in_rowspace,
     fixed_space,
     kernel_basis,
+    mulmod,
     rref,
 )
 from .qfield import Mat2, QuadInt, divides, exact_div, gcd, xgcd
@@ -39,16 +40,27 @@ from .schreier import CongCtx
 FULL = "full"
 PARABOLIC = "parabolic"
 PARABOLIC_UNIT = "parabolic-unit-invariant"
+MODULUS_BOUND = 2**31
 
 
 class CoefficientModulus:
-    """A prime coefficient modulus q >= 5 (hence coprime to 6 and units)."""
+    """A prime coefficient modulus 5 <= q < 2^31.
+
+    q >= 5 makes q coprime to 6 and to the unit orders; q < 2^31 keeps
+    every product of two residues below 2^62, so the int64 linear
+    algebra in modlinalg is exact.
+    """
 
     __slots__ = ("q",)
 
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 5:
             raise BadModulus(f"modulus must be a prime >= 5, got {q}")
+        if q >= MODULUS_BOUND:
+            raise BadModulus(
+                f"modulus {q} is not below 2^31 = {MODULUS_BOUND}; "
+                f"int64 arithmetic mod q is exact only below that bound"
+            )
         if any(q % p == 0 for p in range(2, int(q**0.5) + 1)):
             raise BadModulus(f"modulus {q} is not prime")
         self.q = q
@@ -276,6 +288,6 @@ def evaluate(space: CohomSubspace, coeffs, m: Mat2) -> int:
     vec = np.mod(np.asarray(coeffs, dtype=np.int64), q)
     if vec.shape != (space.dim,):
         raise ValueError(f"expected {space.dim} coordinates")
-    functional = vec @ space.basis.arr % q
-    ex = np.array(space.cc.express(m), dtype=np.int64)
-    return int(functional @ ex % q)
+    functional = mulmod(vec, space.basis.arr, q)
+    ex = np.mod(np.array(space.cc.express(m), dtype=np.int64), q)
+    return int(mulmod(functional, ex, q))

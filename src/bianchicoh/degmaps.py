@@ -23,7 +23,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .ideals import PIdeal
-from .modlinalg import MatQ, coordinates_in_rowspace, left_kernel, rank
+from .modlinalg import (
+    MatQ,
+    coordinates_in_rowspace,
+    left_kernel,
+    mulmod,
+    rank,
+)
 from .qfield import Mat2, QuadInt, exact_div
 
 
@@ -68,7 +74,7 @@ class LinMap:
         vec = np.mod(np.asarray(coords, dtype=np.int64), q)
         if vec.shape != (self.mat.nrows,):
             raise ShapeMismatch(f"expected {self.mat.nrows} coordinates")
-        return vec @ self.mat.arr % q
+        return mulmod(vec, self.mat.arr, q)
 
     def compose(self, then: LinMap) -> LinMap:
         """This map followed by `then`."""

@@ -8,7 +8,8 @@ product is -I, with S^4 and centrality relators [S^2, g] added once.
 Every stored relator is machine-checked to evaluate to the identity, so
 a transcription slip fails loudly at construction time.
 
-Words are converted to matrices by plain multiplication and back by the
+Words are converted to matrices by multiplication, each run of one
+repeated letter taken as a single power, and back by the
 Euclidean algorithm on the bottom row: while the lower-left entry is
 nonzero, split off a translation power and S^{-1}; the terminal matrix
 is upper triangular and decomposes into a diagonal unit and a
@@ -18,6 +19,7 @@ translation.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import (
     BadGeneratorId,
@@ -194,11 +196,12 @@ def builtin_presentation(ctx: FieldCtx) -> AmbientPresentation:
 
 
 def word_to_matrix(w: Word, p: AmbientPresentation) -> Mat2:
+    """Exact product of the letters; each run of one letter is one power."""
     out = Mat2.identity(p.ctx)
-    for g, e in w:
+    for (g, e), run in groupby(w):
         if not 0 <= g < p.gen_count:
             raise BadGeneratorId(f"generator id {g} out of range")
-        out = out * (p._mats[g] if e == 1 else p._invs[g])
+        out = out * (p._mats[g] if e == 1 else p._invs[g]) ** len(list(run))
     return out
 
 

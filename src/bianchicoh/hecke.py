@@ -4,9 +4,13 @@ T_l acts through the N(l)+1 explicit right-coset representatives of the
 double coset of diag(1, lambda): the upper-triangular sigma_{k,lambda}
 over a residue system mod l, plus diag(lambda, 1).  Applying a class to
 delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes the
-operator on functionals; the permutation sigma is discovered by linear
-scan and certified unique.  The Eisenstein check asks whether
-T_l - (N(l)+1) is nilpotent on a stable subspace for ray-trivial l,
+operator on functionals.  The permutation sigma is read off x mod
+lambda for x = delta_i * gamma (the Manin-symbol index of its coset in
+P^1(O/l)), and the single candidate is certified by an exact division
+that lands in the level group.  Uniqueness is certified once per prime
+and level: hecke_cosets checks that no two representatives share a
+right coset, so no element can lie in two.  The Eisenstein check asks
+whether T_l - (N(l)+1) is nilpotent on a stable subspace for ray-trivial l,
 which is the finite-level meaning of "supported on Eisenstein maximal
 ideals only".
 """
@@ -34,32 +38,26 @@ from .ideals import (
     prime_residue_reps_in_ideal,
     primes_by_norm,
 )
-from .modlinalg import MatQ, coordinates_in_rowspace, rref
-from .qfield import FieldCtx, Mat2, QuadInt, divides, exact_div, xgcd
-
-
-def _unit_group(ctx: FieldCtx) -> list[QuadInt]:
-    """All units of the ring, starting from 1."""
-    one = ctx.one
-    units = [one, -one]
-    if ctx.d == 1:
-        units += [ctx.omega, -ctx.omega]
-    elif ctx.d == 3:
-        w = ctx.omega
-        units += [w, -w, w * w, -(w * w)]
-    return units
+from .modlinalg import MatQ, block_diag2, coordinates_in_rowspace, rref
+from .qfield import Mat2, QuadInt, euclid_divmod, xgcd
 
 
 class HeckeCosets:
-    """Right-coset representatives for the double coset of diag(1, l)."""
+    """Right-coset representatives for the double coset of diag(1, l).
 
-    __slots__ = ("l", "level", "reps", "lam")
+    reps[k] = [1, k-th residue; 0, lambda] in the order of `residues`,
+    and reps[-1] = diag(lambda, 1).
+    """
 
-    def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2]):
+    __slots__ = ("l", "level", "reps", "lam", "residues")
+
+    def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2],
+                 residues: ResidueSystem):
         self.l = l
         self.level = level
         self.reps = reps
         self.lam = l.gen
+        self.residues = residues
 
     def __len__(self):
         return len(self.reps)
@@ -75,11 +73,13 @@ def _gamma0_tilde_member(m: Mat2, level: PIdeal) -> bool:
 
 def _quotient_in_gamma0(x: Mat2, delta: Mat2, lam: QuadInt, level: PIdeal):
     """x * delta^{-1} when it lands in the unit-det level group, else None."""
-    prod = x * delta.adjugate()
-    ents = prod.entries()
-    if not all(divides(lam, e) for e in ents):
-        return None
-    quot = Mat2(*(exact_div(e, lam) for e in ents))
+    ents = []
+    for e in (x * delta.adjugate()).entries():
+        q, r = euclid_divmod(e, lam)
+        if not r.is_zero():
+            return None
+        ents.append(q)
+    quot = Mat2(*ents)
     if not _gamma0_tilde_member(quot, level):
         return None
     return quot
@@ -94,9 +94,10 @@ def hecke_cosets(l: PIdeal, level: PIdeal) -> HeckeCosets:
     ctx = l.ctx
     lam = l.gen
     one, zero = ctx.one, ctx.zero
-    reps = [Mat2(one, k, zero, lam) for k in ResidueSystem(l).reps]
+    residues = ResidueSystem(l)
+    reps = [Mat2(one, k, zero, lam) for k in residues.reps]
     reps.append(Mat2(lam, zero, zero, one))
-    hc = HeckeCosets(l, level, reps)
+    hc = HeckeCosets(l, level, reps, residues)
     if len(reps) != l.norm() + 1:
         raise ConstructionFailure(
             f"expected {l.norm() + 1} representatives, built {len(reps)}"
@@ -112,18 +113,32 @@ def hecke_cosets(l: PIdeal, level: PIdeal) -> HeckeCosets:
     return hc
 
 
-def locate_right_coset(hc: HeckeCosets, x: Mat2) -> int:
-    """Index of the unique representative whose right coset contains x."""
-    hits = [
-        j
-        for j, dj in enumerate(hc.reps)
-        if _quotient_in_gamma0(x, dj, hc.lam, hc.level) is not None
-    ]
-    if len(hits) != 1:
-        raise PermutationFailure(
-            f"element lies in {len(hits)} right cosets instead of 1"
-        )
-    return hits[0]
+def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
+    """Index j and gamma in the level group with x = gamma * reps[j].
+
+    x = [[a, b], [c, d]] lies in the coset of [1, k; 0, lambda] exactly
+    when (b, d) = k * (a, c) mod lambda, and in that of diag(lambda, 1)
+    exactly when lambda divides a and c.  So k = b / a when lambda does
+    not divide a, and k = d / c when it divides a but not c; the inverse
+    mod the prime lambda is the Bezout coefficient from xgcd.  The single
+    candidate is certified by exact division; PermutationFailure means x
+    is not in the double coset.
+    """
+    res = hc.residues
+    lam = hc.lam
+    a = res.reduce(x.a)
+    if not a.is_zero():
+        j = res.index(res.reduce(x.b * xgcd(a, lam)[1]))
+    else:
+        c = res.reduce(x.c)
+        if c.is_zero():
+            j = len(hc.reps) - 1
+        else:
+            j = res.index(res.reduce(x.d * xgcd(c, lam)[1]))
+    quot = _quotient_in_gamma0(x, hc.reps[j], lam, hc.level)
+    if quot is None:
+        raise PermutationFailure(f"{x} lies in no right coset of T_{hc.l}")
+    return j, quot
 
 
 def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
@@ -170,33 +185,16 @@ def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
     """Matrix of T_l on the given subspace, rows = images of basis."""
     cc = space.cc
     hc = hecke_cosets(l, cc.level)
-    lam = hc.lam
     nreps = len(hc.reps)
     q = space.q.q
     ev_rows = []
     for _, gamma in cc.sgens:
         row = np.zeros(len(cc.sgens), dtype=np.int64)
         sigma = []
-        for i, di in enumerate(hc.reps):
-            x = di * gamma
-            found = None
-            for j, dj in enumerate(hc.reps):
-                quot = _quotient_in_gamma0(x, dj, lam, cc.level)
-                if quot is None:
-                    continue
-                if not quot.det().is_one():
-                    continue
-                if found is not None:
-                    raise PermutationFailure(
-                        "double-coset element lies in two right cosets"
-                    )
-                found = (j, quot)
-            if found is None:
-                raise PermutationFailure(
-                    "double-coset element lies in no right coset"
-                )
-            sigma.append(found[0])
-            row += np.array(cc.express(found[1]), dtype=np.int64)
+        for di in hc.reps:
+            j, quot = locate_right_coset(hc, di * gamma)
+            sigma.append(j)
+            row += np.array(cc.express(quot), dtype=np.int64)
         if sorted(sigma) != list(range(nreps)):
             raise PermutationFailure("coset permutation is not a bijection")
         ev_rows.append(row % q)
@@ -225,12 +223,19 @@ def diamond(l: PIdeal, space: CohomSubspace) -> LinMap:
 
 
 def ray_trivial_unit(l: PIdeal, conductor: PIdeal) -> QuadInt | None:
-    """A unit u with u * gen(l) = 1 mod conductor, or None."""
+    """A unit u with u * gen(l) = 1 mod conductor, or None.
+
+    FieldCtx.units lists the powers of a generator, so its second half
+    negates its first; units are tried as u, -u for u in the first half,
+    which fixes the certificate that findprimes prints.
+    """
     lam = l.gen
+    units = l.ctx.units
     one = l.ctx.one
-    for u in _unit_group(l.ctx):
-        if conductor.contains(u * lam - one):
-            return u
+    for u in units[: len(units) // 2]:
+        for v in (u, -u):
+            if conductor.contains(v * lam - one):
+                return v
     return None
 
 
@@ -279,23 +284,20 @@ def _restrict_operator(red: MatQ, opmat: MatQ) -> MatQ:
     return MatQ(red.q, np.asarray(rows, dtype=np.int64))
 
 
-def eisenstein_check(space: CohomSubspace, basis: MatQ, l: PIdeal) -> dict:
+def eisenstein_check(t: LinMap, basis: MatQ, l: PIdeal) -> dict:
     """Nilpotency report for T_l - (N(l)+1) on the given stable subspace.
 
-    basis rows live either in space coordinates or, for the kernel of
-    the stacked degeneracy map, in doubled coordinates on which T_l
-    acts blockwise.  Raises NotStable when the subspace escapes.
+    t is hecke_matrix(l, space).  basis rows live either in space
+    coordinates or, for the kernel of the stacked degeneracy map, in
+    doubled coordinates on which T_l acts blockwise.  Raises NotStable
+    when the subspace escapes.
     """
-    q = space.q.q
-    t = hecke_matrix(l, space)
-    d = space.dim
+    q = t.mat.q
+    d = t.domain.dim
     if basis.ncols == d:
         opmat = t.mat
     elif basis.ncols == 2 * d:
-        arr = np.zeros((2 * d, 2 * d), dtype=np.int64)
-        arr[:d, :d] = t.mat.arr
-        arr[d:, d:] = t.mat.arr
-        opmat = MatQ(q, arr)
+        opmat = block_diag2(t.mat)
     else:
         raise ShapeMismatch(
             f"basis has {basis.ncols} columns, expected {d} or {2 * d}"

@@ -5,6 +5,10 @@ elimination uses modular inverses (q prime), so ranks and kernels are
 exact.  Kernel bases are returned in reduced row-echelon form, which
 makes them canonical: recomputing from any generating set of the same
 subspace yields the same matrix.
+
+Products go through mulmod, which splits the inner dimension so that no
+int64 partial sum reaches 2^63; with q < 2^31 (the bound that
+CoefficientModulus enforces) every product and sum here is exact.
 """
 
 from __future__ import annotations
@@ -12,6 +16,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+
+_INT64_MAX = 2**63 - 1
+
+
+def mulmod(x, y, q: int) -> np.ndarray:
+    """x @ y mod q for int64 arrays with entries in [0, q), computed exactly.
+
+    The inner dimension is split into chunks of at most
+    (2^63 - 1) // (q - 1)^2 terms, so no partial sum overflows.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    n = x.shape[-1]
+    step = max(1, _INT64_MAX // max(1, (q - 1) ** 2))
+    if n <= step:
+        return (x @ y) % q
+    return sum((x[..., s:s + step] @ y[s:s + step]) % q
+               for s in range(0, n, step)) % q
 
 
 class MatQ:
@@ -50,7 +72,7 @@ class MatQ:
             raise ShapeMismatch(
                 f"cannot multiply {self.arr.shape} by {other.arr.shape}"
             )
-        return MatQ(self.q, (self.arr @ other.arr) % self.q)
+        return MatQ(self.q, mulmod(self.arr, other.arr, self.q))
 
     def __add__(self, other: "MatQ") -> "MatQ":
         self._same_q(other)
@@ -90,6 +112,15 @@ class MatQ:
 
     def __repr__(self):
         return f"MatQ(q={self.q}, {self.arr.shape[0]}x{self.arr.shape[1]})"
+
+
+def block_diag2(m: MatQ) -> MatQ:
+    """diag(m, m), acting on two stacked copies of the coordinates."""
+    r, c = m.nrows, m.ncols
+    arr = np.zeros((2 * r, 2 * c), dtype=np.int64)
+    arr[:r, :c] = m.arr
+    arr[r:, c:] = m.arr
+    return MatQ(m.q, arr)
 
 
 def _inv(a: int, q: int) -> int:
@@ -179,7 +210,7 @@ def coordinates_in_rowspace(basis: MatQ, v) -> np.ndarray | None:
     if red.nrows != basis.nrows or not (red == basis):
         raise ValueError("basis must be in reduced row-echelon form")
     coords = vv[list(pivots)] if pivots else np.zeros(0, dtype=np.int64)
-    recon = coords @ basis.arr % q if basis.nrows else np.zeros_like(vv)
-    if not np.array_equal(recon % q, vv):
+    recon = mulmod(coords, basis.arr, q) if basis.nrows else np.zeros_like(vv)
+    if not np.array_equal(recon, vv):
         return None
     return coords

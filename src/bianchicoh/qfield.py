@@ -364,6 +364,20 @@ def format_element(x: QuadInt) -> str:
 # 2x2 matrices over Z[w]
 
 
+def _dot2(ctx: FieldCtx, x1: QuadInt, y1: QuadInt, x2: QuadInt,
+          y2: QuadInt) -> QuadInt:
+    """x1*y1 + x2*y2 on coordinates, without intermediate elements.
+
+    (a + b w)(c + e w) = ac - m be + (ae + bc) w, plus be w when w is
+    shifted (w^2 = w - m rather than -m).
+    """
+    be = x1.b * y1.b + x2.b * y2.b
+    w_part = x1.a * y1.b + x1.b * y1.a + x2.a * y2.b + x2.b * y2.a
+    if ctx.shifted:
+        w_part += be
+    return QuadInt(ctx, x1.a * y1.a + x2.a * y2.a - ctx.norm_w * be, w_part)
+
+
 class Mat2:
     """A 2x2 matrix [[a, b], [c, d]] over one of the rings."""
 
@@ -387,15 +401,32 @@ class Mat2:
         return self.a.ctx
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        ctx = self.a.ctx
+        if other.a.ctx is not ctx and other.a.ctx != ctx:
+            raise FieldMismatch(f"mixing d={ctx.d} with d={other.a.ctx.d}")
         return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _dot2(ctx, self.a, other.a, self.b, other.c),
+            _dot2(ctx, self.a, other.b, self.b, other.d),
+            _dot2(ctx, self.c, other.a, self.d, other.c),
+            _dot2(ctx, self.c, other.b, self.d, other.d),
         )
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __pow__(self, k: int) -> "Mat2":
+        """self**k for k >= 0, by binary powering."""
+        if k < 0:
+            raise ValueError(f"matrix power needs k >= 0, got {k}")
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out if out is not None else Mat2.identity(self.ctx)
 
     def det(self) -> QuadInt:
         return self.a * self.d - self.b * self.c

@@ -382,3 +382,23 @@ def sympy_invariants(rows, ncols):
         if d > 1:
             tors.append(d)
     return ncols - rank, sorted(tors)
+
+
+def scan_right_cosets(reps, lam, level, x):
+    """Indices j with x * reps[j]^-1 in Gamma_0(level), trying every rep.
+
+    The all-representatives scan: for each representative delta, x times
+    the adjugate of delta must be divisible by lam entrywise, and the
+    quotient must have determinant 1 and lower-left entry in the level.
+    """
+    from bianchicoh.qfield import Mat2, divides, exact_div
+
+    hits = []
+    for j, dj in enumerate(reps):
+        ents = (x * dj.adjugate()).entries()
+        if not all(divides(lam, e) for e in ents):
+            continue
+        quot = Mat2(*(exact_div(e, lam) for e in ents))
+        if quot.det().is_one() and level.contains(quot.c):
+            hits.append(j)
+    return hits

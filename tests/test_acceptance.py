@@ -142,13 +142,14 @@ def test_acceptance_1_hecke_partition():
         assert len(hc) == l.norm() + 1, (d, l_text)
         # each representative locates itself, so the cosets are disjoint
         for j, rep in enumerate(hc.reps):
-            assert locate_right_coset(hc, rep) == j
+            assert locate_right_coset(hc, rep)[0] == j
         cc = build(n, ctx)
         mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
         for _ in range(500):
             x = _random_member(cc, rng, 4) * mid * _random_member(cc, rng, 4)
-            j = locate_right_coset(hc, x)  # raises unless exactly one coset
+            j, quot = locate_right_coset(hc, x)  # raises unless in a coset
             assert 0 <= j < len(hc)
+            assert quot * hc.reps[j] == x
 
 
 @criterion(2, "injectivity of the level-raising restriction")
@@ -228,7 +229,7 @@ def test_acceptance_4_kernel_is_eisenstein():
         primes = ray_trivial_primes(n, 5, avoid=(p,), max_norm=600)
         assert [l.norm() for l in primes] == RAY_NORMS[d], d
         for l in primes:
-            report = eisenstein_check(src, ker, l)
+            report = eisenstein_check(hecke_matrix(l, src), ker, l)
             assert report["stable"] is True, (d, str(l))
             assert report["passed"] is True, (d, str(l))
             assert report["nilpotency_index"] <= ker.nrows
@@ -246,7 +247,7 @@ def test_acceptance_4_kernel_is_eisenstein():
                            twisted_map(src, dst, p.gen)))
         assert ker.nrows == 0
         for l in ray_trivial_primes(n, 5, avoid=(p,), max_norm=600):
-            report = eisenstein_check(src, ker, l)
+            report = eisenstein_check(hecke_matrix(l, src), ker, l)
             assert report["passed"] is True
 
 

@@ -216,3 +216,48 @@ def test_table_format():
     )
     assert lines["dims.h1"] == "3"
     assert lines["dims.h1_parabolic_unit"] == "1"
+
+
+# (field, level, extra flags) -> [(prime, unit)] as findprimes printed them
+# before ray_trivial_unit switched to FieldCtx.units.  At the d=3 level
+# (1+1*w), of norm 3, three units certify each prime, so that case pins
+# the order in which units are tried.
+FROZEN_RAY_UNITS = [
+    (1, "(2+5*w)", (), [("(7+2*w)", "0+1*w"), ("(8+3*w)", "1"),
+                        ("(4+9*w)", "0+1*w")]),
+    (2, "(3+1*w)", (), [("(1-3*w)", "-1"), ("(3+5*w)", "-1"),
+                        ("(9-1*w)", "1")]),
+    (3, "(1+5*w)", (), [("(5)", "0-1*w"), ("(1+6*w)", "1-1*w"),
+                        ("(7+3*w)", "-1+1*w")]),
+    (7, "(1+2*w)", (), [("(1+4*w)", "-1"), ("(3+4*w)", "1"),
+                        ("(9-2*w)", "-1")]),
+    (11, "(1-2*w)", (), [("(5-1*w)", "-1"), ("(4+1*w)", "-1"),
+                         ("(8-3*w)", "1")]),
+    (3, "(1+5*w)", ("--conductor", "(1)"),
+     [("(1+1*w)", "1"), ("(2)", "1"), ("(2+1*w)", "1")]),
+    (3, "(1+1*w)", ("--test-primes", "6", "--max-norm", "200"),
+     [("(2)", "-1"), ("(2+1*w)", "1"), ("(1+2*w)", "-1"),
+      ("(3+1*w)", "-1"), ("(1+3*w)", "1"), ("(3+2*w)", "1")]),
+]
+
+
+def test_findprimes_units_frozen():
+    for d, level, extra, expected in FROZEN_RAY_UNITS:
+        r = run_cli("findprimes", "--field-d", str(d), "--level", level,
+                    *extra)
+        assert r.returncode == 0, r.stderr
+        entries = json.loads(r.stdout)["ray_trivial"]
+        assert [(e["prime"], e["unit"]) for e in entries] == expected, d
+        assert all(e["certified"] for e in entries)
+
+
+def test_modulus_at_or_above_two_to_the_31_rejected():
+    args = ("inspect", "dims", "--field-d", "2", "--level", "(3+1*w)")
+    r = run_cli(*args, "--modulus", "4294967311")
+    assert r.returncode == 2
+    assert "not below 2^31" in r.stderr
+    assert r.stdout == ""
+    # the largest prime below the bound is computed exactly
+    r = run_cli(*args, "--modulus", "2147483647")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["dims"]["h1"] == 2

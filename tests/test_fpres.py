@@ -86,6 +86,36 @@ def test_matrix_word_round_trip_random():
             assert word_to_matrix(back, p) == m
 
 
+def _letter_by_letter(w, p):
+    out = Mat2.identity(p.ctx)
+    for g, e in w:
+        _, m = p.generators[g]
+        out = out * (m if e == 1 else m.inv_det_one())
+    return out
+
+
+def test_run_length_evaluation_matches_letter_by_letter_product():
+    rng = random.Random(31)
+    for d in FIELDS:
+        p = builtin_presentation(field(d))
+        for _ in range(40):
+            letters = []
+            for _ in range(rng.randrange(1, 6)):
+                letter = (rng.randrange(p.gen_count), rng.choice((1, -1)))
+                letters += [letter] * rng.randint(1, 50)
+            w = Word(letters)
+            assert word_to_matrix(w, p) == _letter_by_letter(w, p)
+
+
+def test_bad_generator_id_inside_a_run_rejected():
+    p = builtin_presentation(field(2))
+    bad = p.gen_count
+    with pytest.raises(BadGeneratorId):
+        word_to_matrix(Word([(p.t_id, 1)] * 3 + [(bad, 1)] * 7), p)
+    with pytest.raises(BadGeneratorId):
+        word_to_matrix(Word([(-1, -1)] * 4), p)
+
+
 def test_matrix_to_word_requires_determinant_one():
     ctx = field(1)
     p = builtin_presentation(ctx)

@@ -13,6 +13,7 @@ from bianchicoh.errors import (
     ExhaustedSearch,
     NotCoprimeToLevel,
     NotPrime,
+    PermutationFailure,
     ShapeMismatch,
 )
 from bianchicoh.hecke import (
@@ -25,10 +26,15 @@ from bianchicoh.hecke import (
     ray_trivial_primes,
     ray_trivial_unit,
 )
-from bianchicoh.ideals import PIdeal, parse_ideal
+from bianchicoh.ideals import PIdeal, parse_ideal, primes_by_norm
 from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, parse_element
 from bianchicoh.schreier import build
+from oracles import scan_right_cosets
+
+# the acceptance A-configuration level of each field
+A_LEVELS = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
+            11: "(1-2*w)"}
 
 
 def _random_member(cc, rng, nsteps=5):
@@ -72,8 +78,61 @@ def test_double_coset_elements_land_in_one_right_coset():
     mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
     for _ in range(50):
         x = _random_member(cc, rng) * mid * _random_member(cc, rng)
-        j = locate_right_coset(hc, x)
+        j, quot = locate_right_coset(hc, x)
         assert 0 <= j < len(hc)
+        assert quot * hc.reps[j] == x
+
+
+def _random_gamma0(ctx, level, rng, nsteps=4):
+    """A random element of Gamma_0(level): upper and lower unipotents."""
+    m = Mat2.identity(ctx)
+    for _ in range(nsteps):
+        x = ctx.element(rng.randint(-3, 3), rng.randint(-3, 3))
+        y = level.gen * ctx.element(rng.randint(-2, 2), rng.randint(-2, 2))
+        m = m * Mat2(ctx.one, x, ctx.zero, ctx.one)
+        m = m * Mat2(ctx.one, ctx.zero, y, ctx.one)
+    return m
+
+
+def test_locator_agrees_with_scan_in_all_fields():
+    rng = random.Random(2024)
+    for d, level_text in A_LEVELS.items():
+        ctx = field(d)
+        level = parse_ideal(ctx, level_text)
+        for l in [l for l in primes_by_norm(ctx, 30)
+                  if l.is_coprime(level)][:2]:
+            hc = hecke_cosets(l, level)
+            lam = l.gen
+            branches = set()
+            for _ in range(60):
+                delta = hc.reps[rng.randrange(len(hc))]
+                x = (_random_gamma0(ctx, level, rng) * delta
+                     * _random_gamma0(ctx, level, rng))
+                if not l.contains(x.a):
+                    branches.add("k = b/a")
+                elif not l.contains(x.c):
+                    branches.add("k = d/c")
+                else:
+                    branches.add("diag(lambda, 1)")
+                j, quot = locate_right_coset(hc, x)
+                assert scan_right_cosets(hc.reps, lam, level, x) == [j]
+                assert quot * hc.reps[j] == x
+                assert quot.det().is_one() and level.contains(quot.c)
+            assert branches == {"k = b/a", "k = d/c", "diag(lambda, 1)"}, (
+                d, str(l), branches)
+
+
+def test_locator_rejects_determinant_lambda_outside_double_coset():
+    for d, level_text in A_LEVELS.items():
+        ctx = field(d)
+        level = parse_ideal(ctx, level_text)
+        l = next(l for l in primes_by_norm(ctx, 30) if l.is_coprime(level))
+        hc = hecke_cosets(l, level)
+        # determinant lambda, but the lower-left entry 1 is not in the level
+        x = Mat2(ctx.one, ctx.zero, ctx.one, l.gen)
+        assert scan_right_cosets(hc.reps, l.gen, level, x) == []
+        with pytest.raises(PermutationFailure):
+            locate_right_coset(hc, x)
 
 
 def test_gamma01_cosets_count_and_level():
@@ -184,7 +243,7 @@ def test_eisenstein_check_on_alpha_kernel():
     assert ker.nrows == 1
     for l in ray_trivial_primes(parse_ideal(ctx, n_text), 2,
                                 avoid=(parse_ideal(ctx, p_text),)):
-        report = eisenstein_check(src, ker, l)
+        report = eisenstein_check(hecke_matrix(l, src), ker, l)
         assert report["stable"] is True
         assert report["passed"] is True
         assert report["nilpotency_index"] == 1
@@ -194,14 +253,15 @@ def test_eisenstein_check_on_alpha_kernel():
 def test_eisenstein_check_trivial_and_malformed_bases():
     _, space = _unit_space(2, "(3+1*w)", 5)
     l = parse_ideal(space.cc.ctx, "(1+1*w)")
+    t = hecke_matrix(l, space)
     empty = MatQ(5, np.zeros((0, space.dim), dtype=np.int64))
-    report = eisenstein_check(space, empty, l)
+    report = eisenstein_check(t, empty, l)
     assert report == {
         "l": "(1+1*w)", "norm": 3, "cosets": 4,
         "stable": True, "nilpotency_index": 0, "passed": True,
     }
     with pytest.raises(ShapeMismatch):
-        eisenstein_check(space, MatQ(5, [[1, 2, 3]]), l)
+        eisenstein_check(t, MatQ(5, [[1, 2, 3]]), l)
 
 
 def test_hecke_matrix_on_zero_space_is_empty():

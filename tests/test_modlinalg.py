@@ -15,6 +15,7 @@ from bianchicoh.modlinalg import (
     kernel_basis,
     left_kernel,
     matpow,
+    mulmod,
     rank,
     rref,
 )
@@ -136,3 +137,22 @@ def test_coordinates_random_round_trip():
         coords = coordinates_in_rowspace(basis, v)
         assert coords is not None
         assert np.array_equal(np.mod(coords @ basis.arr, q), v)
+
+
+def test_products_exact_at_the_largest_modulus():
+    q = 2147483647  # the largest prime below 2^31
+    rng = random.Random(8)
+    a = [[q - 1] * 7 for _ in range(3)]
+    b = [[q - 1] * 2 for _ in range(7)]
+    expected = [[sum(x * y for x, y in zip(row, col)) % q
+                 for col in zip(*b)] for row in a]
+    assert (MatQ(q, a) @ MatQ(q, b)).to_lists() == expected == [[7, 7]] * 3
+    for _ in range(20):
+        n = rng.randrange(1, 40)
+        x = [rng.randrange(q) for _ in range(n)]
+        y = [[rng.randrange(q) for _ in range(3)] for _ in range(n)]
+        want = [sum(x[i] * y[i][j] for i in range(n)) % q for j in range(3)]
+        assert mulmod(np.array(x), np.array(y), q).tolist() == want
+    basis = rref(MatQ(q, [[q - 1] * 5, [1, 2, 3, 4, q - 2]]))[0]
+    v = (MatQ(q, [[q - 1, q - 2]]) @ basis).arr[0]
+    assert coordinates_in_rowspace(basis, v).tolist() == [q - 1, q - 2]

@@ -20,6 +20,7 @@ from oracles import (
     abelian_invariants,
     brute_p1_count,
     brute_p1_count_fast,
+    scan_right_cosets,
     snf_diagonal,
     tc_subgroup_abelianization,
     todd_coxeter,
@@ -144,3 +145,19 @@ def test_tc_subgroup_abelianization_known_cases():
     assert tc_subgroup_abelianization(
         2, [comm], [[(aa, 1), (aa, 1)], [(bb, 1)]]
     ) == (2, [])
+
+
+def test_scan_right_cosets_separates_the_hecke_representatives():
+    from bianchicoh.qfield import Mat2
+
+    ctx = field(1)
+    level = parse_ideal(ctx, "(2+1*w)")
+    lam = parse_ideal(ctx, "(3)").gen
+    one, zero = ctx.one, ctx.zero
+    reps = [Mat2(one, ctx.element(a, b), zero, lam)
+            for b in range(3) for a in range(3)]
+    reps.append(Mat2(lam, zero, zero, one))
+    for j, rep in enumerate(reps):
+        assert scan_right_cosets(reps, lam, level, rep) == [j]
+    # determinant 9 is not in the double coset of diag(1, 3)
+    assert scan_right_cosets(reps, lam, level, Mat2(lam, zero, zero, lam)) == []

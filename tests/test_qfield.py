@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bianchicoh.errors import ParseError, UnsupportedField
+from bianchicoh.errors import FieldMismatch, ParseError, UnsupportedField
 from bianchicoh.qfield import (
     Mat2,
     are_coprime,
@@ -161,6 +161,27 @@ def test_mat2_group_operations():
         assert t.det().is_one()
         assert t * t.inv_det_one() == ident
         assert t.adjugate() * t == ident  # det 1: adjugate is the inverse
+
+
+def test_mat2_product_and_power_match_entrywise_arithmetic():
+    rng = random.Random(61)
+    for d in FIELDS:
+        ctx = field(d)
+        for _ in range(100):
+            m = Mat2(*[_rand_elt(ctx, rng, 50) for _ in range(4)])
+            n = Mat2(*[_rand_elt(ctx, rng, 50) for _ in range(4)])
+            assert m * n == Mat2(
+                m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d,
+            )
+        ref = Mat2.identity(ctx)
+        for k in range(12):
+            assert m ** k == ref
+            ref = ref * m
+        with pytest.raises(ValueError):
+            m ** -1
+    with pytest.raises(FieldMismatch):
+        Mat2.identity(field(1)) * Mat2.identity(field(2))
 
 
 def test_mat2_inverse_requires_unit_determinant():
