@@ -3,7 +3,10 @@
 A cohomology class with trivial coefficients is a homomorphism to Z/q,
 i.e. a functional on the Schreier generators killing every rewritten
 relator; the full space is therefore the right kernel of the relator
-matrix mod q.  The parabolic subspace imposes vanishing on the unipotent
+matrix mod q.  That matrix is sparse, so the kernel comes from
+structured Gaussian elimination (modlinalg.sparse_kernel_basis), with
+dense RREF only on what the sparse pass leaves, and every relator row is
+checked to vanish on the basis.  The parabolic subspace imposes vanishing on the unipotent
 stabilizer of every cusp (two conditions per cusp, one for each Z-basis
 vector of the width ideal); torsion parts of the stabilizers contribute
 nothing since q is coprime to their order.  The unit-invariant subspace
@@ -33,6 +36,7 @@ from .modlinalg import (
     kernel_basis,
     mulmod,
     rref,
+    sparse_kernel_basis,
 )
 from .qfield import Mat2, QuadInt, divides, exact_div, gcd, xgcd
 from .schreier import CongCtx
@@ -113,8 +117,8 @@ class Cusp:
 def h1(cc: CongCtx, q) -> CohomSubspace:
     """Full H^1(Gamma_0(level), Z/q) as kernel of the relator matrix."""
     qm = _as_modulus(q)
-    relmat = MatQ(qm.q, cc.relmat)
-    return CohomSubspace(cc, qm, kernel_basis(relmat), FULL)
+    basis = sparse_kernel_basis(cc.relmat, len(cc.sgens), qm.q)
+    return CohomSubspace(cc, qm, basis, FULL)
 
 
 # ---------------------------------------------------------------------------

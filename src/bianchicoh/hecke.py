@@ -182,11 +182,17 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
 
 
 def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
-    """Matrix of T_l on the given subspace, rows = images of basis."""
+    """Matrix of T_l on the given subspace, rows = images of basis.
+
+    On a zero-dimensional space the cosets are still built and checked,
+    so a bad l is rejected, but no generator is evaluated.
+    """
     cc = space.cc
     hc = hecke_cosets(l, cc.level)
-    nreps = len(hc.reps)
     q = space.q.q
+    if space.dim == 0:
+        return LinMap(space, space, MatQ(q, np.zeros((0, 0), dtype=np.int64)))
+    nreps = len(hc.reps)
     ev_rows = []
     for _, gamma in cc.sgens:
         row = np.zeros(len(cc.sgens), dtype=np.int64)
@@ -198,8 +204,6 @@ def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
         if sorted(sigma) != list(range(nreps)):
             raise PermutationFailure("coset permutation is not a bijection")
         ev_rows.append(row % q)
-    if space.dim == 0:
-        return LinMap(space, space, MatQ(q, np.zeros((0, 0), dtype=np.int64)))
     ev = MatQ(q, np.asarray(ev_rows, dtype=np.int64))
     images = space.basis @ ev.transpose()
     rows = []

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over Z/q for prime q.
+"""Exact linear algebra over Z/q for prime q.
 
 Matrices are numpy int64 arrays with entries reduced to 0..q-1; all
 elimination uses modular inverses (q prime), so ranks and kernels are
 exact.  Kernel bases are returned in reduced row-echelon form, which
 makes them canonical: recomputing from any generating set of the same
-subspace yields the same matrix.
+subspace yields the same matrix.  That is what lets sparse_kernel_basis,
+which eliminates sparse rows before a dense step, return exactly the
+matrix that kernel_basis returns on the dense form of the same rows.
 
 Products go through mulmod, which splits the inner dimension so that no
 int64 partial sum reaches 2^63; with q < 2^31 (the bound that
@@ -13,11 +15,18 @@ CoefficientModulus enforces) every product and sum here is exact.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConstructionFailure, ShapeMismatch
 
 _INT64_MAX = 2**63 - 1
+# The sparse pass stops once the lightest live row has more entries than
+# this; the rows left go to the dense kernel.
+SPARSE_WEIGHT_CAP = 32
+# Bound on the entries of one temporary array in the row certificate.
+_CHUNK_CELLS = 1 << 20
 
 
 def mulmod(x, y, q: int) -> np.ndarray:
@@ -162,7 +171,8 @@ def kernel_basis(m: MatQ) -> MatQ:
     q = m.q
     red, pivots = rref(m)
     nc = m.ncols
-    free = [c for c in range(nc) if c not in set(pivots)]
+    pivset = set(pivots)
+    free = [c for c in range(nc) if c not in pivset]
     if not free:
         return MatQ(q, np.zeros((0, nc), dtype=np.int64))
     rows = np.zeros((len(free), nc), dtype=np.int64)
@@ -171,6 +181,118 @@ def kernel_basis(m: MatQ) -> MatQ:
         for r, pc in enumerate(pivots):
             rows[i, pc] = (-red.arr[r, fc]) % q
     return rref(MatQ(q, rows))[0]
+
+
+def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
+    """kernel_basis of the matrix with sparse rows {column: integer}.
+
+    Structured Gaussian elimination: pop the lightest live row, pivot on
+    its column with the fewest live rows (ties to the lowest column), and
+    clear that column from the other rows; stop once the lightest row
+    has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of the
+    rows left, over the columns without a pivot, is back-substituted
+    through the pivot rows and brought to RREF, so the result equals
+    kernel_basis(MatQ(q, dense rows)).  Every input row is then checked
+    to pair to 0 with every basis vector.
+    """
+    live: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        red = {j: v % q for j, v in row.items() if v % q}
+        if red:
+            live[i] = red
+    cols: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    pivots: list[tuple[int, dict[int, int]]] = []
+    while heap:
+        weight, i = heap[0]
+        row = live.get(i)
+        if row is None or len(row) != weight:
+            heappop(heap)  # stale entry
+            continue
+        if weight > SPARSE_WEIGHT_CAP:
+            break
+        heappop(heap)
+        del live[i]
+        c = min(row, key=lambda j: (len(cols[j]), j))
+        inv = _inv(row[c], q)
+        if inv != 1:
+            row = {j: v * inv % q for j, v in row.items()}
+        for j in row:
+            cols[j].discard(i)
+        for k in list(cols[c]):
+            other = live[k]
+            f = other[c]
+            for j, v in row.items():
+                nv = (other.get(j, 0) - f * v) % q
+                if nv:
+                    if j not in other:
+                        cols[j].add(k)
+                    other[j] = nv
+                else:
+                    del other[j]
+                    cols[j].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+            else:
+                del live[k]
+        pivots.append((c, row))
+    pivset = {c for c, _ in pivots}
+    free = [j for j in range(ncols) if j not in pivset]
+    pos = {j: t for t, j in enumerate(free)}
+    rest = np.zeros((len(live), len(free)), dtype=np.int64)
+    for t, i in enumerate(sorted(live)):
+        for j, v in live[i].items():
+            rest[t, pos[j]] = v
+    sub = kernel_basis(MatQ(q, rest))
+    k = sub.nrows
+    if k == 0:
+        return MatQ(q, np.zeros((0, ncols), dtype=np.int64))
+    # x[j] holds coordinate j of all k kernel vectors
+    x = np.zeros((ncols, k), dtype=np.int64)
+    x[free] = sub.arr.T
+    for c, row in reversed(pivots):
+        acc = np.zeros(k, dtype=np.int64)
+        for j, v in row.items():
+            if j != c:
+                acc = (acc + v * x[j]) % q
+        x[c] = (-acc) % q
+    basis = rref(MatQ(q, x.T))[0]
+    _check_annihilates(rows, basis, q)
+    return basis
+
+
+def _check_annihilates(rows, basis: MatQ, q: int):
+    """Raise ConstructionFailure unless row . v = 0 mod q for all pairs."""
+    ri, cj, vals = [], [], []
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            ri.append(i)
+            cj.append(j)
+            vals.append(v % q)
+    k = basis.nrows
+    if not vals or k == 0:
+        return
+    ri = np.asarray(ri, dtype=np.int64)
+    cj = np.asarray(cj, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64)
+    bt = basis.arr.T
+    sums = np.zeros((len(rows), k), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // k)
+    for s in range(0, len(vals), step):
+        r = ri[s:s + step]
+        prod = (bt[cj[s:s + step]] * vals[s:s + step, None]) % q
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        seg = np.add.reduceat(prod, starts, axis=0) % q
+        sums[r[starts]] = (sums[r[starts]] + seg) % q
+    bad = np.flatnonzero(sums.any(axis=1))
+    if bad.size:
+        raise ConstructionFailure(
+            f"row {int(bad[0])} does not vanish on the kernel basis"
+        )
 
 
 def left_kernel(m: MatQ) -> MatQ:

@@ -1,11 +1,23 @@
 """The projective line P^1(O/n) and the right SL_2 action on it.
 
 Points are unit-ray classes of coprime bottom-row pairs (c : d).  The
-canonical representative of a ray is the lexicographically least reduced
-pair under the element key (b, a), found by sweeping all pairs in
-ascending order and marking each newly seen ray in full.  The resulting
-table gives O(1) normalization and action lookups; it is the coset space
-of Gamma_0(n) in SL_2(O) that the Schreier machinery walks.
+canonical representative of a ray is its least pair under the residue
+enumeration order (first by c, then by d), and points are listed in
+that order; this fixes the coset numbering that the Schreier machinery
+walks.
+
+The table is built one divisor class at a time.  Units act transitively
+on the residues c with a given g = gcd(c, n), so every ray through such
+a c meets c_min(g), the first residue of the class, and a unit w with
+w*c = c_min is recorded for each c by walking the unit orbit of c_min.
+The units fixing c_min are those = 1 mod m, m = n/g, so the second
+coordinates paired with c_min in the ray of (c : d) are the residues
+y = w*d (mod m) that lie in no prime dividing g; the canonical one is
+the first such y.  A table keyed by residues mod m' (m times the primes
+of g that do not divide m, so that the key also decides membership in
+those primes) maps each admissible w*d to its point.  Normalization is
+then one product, two reductions and two dictionary lookups, and the
+point count is checked against the local formula.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from .errors import (
     ZeroModulus,
 )
 from .ideals import PIdeal, ResidueSystem, factor
-from .qfield import Mat2, QuadInt
+from .qfield import Mat2, QuadInt, exact_div, gcd, xgcd
 
 
 class P1Point:
@@ -59,35 +71,55 @@ class P1Table:
 
     def _build(self):
         rs = self.rs
-        n = len(rs)
-        # pair (c, d) is projective iff no prime divisor of the level
-        # contains both coordinates
-        masks = []
-        if not self.level.is_unit_ideal():
-            for p, _ in factor(self.level):
-                masks.append(bytes(p.contains(x) for x in rs.reps))
-        units = rs.invertible_reps()
-        taken = bytearray(n * n)
-        lookup: dict[tuple[int, int, int, int], int] = {}
-        points: list[P1Point] = []
-        for ic, c in enumerate(rs.reps):
-            row = ic * n
-            for idd, dd in enumerate(rs.reps):
-                if taken[row + idd]:
+        reps = rs.reps
+        gen = self.level.gen
+        fac = [] if self.level.is_unit_ideal() else factor(self.level)
+        # membership of every residue in every prime divisor of the level
+        masks = [[p.contains(x) for x in reps] for p, _ in fac]
+        units = [x for i, x in enumerate(reps) if not any(m[i] for m in masks)]
+        inverses = [rs.reduce(xgcd(u, gen)[1]) for u in units]
+        # residue key -> (w, key system, class table) with w*c = c_min
+        orbit: dict[tuple[int, int], tuple] = {}
+        classes = []  # (c_min, first admissible y of each ray, class table)
+        for c in reps:
+            if (c.a, c.b) in orbit:
+                continue
+            g = gcd(c, gen)
+            m = exact_div(gen, g)
+            in_g = [i for i, (p, _) in enumerate(fac) if p.contains(c)]
+            mkey = m
+            for i in in_g:
+                if not fac[i][0].contains(m):
+                    mkey = mkey * fac[i][0].gen
+            rs_m = ResidueSystem(PIdeal(m))
+            rs_key = rs_m if mkey is m else ResidueSystem(PIdeal(mkey))
+            table: dict[tuple[int, int], QuadInt] = {}
+            first: dict[tuple[int, int], QuadInt] = {}
+            for i, y in enumerate(reps):
+                if any(masks[j][i] for j in in_g):
                     continue
-                if any(m[ic] and m[idd] for m in masks):
-                    continue
-                pt = P1Point(c, dd, len(points))
-                points.append(pt)
-                for u in units:
-                    uc = rs.reduce(u * c)
-                    ud = rs.reduce(u * dd)
-                    taken[rs.index(uc) * n + rs.index(ud)] = 1
-                    lookup[(uc.a, uc.b, ud.a, ud.b)] = pt.index
+                ym = rs_m.reduce(y)
+                y0 = first.setdefault((ym.a, ym.b), y)
+                yk = ym if rs_key is rs_m else rs_key.reduce(y)
+                table[(yk.a, yk.b)] = y0
+            classes.append((c, list(first.values()), table))
+            for u, ui in zip(units, inverses):
+                x = rs.reduce(u * c)
+                orbit.setdefault((x.a, x.b), (ui, rs_key, table))
+        index = rs.index
+        pairs = sorted(
+            ((index(c), index(y), c, y) for c, ys, _ in classes for y in ys)
+        )
+        points = [P1Point(c, y, k) for k, (_, _, c, y) in enumerate(pairs)]
+        # class tables map keys to the canonical points themselves
+        by_pair = {(pt.c.a, pt.c.b, pt.d.a, pt.d.b): pt for pt in points}
+        for c, _, table in classes:
+            for k, y in table.items():
+                table[k] = by_pair[(c.a, c.b, y.a, y.b)]
         self.points = points
-        self._lookup = lookup
+        self._orbit = orbit
         expected = 1
-        for p, e in factor(self.level):
+        for p, e in fac:
             np = p.norm()
             expected *= np ** (e - 1) * (np + 1)
         if len(points) != expected:
@@ -100,13 +132,14 @@ class P1Table:
 
     def normalize(self, c: QuadInt, d: QuadInt) -> P1Point:
         rc = self.rs.reduce(c)
-        rd = self.rs.reduce(d)
-        idx = self._lookup.get((rc.a, rc.b, rd.a, rd.b))
-        if idx is None:
+        w, rs_key, table = self._orbit[(rc.a, rc.b)]
+        y = rs_key.reduce(w * d)
+        pt = table.get((y.a, y.b))
+        if pt is None:
             raise NotProjectivePoint(
-                f"({rc}:{rd}) is not projective mod {self.level}"
+                f"({rc}:{self.rs.reduce(d)}) is not projective mod {self.level}"
             )
-        return self.points[idx]
+        return pt
 
     def apply(self, g: Mat2, x: P1Point) -> P1Point:
         if not g.det().is_unit():
@@ -121,15 +154,3 @@ class P1Table:
 @lru_cache(maxsize=None)
 def p1_table(n: PIdeal) -> P1Table:
     return P1Table(n)
-
-
-def p1_normalize(c: QuadInt, d: QuadInt, n: PIdeal) -> P1Point:
-    return p1_table(n).normalize(c, d)
-
-
-def p1_enumerate(n: PIdeal) -> list[P1Point]:
-    return list(p1_table(n).points)
-
-
-def p1_apply(g: Mat2, x: P1Point, n: PIdeal) -> P1Point:
-    return p1_table(n).apply(g, x)

@@ -5,9 +5,13 @@ coset being (0:1).  A breadth-first spanning tree (moves ordered by
 generator id, then inverse moves) fixes a transversal; Schreier
 generators sit on the non-tree positive edges.  Rewriting walks a word
 through the coset action and collects signed visits to non-tree edges,
-which is all that survives abelianization; the rewritten ambient
-relators over all cosets form the integer relator matrix whose mod-q
-left-kernel functionals are the cohomology classes downstream.
+which is all that survives abelianization.  Every ambient relator is
+walked from every coset, and the walk must close; the rewritten rows
+form the relator matrix, kept sparse as one dict {Schreier generator
+index: nonzero exponent} per relator and coset, relator-major.  A relator
+walk touches a handful of edges, so the rows are short; their mod-q
+kernel is the cohomology downstream.  rewrite and express return dense
+exponent lists.
 """
 
 from __future__ import annotations
@@ -108,20 +112,24 @@ class CongCtx:
                 raise NotInSubgroup(f"Schreier generator {m} escapes the level")
 
     def _walk(self, letters, start):
-        """Walk letters from a coset; return (end coset, sgen exponents)."""
-        vec = [0] * len(self.sgens)
+        """Walk letters from a coset; return (end coset, sgen exponents).
+
+        The exponents come as a dict {sgen index: exponent}, which may
+        hold zeros where visits cancel.
+        """
+        vec: dict[int, int] = {}
         pos = start
         for gid, e in letters:
             if e == 1:
                 idx = self._sgen_index.get((pos, gid))
                 if idx is not None:
-                    vec[idx] += 1
+                    vec[idx] = vec.get(idx, 0) + 1
                 pos = self.act[gid][0][pos]
             else:
                 prev = self.act[gid][1][pos]
                 idx = self._sgen_index.get((prev, gid))
                 if idx is not None:
-                    vec[idx] -= 1
+                    vec[idx] = vec.get(idx, 0) - 1
                 pos = prev
         return pos, vec
 
@@ -133,7 +141,7 @@ class CongCtx:
                 end, vec = self._walk(r.letters, x)
                 if end != x:
                     raise NotInSubgroup("relator walk did not close")
-                rows.append(vec)
+                rows.append({k: v for k, v in vec.items() if v})
         return rows
 
     # -- queries ------------------------------------------------------
@@ -145,7 +153,10 @@ class CongCtx:
         end, vec = self._walk(w.letters, self.base)
         if end != self.base:
             raise NotInSubgroup("word does not lie in the congruence subgroup")
-        return vec
+        dense = [0] * len(self.sgens)
+        for k, v in vec.items():
+            dense[k] = v
+        return dense
 
     def express(self, m: Mat2) -> list[int]:
         if not self.membership(m):
@@ -169,5 +180,5 @@ def express(m: Mat2, cc: CongCtx) -> list[int]:
     return cc.express(m)
 
 
-def relator_matrix(cc: CongCtx) -> list[list[int]]:
+def relator_matrix(cc: CongCtx) -> list[dict[int, int]]:
     return cc.relmat

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the definitions rather
 than the library's own algorithms: an integer Smith form by alternating
 row/column Euclid, a brute-force projective-line count over all residue
-pairs, and a small Todd-Coxeter coset enumerator.  Each oracle is itself
+pairs, the all-pairs sweep that fixes the canonical points of P^1, and
+a small Todd-Coxeter coset enumerator.  Each oracle is itself
 sanity-checked in test_oracles.py before anything else relies on it.
 """
 
@@ -402,3 +403,51 @@ def scan_right_cosets(reps, lam, level, x):
         if quot.det().is_one() and level.contains(quot.c):
             hits.append(j)
     return hits
+
+
+def sweep_p1(n):
+    """P^1(O/n) by the all-pairs sweep: (points, lookup).
+
+    Pairs (c, d) are visited in residue order, c outermost; the first
+    projective pair of a unit ray not yet marked becomes its point, and
+    the whole ray is marked.  points lists (c, d) in that order, and
+    lookup maps every projective residue pair (c.a, c.b, d.a, d.b) to
+    the index of its point.  Quadratic in the norm of n.
+    """
+    from bianchicoh.ideals import ResidueSystem, factor
+
+    rs = ResidueSystem(n)
+    size = len(rs)
+    masks = []
+    if not n.is_unit_ideal():
+        for p, _ in factor(n):
+            masks.append(bytes(p.contains(x) for x in rs.reps))
+    units = rs.invertible_reps()
+    taken = bytearray(size * size)
+    lookup = {}
+    points = []
+    for ic, c in enumerate(rs.reps):
+        for idd, d in enumerate(rs.reps):
+            if taken[ic * size + idd]:
+                continue
+            if any(m[ic] and m[idd] for m in masks):
+                continue
+            k = len(points)
+            points.append((c, d))
+            for u in units:
+                uc = rs.reduce(u * c)
+                ud = rs.reduce(u * d)
+                taken[rs.index(uc) * size + rs.index(ud)] = 1
+                lookup[(uc.a, uc.b, ud.a, ud.b)] = k
+    return points, lookup
+
+
+def dense_rows(rows, ncols):
+    """Sparse rows {column: value} as dense integer lists of length ncols."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for j, v in row.items():
+            dense[j] = v
+        out.append(dense)
+    return out

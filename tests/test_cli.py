@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -261,3 +262,50 @@ def test_modulus_at_or_above_two_to_the_31_rejected():
     r = run_cli(*args, "--modulus", "2147483647")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["dims"]["h1"] == 2
+
+
+# stdout sha256 of inspect p1, hecke and degeneracy on the acceptance
+# A-configurations (field, level, prime, modulus), recorded before P^1 was
+# built by divisor class; they pin the point order of P^1 and, through
+# the Schreier generators, the bytes of the Hecke and degeneracy reports.
+A_CONFIGS = [
+    (1, "(2+5*w)", "(1+1*w)", 7),
+    (2, "(3+1*w)", "(0+1*w)", 5),
+    (3, "(1+5*w)", "(1+1*w)", 5),
+    (7, "(1+2*w)", "(0+1*w)", 5),
+    (11, "(1-2*w)", "(0+1*w)", 5),
+]
+
+FROZEN_INSPECT_SHA256 = {
+    "p1": {
+        1: "1fad5d4c5893688223eea2478cfff3891688dff4a0707752dbf94ca3f3733895",
+        2: "ff53363cf6a4c8473ad2d67930e404186e58d74752e013450d96a18c541ece0f",
+        3: "6312862b1088c25ee9c017e140db1bd48677ee2cbad69841f05919c7810c8ce4",
+        7: "990d7787c79eb0b29819a1b37db0e47dab0efdfd11064aa11943fdcf04fc388b",
+        11: "34d748dacf8d360cc7ebc6fc526fcf5a07c376beb6e34b76095c9f7809d4bf86",
+    },
+    "hecke": {
+        1: "1b8614457e85e512247368470757fa2bbd9b55da2b731a9b552613fe3bb61801",
+        2: "e91d308ff6037670c34bb7217309ecbfcb3a77f78d609cc92bb5b57e8afdcf57",
+        3: "f3aeab469500e13dac5397138a4e5aea27139bd55992472a476b600f3c161715",
+        7: "195a1064a56474693d7c717d5620969fc8486ddad9fbc6ae38aad5cc7bccf5fe",
+        11: "cec45f4e26d1282302f4b43e783163cf099048c52ff7c48abb602629f3bd6c5d",
+    },
+    "degeneracy": {
+        1: "025a2ead72153d7a9424151fe6f727def5f9fd71dbcc195624773cac7cb13c0b",
+        2: "18ce13be80ae2b9d6d61347333162c6a5c47e7730cff82cdd80f718953f69b52",
+        3: "28c9c197950e0e1c0a24cf746157710c2faaa2fb7aa896c10fe1f7d0fb6139f1",
+        7: "a89073738f6d9d64046276152a2115d2f4cf61abe6520b2c2090ae8f88b056fa",
+        11: "89318ef9c24e55c140a4676ef2b38994f50e2d0fbf83c79259773a60f1a30f9c",
+    },
+}
+
+
+def test_inspect_reports_frozen_on_a_configurations():
+    for what, digests in FROZEN_INSPECT_SHA256.items():
+        for d, level, prime, q in A_CONFIGS:
+            r = run_cli("inspect", what, "--field-d", str(d), "--level", level,
+                        "--prime", prime, "--modulus", str(q))
+            assert r.returncode == 0, r.stderr
+            digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+            assert digest == digests[d], (what, d)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import bianchicoh.hecke as hecke
 from bianchicoh.cohom import h1, parabolic, unit_invariants
 from bianchicoh.degmaps import alpha, kernel, restriction_map, twisted_map
 from bianchicoh.errors import (
@@ -269,3 +270,31 @@ def test_hecke_matrix_on_zero_space_is_empty():
     assert space.dim == 0
     t = hecke_matrix(parse_ideal(field(1), "(1+1*w)"), space)
     assert t.mat.nrows == 0 and t.mat.ncols == 0
+
+
+def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
+    """A B-configuration: only the pairwise check of hecke_cosets runs."""
+    _, space = _unit_space(2, "(2)", 5)
+    assert space.dim == 0
+    ctx = space.cc.ctx
+    calls = []
+    check = hecke._quotient_in_gamma0
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    def no_locate(*args):
+        raise AssertionError("locate_right_coset ran on a zero space")
+
+    monkeypatch.setattr(hecke, "_quotient_in_gamma0", counted)
+    monkeypatch.setattr(hecke, "locate_right_coset", no_locate)
+    l = parse_ideal(ctx, "(3+1*w)")
+    t = hecke_matrix(l, space)
+    assert t.mat.nrows == 0 and t.mat.ncols == 0
+    nreps = l.norm() + 1
+    assert len(calls) == nreps * (nreps - 1)
+    with pytest.raises(NotPrime):
+        hecke_matrix(parse_ideal(ctx, "(3)"), space)
+    with pytest.raises(NotCoprimeToLevel):
+        hecke_matrix(parse_ideal(ctx, "(0+1*w)"), space)

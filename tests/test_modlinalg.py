@@ -1,4 +1,4 @@
-"""Dense linear algebra over Z/q: RREF, kernels, fixed spaces."""
+"""Linear algebra over Z/q: RREF, dense and sparse kernels, fixed spaces."""
 
 from __future__ import annotations
 
@@ -7,8 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from bianchicoh.errors import ShapeMismatch
+import bianchicoh.modlinalg as modlinalg
+from bianchicoh.errors import ConstructionFailure, ShapeMismatch
+from bianchicoh.ideals import parse_ideal
 from bianchicoh.modlinalg import (
+    SPARSE_WEIGHT_CAP,
     MatQ,
     coordinates_in_rowspace,
     fixed_space,
@@ -18,7 +21,11 @@ from bianchicoh.modlinalg import (
     mulmod,
     rank,
     rref,
+    sparse_kernel_basis,
 )
+from bianchicoh.qfield import field
+from bianchicoh.schreier import build
+from oracles import dense_rows
 
 
 def _random_mat(rng, q, r, c):
@@ -156,3 +163,71 @@ def test_products_exact_at_the_largest_modulus():
     basis = rref(MatQ(q, [[q - 1] * 5, [1, 2, 3, 4, q - 2]]))[0]
     v = (MatQ(q, [[q - 1, q - 2]]) @ basis).arr[0]
     assert coordinates_in_rowspace(basis, v).tolist() == [q - 1, q - 2]
+
+
+def _dense_kernel(rows, ncols, q):
+    return kernel_basis(MatQ(q, np.array(dense_rows(rows, ncols),
+                                         dtype=np.int64).reshape(-1, ncols)))
+
+
+def test_sparse_kernel_equals_dense_kernel_on_relator_matrices():
+    levels = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
+              11: "(1-2*w)"}
+    for d, text in levels.items():
+        ctx = field(d)
+        cc = build(parse_ideal(ctx, text), ctx)
+        for q in (5, 2147483647):
+            sparse = sparse_kernel_basis(cc.relmat, len(cc.sgens), q)
+            assert sparse == _dense_kernel(cc.relmat, len(cc.sgens), q), (d, q)
+
+
+def _heavy_rows(rng, nrows, ncols, weight):
+    return [
+        {j: rng.randrange(-4, 5) for j in rng.sample(range(ncols), weight)}
+        for _ in range(nrows)
+    ]
+
+
+def test_sparse_kernel_with_a_dense_remainder(monkeypatch):
+    rng = random.Random(31)
+    remainders = []
+    dense = modlinalg.kernel_basis
+
+    def spy(m):
+        remainders.append(m.nrows)
+        return dense(m)
+
+    monkeypatch.setattr(modlinalg, "kernel_basis", spy)
+    ncols = 3 * SPARSE_WEIGHT_CAP
+    for trial in range(12):
+        weight = rng.randrange(SPARSE_WEIGHT_CAP + 1, ncols + 1)
+        rows = _heavy_rows(rng, rng.randrange(1, ncols + 8), ncols, weight)
+        # light rows, zero and empty rows and duplicates ride along
+        rows += [{j: 1 for j in rng.sample(range(ncols), 3)} for _ in range(5)]
+        rows += [{}, {0: 0, 1: 5 * 7}, dict(rows[0])]
+        for q in (5, 7, 2147483647):
+            remainders.clear()
+            sparse = sparse_kernel_basis(rows, ncols, q)
+            assert remainders and remainders[0] > 0, trial
+            assert sparse == _dense_kernel(rows, ncols, q), (trial, q)
+
+
+def test_sparse_kernel_edge_shapes():
+    assert sparse_kernel_basis([], 3, 5) == MatQ.identity(5, 3)
+    assert sparse_kernel_basis([{}, {1: 10}], 2, 5) == MatQ.identity(5, 2)
+    assert sparse_kernel_basis([{0: 1}, {1: 3}], 2, 7).nrows == 0
+    assert sparse_kernel_basis([], 0, 5).arr.shape == (0, 0)
+
+
+def test_sparse_kernel_certificate_catches_a_wrong_basis(monkeypatch):
+    rng = random.Random(37)
+    ncols = 2 * SPARSE_WEIGHT_CAP
+    rows = _heavy_rows(rng, 8, ncols, SPARSE_WEIGHT_CAP + 4)
+
+    def identity_kernel(m):
+        return MatQ.identity(m.q, m.ncols)
+
+    # a remainder kernel that ignores the remaining rows
+    monkeypatch.setattr(modlinalg, "kernel_basis", identity_kernel)
+    with pytest.raises(ConstructionFailure, match="does not vanish"):
+        sparse_kernel_basis(rows, ncols, 5)

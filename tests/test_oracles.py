@@ -20,8 +20,10 @@ from oracles import (
     abelian_invariants,
     brute_p1_count,
     brute_p1_count_fast,
+    dense_rows,
     scan_right_cosets,
     snf_diagonal,
+    sweep_p1,
     tc_subgroup_abelianization,
     todd_coxeter,
 )
@@ -161,3 +163,22 @@ def test_scan_right_cosets_separates_the_hecke_representatives():
         assert scan_right_cosets(reps, lam, level, rep) == [j]
     # determinant 9 is not in the double coset of diag(1, 3)
     assert scan_right_cosets(reps, lam, level, Mat2(lam, zero, zero, lam)) == []
+
+
+def test_sweep_p1_counts_rays_and_maps_them_to_their_first_pair():
+    for d, text in [(1, "(2+1*w)"), (2, "(2)"), (3, "(3+1*w)"), (7, "(3)"),
+                    (11, "(1)")]:
+        n = parse_ideal(field(d), text)
+        points, lookup = sweep_p1(n)
+        assert len(points) == brute_p1_count(n), (d, text)
+        assert len(set(lookup.values())) == len(points)
+        for k, (c, dd) in enumerate(points):
+            assert lookup[(c.a, c.b, dd.a, dd.b)] == k
+        # every pair of a ray maps to the ray's first pair, which is least
+        firsts = [(c.a, c.b, dd.a, dd.b) for c, dd in points]
+        assert firsts == sorted(firsts, key=lambda t: (t[1], t[0], t[3], t[2]))
+
+
+def test_dense_rows_places_entries_and_zero_fills():
+    assert dense_rows([{0: 2, 3: -1}, {}], 4) == [[2, 0, 0, -1], [0, 0, 0, 0]]
+    assert dense_rows([], 3) == []

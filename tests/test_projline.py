@@ -7,10 +7,10 @@ import random
 import pytest
 
 from bianchicoh.errors import BadDeterminant, NotProjectivePoint, ZeroModulus
-from bianchicoh.ideals import PIdeal, parse_ideal
-from bianchicoh.projline import P1Table, p1_apply, p1_enumerate, p1_normalize, p1_table
+from bianchicoh.ideals import PIdeal, enumerate_ideals, parse_ideal
+from bianchicoh.projline import P1Table, p1_table
 from bianchicoh.qfield import Mat2, field
-from oracles import brute_p1_count
+from oracles import brute_p1_count, sweep_p1
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -61,10 +61,11 @@ def test_normalize_is_constant_on_unit_rays():
 def test_non_projective_pairs_rejected():
     ctx = field(1)
     n = parse_ideal(ctx, "(2+1*w)")
+    tab = p1_table(n)
     with pytest.raises(NotProjectivePoint):
-        p1_normalize(ctx.zero, ctx.zero, n)
+        tab.normalize(ctx.zero, ctx.zero)
     with pytest.raises(NotProjectivePoint):
-        p1_normalize(n.gen, n.gen * ctx.element(3), n)
+        tab.normalize(n.gen, n.gen * ctx.element(3))
 
 
 def test_action_is_a_permutation_and_respects_products():
@@ -117,11 +118,32 @@ def test_base_point_stabilizer_is_gamma0():
     assert tab.apply(s, b) != b
 
 
-def test_module_level_helpers_agree_with_table():
-    ctx = field(3)
-    n = parse_ideal(ctx, "(2)")
-    tab = p1_table(n)
-    assert p1_enumerate(n) == tab.points
-    g = Mat2(ctx.one, ctx.one, ctx.zero, ctx.one)
-    for pt in tab.points:
-        assert p1_apply(g, pt, n) == tab.apply(g, pt)
+def _assert_matches_sweep(n):
+    """Points, indices and normalize of every residue pair vs the sweep."""
+    points, lookup = sweep_p1(n)
+    tab = P1Table(n)
+    assert [(pt.c, pt.d) for pt in tab.points] == points, str(n)
+    assert [pt.index for pt in tab.points] == list(range(len(points)))
+    reps = tab.rs.reps
+    for c in reps:
+        for d in reps:
+            expected = lookup.get((c.a, c.b, d.a, d.b))
+            if expected is None:
+                with pytest.raises(NotProjectivePoint):
+                    tab.normalize(c, d)
+            else:
+                assert tab.normalize(c, d).index == expected, (str(n), c, d)
+
+
+def test_class_tables_match_the_all_pairs_sweep():
+    for d in FIELDS:
+        for n in enumerate_ideals(field(d), 60):
+            _assert_matches_sweep(n)
+
+
+def test_point_order_matches_the_sweep_at_large_levels():
+    ctx = field(2)
+    for text in ("(9+11*w)", "(19+7*w)", "(23)"):
+        n = parse_ideal(ctx, text)
+        points, _ = sweep_p1(n)
+        assert [(pt.c, pt.d) for pt in P1Table(n).points] == points, text

@@ -11,7 +11,7 @@ from bianchicoh.fpres import Word, word_to_matrix
 from bianchicoh.ideals import parse_ideal
 from bianchicoh.qfield import Mat2, field
 from bianchicoh.schreier import build, express, membership, relator_matrix, rewrite
-from oracles import abelian_invariants, tc_subgroup_abelianization
+from oracles import abelian_invariants, dense_rows, tc_subgroup_abelianization
 
 # (d, level, expected abelianization of Gamma_0(level))
 FROZEN_ABELIANIZATIONS = [
@@ -41,7 +41,9 @@ def test_counts_and_shapes():
         assert nsgens == ncos * cc.pres.gen_count - (ncos - 1)
         relmat = relator_matrix(cc)
         assert len(relmat) == len(cc.pres.relators) * ncos
-        assert all(len(row) == nsgens for row in relmat)
+        # sparse rows: sgen index -> nonzero exponent
+        assert all(0 <= j < nsgens and v for row in relmat for j, v in row.items())
+        assert all(len(row) == nsgens for row in dense_rows(relmat, nsgens))
 
 
 def test_transversal_carries_base_to_each_coset():
@@ -69,6 +71,7 @@ def test_relator_rows_certified_by_matrix_walk():
         p1 = cc.cosets
         pres = cc.pres
         ident = Mat2.identity(ctx)
+        relmat = dense_rows(cc.relmat, len(cc.sgens))
         mats = [m for _, m in pres.generators]
         invs = [m.inv_det_one() for m in mats]
         rowi = 0
@@ -92,7 +95,7 @@ def test_relator_rows_certified_by_matrix_walk():
                     pos = nxt
                 assert pos.index == x
                 assert prod == ident
-                assert vec == cc.relmat[rowi]
+                assert vec == relmat[rowi]
                 rowi += 1
 
 
@@ -100,7 +103,8 @@ def test_abelianization_matches_frozen_and_todd_coxeter():
     for d, text, expected in FROZEN_ABELIANIZATIONS:
         ctx = field(d)
         cc = build(parse_ideal(ctx, text), ctx)
-        rank, torsion = abelian_invariants(cc.relmat, len(cc.sgens))
+        relmat = dense_rows(cc.relmat, len(cc.sgens))
+        rank, torsion = abelian_invariants(relmat, len(cc.sgens))
         assert (rank, tuple(torsion)) == expected, (d, text)
         # independent enumeration from the abstract presentation alone
         tc_rank, tc_torsion = tc_subgroup_abelianization(
@@ -133,7 +137,8 @@ def test_express_is_additive_modulo_relators():
     rng = random.Random(29)
     ctx = field(2)
     cc = build(parse_ideal(ctx, "(3+1*w)"), ctx)
-    base_inv = abelian_invariants(cc.relmat, len(cc.sgens))
+    relmat = dense_rows(cc.relmat, len(cc.sgens))
+    base_inv = abelian_invariants(relmat, len(cc.sgens))
     for _ in range(10):
         m1 = _random_member(cc, rng)
         m2 = _random_member(cc, rng)
@@ -142,21 +147,22 @@ def test_express_is_additive_modulo_relators():
         v12 = express(m1 * m2, cc)
         diff = [a - b - c for a, b, c in zip(v12, v1, v2)]
         # adding a lattice row leaves the quotient group unchanged
-        assert abelian_invariants(cc.relmat + [diff], len(cc.sgens)) == base_inv
+        assert abelian_invariants(relmat + [diff], len(cc.sgens)) == base_inv
 
 
 def test_express_round_trip_through_sgens():
     """The exponent vector of a known sgen product recovers that product."""
     ctx = field(7)
     cc = build(parse_ideal(ctx, "(1+2*w)"), ctx)
+    relmat = dense_rows(cc.relmat, len(cc.sgens))
     for k, (_, m) in enumerate(cc.sgens[:10]):
         v = express(m, cc)
         # in the abelianization the vector must hit coordinate k once,
         # up to relator rows
         diff = list(v)
         diff[k] -= 1
-        rank, torsion = abelian_invariants(cc.relmat + [diff], len(cc.sgens))
-        assert (rank, torsion) == abelian_invariants(cc.relmat, len(cc.sgens))
+        rank, torsion = abelian_invariants(relmat + [diff], len(cc.sgens))
+        assert (rank, torsion) == abelian_invariants(relmat, len(cc.sgens))
 
 
 def test_membership_and_rejection():
@@ -178,7 +184,8 @@ def test_move_order_permutation_changes_nothing_essential():
         ctx = field(d)
         cc = build(parse_ideal(ctx, text), ctx, move_order="reversed")
         assert len(cc.sgens) == len(cc.cosets) * cc.pres.gen_count - (len(cc.cosets) - 1)
-        rank, torsion = abelian_invariants(cc.relmat, len(cc.sgens))
+        relmat = dense_rows(cc.relmat, len(cc.sgens))
+        rank, torsion = abelian_invariants(relmat, len(cc.sgens))
         assert (rank, tuple(torsion)) == expected
     with pytest.raises(ValueError):
         build(parse_ideal(field(1), "(3)"), field(1), move_order="sideways")
