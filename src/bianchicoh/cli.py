@@ -51,7 +51,7 @@ from .ideals import (
 from .modlinalg import block_diag2
 from .projline import p1_table
 from .qfield import field
-from . import schreier
+from .schreier import CongCtx
 
 _FORMATS = ("json", "table")
 
@@ -230,7 +230,7 @@ class _Timer:
 
 
 def _spaces(level, ctx, q):
-    full = h1(schreier.build(level, ctx), q)
+    full = h1(CongCtx(level, ctx), q)
     par = parabolic(full)
     return full, par, unit_invariants(par)
 

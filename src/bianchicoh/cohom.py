@@ -6,12 +6,17 @@ relator; the full space is therefore the right kernel of the relator
 matrix mod q.  That matrix is sparse, so the kernel comes from
 structured Gaussian elimination (modlinalg.sparse_kernel_basis), with
 dense RREF only on what the sparse pass leaves, and every relator row is
-checked to vanish on the basis.  The parabolic subspace imposes vanishing on the unipotent
-stabilizer of every cusp (two conditions per cusp, one for each Z-basis
-vector of the width ideal); torsion parts of the stabilizers contribute
-nothing since q is coprime to their order.  The unit-invariant subspace
-is the fixed space of conjugation by diag(u0, 1) for a generator u0 of
-the unit group, which descends the computation from SL_2 to GL_2 level.
+checked to vanish on the basis.  A class is evaluated on a matrix by
+pairing the sparse exponents that CongCtx.express returns with the
+basis (modlinalg.sparse_values); no dense exponent vector is formed.
+The parabolic subspace imposes vanishing on the unipotent stabilizer of
+every cusp (two conditions per cusp, one for each Z-basis vector of the
+width ideal); torsion parts of the stabilizers contribute nothing since
+q is coprime to their order.  The unit-invariant subspace is the fixed
+space of conjugation by diag(u0, 1) for a generator u0 of the unit
+group, which descends the computation from SL_2 to GL_2 level; its
+operator projects the images of all basis classes in one batch
+(modlinalg.project_rows).
 
 Cusps are enumerated exactly: candidates a/c with c running over the
 divisors of the level generator and a over lifted invertible residues,
@@ -31,12 +36,13 @@ from .errors import (
 from .ideals import PIdeal, ResidueSystem, divisors
 from .modlinalg import (
     MatQ,
-    coordinates_in_rowspace,
     fixed_space,
     kernel_basis,
     mulmod,
+    project_rows,
     rref,
     sparse_kernel_basis,
+    sparse_values,
 )
 from .qfield import Mat2, QuadInt, divides, exact_div, gcd, xgcd
 from .schreier import CongCtx
@@ -209,12 +215,10 @@ def cusps(cc: CongCtx) -> list[Cusp]:
 
 
 def _restrict_rows(space: CohomSubspace, cond_rows, kind) -> CohomSubspace:
-    """Subspace of space killing the given integer condition rows."""
+    """Subspace of space killing the given sparse condition rows."""
     if not cond_rows:
         return CohomSubspace(space.cc, space.q, space.basis, kind)
-    q = space.q.q
-    cond = MatQ(q, cond_rows)
-    prod = space.basis @ cond.transpose()
+    prod = sparse_values(space.basis, cond_rows)
     coords = kernel_basis(prod.transpose())
     newbasis = rref(coords @ space.basis)[0]
     return CohomSubspace(space.cc, space.q, newbasis, kind)
@@ -248,25 +252,20 @@ def unit_conjugation_operator(space: CohomSubspace) -> MatQ:
     cc = space.cc
     ctx = cc.ctx
     q = space.q.q
-    u0 = _unit_conj_generator(ctx)
-    u0i = u0.conjugate()
-    vrows = []
-    for _, m in cc.sgens:
-        conj = Mat2(m.a, u0 * m.b, u0i * m.c, m.d)
-        vrows.append(cc.express(conj))
     if space.dim == 0:
         return MatQ(q, np.zeros((0, 0), dtype=np.int64))
-    v = MatQ(q, vrows)
-    images = space.basis @ v.transpose()  # row i = values of U(f_i) on sgens
-    rows = []
-    for i in range(space.dim):
-        coords = coordinates_in_rowspace(space.basis, images.arr[i])
-        if coords is None:
-            raise ProjectionFailure(
-                "unit conjugation escapes the subspace; this is a bug"
-            )
-        rows.append(coords)
-    return MatQ(q, rows)
+    u0 = _unit_conj_generator(ctx)
+    u0i = u0.conjugate()
+    vrows = [cc.express(Mat2(m.a, u0 * m.b, u0i * m.c, m.d))
+             for _, m in cc.sgens]
+    # row i = values of U(f_i) on the Schreier generators
+    images = sparse_values(space.basis, vrows)
+    coords, bad = project_rows(space.basis, images.arr)
+    if bad is not None:
+        raise ProjectionFailure(
+            "unit conjugation escapes the subspace; this is a bug"
+        )
+    return MatQ(q, coords)
 
 
 def unit_invariants(space: CohomSubspace) -> CohomSubspace:
@@ -292,6 +291,5 @@ def evaluate(space: CohomSubspace, coeffs, m: Mat2) -> int:
     vec = np.mod(np.asarray(coeffs, dtype=np.int64), q)
     if vec.shape != (space.dim,):
         raise ValueError(f"expected {space.dim} coordinates")
-    functional = mulmod(vec, space.basis.arr, q)
-    ex = np.mod(np.array(space.cc.express(m), dtype=np.int64), q)
-    return int(mulmod(functional, ex, q))
+    values = sparse_values(space.basis, [space.cc.express(m)])
+    return int(mulmod(vec, values.arr[:, 0], q))

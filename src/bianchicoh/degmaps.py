@@ -25,10 +25,11 @@ from .errors import (
 from .ideals import PIdeal
 from .modlinalg import (
     MatQ,
-    coordinates_in_rowspace,
     left_kernel,
     mulmod,
+    project_rows,
     rank,
+    sparse_values,
 )
 from .qfield import Mat2, QuadInt, exact_div
 
@@ -134,26 +135,22 @@ def _check_pair(src: CohomSubspace, dst: CohomSubspace) -> QuadInt:
 def _map_from_values(src: CohomSubspace, dst: CohomSubspace, ev_rows) -> LinMap:
     """LinMap whose rows are src-basis images given by evaluation rows.
 
-    ev_rows[k] is the exponent vector, over src Schreier generators, of
-    the k-th dst Schreier generator (possibly conjugated); the image of
-    a functional is its pairing with those rows, projected to dst
+    ev_rows[k] holds the sparse exponents, over src Schreier generators,
+    of the k-th dst Schreier generator (possibly conjugated); the image
+    of a functional is its pairing with those rows, projected to dst
     coordinates.
     """
     q = src.q.q
     if src.dim == 0:
         return LinMap(src, dst, MatQ(q, np.zeros((0, dst.dim), dtype=np.int64)))
-    ev = MatQ(q, ev_rows)
-    images = src.basis @ ev.transpose()  # row j = values on dst sgens
-    rows = []
-    for j in range(src.dim):
-        coords = coordinates_in_rowspace(dst.basis, images.arr[j])
-        if coords is None:
-            raise ProjectionFailure(
-                "degeneracy image escapes the destination subspace; "
-                "this indicates a bug"
-            )
-        rows.append(coords)
-    return LinMap(src, dst, MatQ(q, np.asarray(rows, dtype=np.int64)))
+    images = sparse_values(src.basis, ev_rows)  # row j = values on dst sgens
+    coords, bad = project_rows(dst.basis, images.arr)
+    if bad is not None:
+        raise ProjectionFailure(
+            "degeneracy image escapes the destination subspace; "
+            "this indicates a bug"
+        )
+    return LinMap(src, dst, MatQ(q, coords))
 
 
 def restriction_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:

@@ -8,12 +8,17 @@ product is -I, with S^4 and centrality relators [S^2, g] added once.
 Every stored relator is machine-checked to evaluate to the identity, so
 a transcription slip fails loudly at construction time.
 
-Words are converted to matrices by multiplication, each run of one
-repeated letter taken as a single power, and back by the
-Euclidean algorithm on the bottom row: while the lower-left entry is
-nonzero, split off a translation power and S^{-1}; the terminal matrix
-is upper triangular and decomposes into a diagonal unit and a
-translation.
+Words go to matrices by word_to_matrix, which multiplies the letters,
+each run of one repeated letter taken as a single power.  Matrices go to
+letters by matrix_to_word, the Euclidean algorithm on the bottom row run
+on integer coordinates: while the lower-left entry is nonzero, split off
+T_q S^{-1}, whose product is [[-q, 1], [-1, 0]]; the terminal matrix is
+diag(u, u^{-1}) T_x = [[u, u*x], [0, u^{-1}]].  The letters of T_q are
+t^a u^b for q = a + b*w, and those of diag(u, u^{-1}) come from a
+table that builtin_presentation checks once per field with
+word_to_matrix.  So the product of the closed forms is the value of the
+letters, and matrix_to_word checks that product against the input on
+every call, two ring products per step, in place of evaluating the word.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
     NotUnimodular,
     UnsupportedField,
 )
-from .qfield import FieldCtx, Mat2, QuadInt, euclid_divmod, format_element
+from .qfield import FieldCtx, Mat2, QuadInt, divmod_coords, format_element
 
 
 class Word:
@@ -114,6 +119,9 @@ class AmbientPresentation:
         self.t_id = self.name_to_id["t"]
         self.u_id = self.name_to_id["u"]
         self.e_id = self.name_to_id.get("e")
+        # unit (a, b) -> letters of diag(u, u^-1), filled and checked by
+        # builtin_presentation
+        self.unit_words: dict[tuple[int, int], tuple] = {}
 
     @property
     def gen_count(self) -> int:
@@ -192,6 +200,20 @@ def builtin_presentation(ctx: FieldCtx) -> AmbientPresentation:
     for _, m in p.generators:
         if not m.det().is_one():
             raise ConstructionFailure("generator with determinant != 1")
+    # matrix_to_word reads t^a u^b as T_{a+b*w}, s^-1 as S^-1 and the
+    # unit words as diag(u, u^-1)
+    one, zero = ctx.one, ctx.zero
+    shapes = ((p.t_id, Mat2(one, one, zero, one)),
+              (p.u_id, Mat2(one, ctx.omega, zero, one)),
+              (p.s_id, Mat2(zero, -one, one, zero)))
+    for gid, m in shapes:
+        if p._mats[gid] != m:
+            raise ConstructionFailure(f"generator {p.names[gid]} is not {m}")
+    for u in ctx.units:
+        letters = tuple(_unit_diag_letters(p, u))
+        if word_to_matrix(Word(letters), p) != Mat2(u, zero, zero, u.conjugate()):
+            raise ConstructionFailure(f"unit word for {u} is not diag(u, u^-1)")
+        p.unit_words[(u.a, u.b)] = letters
     return p
 
 
@@ -202,16 +224,6 @@ def word_to_matrix(w: Word, p: AmbientPresentation) -> Mat2:
         if not 0 <= g < p.gen_count:
             raise BadGeneratorId(f"generator id {g} out of range")
         out = out * (p._mats[g] if e == 1 else p._invs[g]) ** len(list(run))
-    return out
-
-
-def _translation_letters(p: AmbientPresentation, x: QuadInt) -> list:
-    """Letters of T_x = t^a u^b for x = a + b*w."""
-    out = []
-    if x.a:
-        out.extend([(p.t_id, 1 if x.a > 0 else -1)] * abs(x.a))
-    if x.b:
-        out.extend([(p.u_id, 1 if x.b > 0 else -1)] * abs(x.b))
     return out
 
 
@@ -242,30 +254,83 @@ def _unit_diag_letters(p: AmbientPresentation, u: QuadInt) -> list:
     raise ConstructionFailure(f"no diagonal word for unit {u}")
 
 
-def matrix_to_word(m: Mat2, p: AmbientPresentation) -> Word:
-    """Word in the generators with word_to_matrix(word) = m exactly."""
+def matrix_to_word(m: Mat2, p: AmbientPresentation) -> list:
+    """Letters (generator id, +-1) of a word whose value is m.
+
+    The list is not freely reduced; Word(list) reduces it.
+
+    Runs the Euclidean descent on coordinates: each step divides a by c
+    with divmod_coords, emits the letters of T_q S^{-1} and replaces
+    [[a, b], [c, d]] by [[-c, -d], [a - q*c, b - q*d]], which must lower
+    the norm of c.  The product of the step matrices [[-q, 1], [-1, 0]]
+    and of the tail [[u, u*x], [0, u^{-1}]] is kept alongside and must
+    equal m (ConstructionFailure otherwise).
+
+    Raises:
+        NotUnimodular: if det m != 1.
+    """
     if not m.det().is_one():
         raise NotUnimodular(f"determinant {m.det()} != 1")
-    letters = []
-    cur = m
-    while not cur.c.is_zero():
-        q, _ = euclid_divmod(cur.a, cur.c)
-        letters.extend(_translation_letters(p, q))
-        letters.append((p.s_id, -1))
-        # cur = T_q S^-1 next, i.e. next = S T_{-q} cur
-        nxt = Mat2(-cur.c, -cur.d, cur.a - q * cur.c, cur.b - q * cur.d)
-        if nxt.c.norm() >= cur.c.norm():
+    ctx = p.ctx
+    nw = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+    t_pos, t_neg = (p.t_id, 1), (p.t_id, -1)
+    u_pos, u_neg = (p.u_id, 1), (p.u_id, -1)
+    s_inv = (p.s_id, -1)
+    a0, a1, b0, b1 = m.a.a, m.a.b, m.b.a, m.b.b
+    c0, c1, d0, d1 = m.c.a, m.c.b, m.d.a, m.d.b
+    # running product [[pa, pb], [pc, pd]] of the step matrices
+    pa0, pa1, pb0, pb1, pc0, pc1, pd0, pd1 = 1, 0, 0, 0, 0, 0, 1, 0
+    letters: list = []
+    nc = c0 * c0 + sh * c0 * c1 + nw * c1 * c1
+    while nc:
+        q0, q1, r0, r1 = divmod_coords(ctx, a0, a1, c0, c1)
+        nr = r0 * r0 + sh * r0 * r1 + nw * r1 * r1
+        if nr >= nc:
             raise ConstructionFailure("Euclidean step failed to descend")
-        cur = nxt
-    u = cur.a
+        if q0:
+            letters += [t_pos if q0 > 0 else t_neg] * abs(q0)
+        if q1:
+            letters += [u_pos if q1 > 0 else u_neg] * abs(q1)
+        letters.append(s_inv)
+        # b - q*d is the new lower-right entry
+        e0 = b0 - q0 * d0 + nw * q1 * d1
+        e1 = b1 - q0 * d1 - q1 * d0 - sh * q1 * d1
+        a0, a1, b0, b1, c0, c1, d0, d1 = -c0, -c1, -d0, -d1, r0, r1, e0, e1
+        nc = nr
+        # [[pa, pb], [pc, pd]] * [[-q, 1], [-1, 0]]
+        #     = [[-pa*q - pb, pa], [-pc*q - pd, pc]]
+        pa0, pa1, pb0, pb1 = (
+            -(pa0 * q0 - nw * pa1 * q1) - pb0,
+            -(pa0 * q1 + pa1 * q0 + sh * pa1 * q1) - pb1,
+            pa0,
+            pa1,
+        )
+        pc0, pc1, pd0, pd1 = (
+            -(pc0 * q0 - nw * pc1 * q1) - pd0,
+            -(pc0 * q1 + pc1 * q0 + sh * pc1 * q1) - pd1,
+            pc0,
+            pc1,
+        )
+    # the terminal matrix is [[u, b], [0, u^-1]]
+    u = QuadInt(ctx, a0, a1)
     if not u.is_unit():
         raise NotUnimodular("upper-triangular part is not unimodular")
-    letters.extend(_unit_diag_letters(p, u))
-    letters.extend(_translation_letters(p, u.conjugate() * cur.b))
-    w = Word(letters)
-    if word_to_matrix(w, p) != m:
-        raise ConstructionFailure(f"round-trip failed for {m}")
-    return w
+    unit_word = p.unit_words.get((a0, a1))
+    if unit_word is None:
+        raise ConstructionFailure(f"no diagonal word for unit {u}")
+    letters += unit_word
+    ui = u.conjugate()  # = u^-1, units have norm 1
+    x = ui * QuadInt(ctx, b0, b1)
+    if x.a:
+        letters += [t_pos if x.a > 0 else t_neg] * abs(x.a)
+    if x.b:
+        letters += [u_pos if x.b > 0 else u_neg] * abs(x.b)
+    steps = Mat2(QuadInt(ctx, pa0, pa1), QuadInt(ctx, pb0, pb1),
+                 QuadInt(ctx, pc0, pc1), QuadInt(ctx, pd0, pd1))
+    if steps * Mat2(u, u * x, ctx.zero, ui) != m:
+        raise ConstructionFailure(f"step product differs from {m}")
+    return letters
 
 
 def serialize_presentation(p: AmbientPresentation) -> str:

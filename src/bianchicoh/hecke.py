@@ -6,13 +6,16 @@ over a residue system mod l, plus diag(lambda, 1).  Applying a class to
 delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes the
 operator on functionals.  The permutation sigma is read off x mod
 lambda for x = delta_i * gamma (the Manin-symbol index of its coset in
-P^1(O/l)), and the single candidate is certified by an exact division
-that lands in the level group.  Uniqueness is certified once per prime
-and level: hecke_cosets checks that no two representatives share a
-right coset, so no element can lie in two.  The Eisenstein check asks
-whether T_l - (N(l)+1) is nilpotent on a stable subspace for ray-trivial l,
-which is the finite-level meaning of "supported on Eisenstein maximal
-ideals only".
+P^1(O/l)), with inverses mod lambda from a table built once per prime,
+and the single candidate is certified by an exact division that lands
+in the level group.  Uniqueness is certified once per prime and level:
+hecke_cosets checks that no two representatives share a right coset, so
+no element can lie in two.  hecke_matrix sums the sparse exponents of
+the N(l)+1 quotients for each Schreier generator, pairs them with the
+basis in one product and projects every image back onto the basis.
+The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
+stable subspace for ray-trivial l, which is the finite-level meaning of
+"supported on Eisenstein maximal ideals only".
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .ideals import (
     prime_residue_reps_in_ideal,
     primes_by_norm,
 )
-from .modlinalg import MatQ, block_diag2, coordinates_in_rowspace, rref
+from .modlinalg import MatQ, block_diag2, project_rows, rref, sparse_values
 from .qfield import Mat2, QuadInt, euclid_divmod, xgcd
 
 
@@ -46,10 +49,11 @@ class HeckeCosets:
     """Right-coset representatives for the double coset of diag(1, l).
 
     reps[k] = [1, k-th residue; 0, lambda] in the order of `residues`,
-    and reps[-1] = diag(lambda, 1).
+    and reps[-1] = diag(lambda, 1).  inverse[i] is the index of the
+    inverse mod lambda of the i-th residue (None for 0).
     """
 
-    __slots__ = ("l", "level", "reps", "lam", "residues")
+    __slots__ = ("l", "level", "reps", "lam", "residues", "inverse")
 
     def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2],
                  residues: ResidueSystem):
@@ -58,6 +62,11 @@ class HeckeCosets:
         self.reps = reps
         self.lam = l.gen
         self.residues = residues
+        self.inverse = [
+            None if x.is_zero()
+            else residues.index(residues.reduce(xgcd(x, l.gen)[1]))
+            for x in residues.reps
+        ]
 
     def __len__(self):
         return len(self.reps)
@@ -71,15 +80,38 @@ def _gamma0_tilde_member(m: Mat2, level: PIdeal) -> bool:
     return m.det().is_unit() and level.contains(m.c)
 
 
+def _divide(e: QuadInt, lam: QuadInt) -> QuadInt | None:
+    """e / lambda when the division is exact, else None."""
+    q, r = euclid_divmod(e, lam)
+    return q if r.is_zero() else None
+
+
 def _quotient_in_gamma0(x: Mat2, delta: Mat2, lam: QuadInt, level: PIdeal):
-    """x * delta^{-1} when it lands in the unit-det level group, else None."""
-    ents = []
-    for e in (x * delta.adjugate()).entries():
-        q, r = euclid_divmod(e, lam)
-        if not r.is_zero():
+    """x * delta^{-1} when it lands in the unit-det level group, else None.
+
+    delta is a representative of hecke_cosets.  For [[1, k], [0, lambda]]
+    the quotient is [[a, (b - a*k)/lambda], [c, (d - c*k)/lambda]], and
+    for diag(lambda, 1) it is [[a/lambda, b], [c/lambda, d]], so only two
+    entries are divided; both divisions must be exact.
+    """
+    a, b, c, d = x.a, x.b, x.c, x.d
+    if delta.a.is_one():
+        k = delta.b
+        top = _divide(b - a * k, lam)
+        if top is None:
             return None
-        ents.append(q)
-    quot = Mat2(*ents)
+        bottom = _divide(d - c * k, lam)
+        if bottom is None:
+            return None
+        quot = Mat2(a, top, c, bottom)
+    else:
+        left = _divide(a, lam)
+        if left is None:
+            return None
+        low = _divide(c, lam)
+        if low is None:
+            return None
+        quot = Mat2(left, b, low, d)
     if not _gamma0_tilde_member(quot, level):
         return None
     return quot
@@ -120,7 +152,7 @@ def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
     when (b, d) = k * (a, c) mod lambda, and in that of diag(lambda, 1)
     exactly when lambda divides a and c.  So k = b / a when lambda does
     not divide a, and k = d / c when it divides a but not c; the inverse
-    mod the prime lambda is the Bezout coefficient from xgcd.  The single
+    mod the prime lambda comes from the table hc.inverse.  The single
     candidate is certified by exact division; PermutationFailure means x
     is not in the double coset.
     """
@@ -128,13 +160,15 @@ def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
     lam = hc.lam
     a = res.reduce(x.a)
     if not a.is_zero():
-        j = res.index(res.reduce(x.b * xgcd(a, lam)[1]))
+        ai = res.reps[hc.inverse[res.index(a)]]
+        j = res.index(res.reduce(x.b * ai))
     else:
         c = res.reduce(x.c)
         if c.is_zero():
             j = len(hc.reps) - 1
         else:
-            j = res.index(res.reduce(x.d * xgcd(c, lam)[1]))
+            ci = res.reps[hc.inverse[res.index(c)]]
+            j = res.index(res.reduce(x.d * ci))
     quot = _quotient_in_gamma0(x, hc.reps[j], lam, hc.level)
     if quot is None:
         raise PermutationFailure(f"{x} lies in no right coset of T_{hc.l}")
@@ -195,35 +229,23 @@ def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
     nreps = len(hc.reps)
     ev_rows = []
     for _, gamma in cc.sgens:
-        row = np.zeros(len(cc.sgens), dtype=np.int64)
+        row: dict[int, int] = {}
         sigma = []
         for di in hc.reps:
             j, quot = locate_right_coset(hc, di * gamma)
             sigma.append(j)
-            row += np.array(cc.express(quot), dtype=np.int64)
+            for k, v in cc.express(quot).items():
+                row[k] = row.get(k, 0) + v
         if sorted(sigma) != list(range(nreps)):
             raise PermutationFailure("coset permutation is not a bijection")
-        ev_rows.append(row % q)
-    ev = MatQ(q, np.asarray(ev_rows, dtype=np.int64))
-    images = space.basis @ ev.transpose()
-    rows = []
-    for i in range(space.dim):
-        coords = coordinates_in_rowspace(space.basis, images.arr[i])
-        if coords is None:
-            raise ProjectionFailure(
-                "Hecke image escapes the subspace; this indicates a bug"
-            )
-        rows.append(coords)
-    return LinMap(space, space, MatQ(q, np.asarray(rows, dtype=np.int64)))
-
-
-def diamond(l: PIdeal, space: CohomSubspace) -> LinMap:
-    """The central double coset of diag(lambda, lambda).
-
-    Conjugation by a central matrix is trivial, so on trivial
-    coefficients the operator is the identity on any subspace.
-    """
-    return LinMap(space, space, MatQ.identity(space.q.q, space.dim))
+        ev_rows.append(row)
+    images = sparse_values(space.basis, ev_rows)
+    coords, bad = project_rows(space.basis, images.arr)
+    if bad is not None:
+        raise ProjectionFailure(
+            "Hecke image escapes the subspace; this indicates a bug"
+        )
+    return LinMap(space, space, MatQ(q, coords))
 
 
 def ray_trivial_unit(l: PIdeal, conductor: PIdeal) -> QuadInt | None:
@@ -276,16 +298,10 @@ def ray_trivial_primes(
 
 def _restrict_operator(red: MatQ, opmat: MatQ) -> MatQ:
     """Matrix of an operator restricted to the span of an RREF basis."""
-    images = red @ opmat
-    rows = []
-    for i in range(red.nrows):
-        coords = coordinates_in_rowspace(red, images.arr[i])
-        if coords is None:
-            raise NotStable("subspace is not stable under the operator")
-        rows.append(coords)
-    if not rows:
-        return MatQ(red.q, np.zeros((0, 0), dtype=np.int64))
-    return MatQ(red.q, np.asarray(rows, dtype=np.int64))
+    coords, bad = project_rows(red, (red @ opmat).arr)
+    if bad is not None:
+        raise NotStable("subspace is not stable under the operator")
+    return MatQ(red.q, coords)
 
 
 def eisenstein_check(t: LinMap, basis: MatQ, l: PIdeal) -> dict:

@@ -34,11 +34,12 @@ from .qfield import (
 class PIdeal:
     """A principal ideal (gen) with gen stored as the canonical associate."""
 
-    __slots__ = ("ctx", "gen")
+    __slots__ = ("ctx", "gen", "_hnf")
 
     def __init__(self, gen: QuadInt):
         self.ctx = gen.ctx
         self.gen = normalize_associate(gen)
+        self._hnf = None
 
     def norm(self) -> int:
         return self.gen.norm()
@@ -50,7 +51,14 @@ class PIdeal:
         return self.gen.is_one()
 
     def contains(self, x: QuadInt) -> bool:
-        return divides(self.gen, x)
+        """Membership in the lattice [[p, 0], [q, r]] of _lattice_hnf."""
+        if self.gen.is_zero():
+            return x.is_zero()
+        if self._hnf is None:
+            self._hnf = _lattice_hnf(self.gen)
+        p, q, r = self._hnf
+        k, rem = divmod(x.b, r)
+        return rem == 0 and (x.a - k * q) % p == 0
 
     def divides(self, other: "PIdeal") -> bool:
         return divides(self.gen, other.gen)

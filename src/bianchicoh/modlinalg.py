@@ -261,38 +261,47 @@ def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
                 acc = (acc + v * x[j]) % q
         x[c] = (-acc) % q
     basis = rref(MatQ(q, x.T))[0]
-    _check_annihilates(rows, basis, q)
+    _check_annihilates(rows, basis)
     return basis
 
 
-def _check_annihilates(rows, basis: MatQ, q: int):
+def _check_annihilates(rows, basis: MatQ):
     """Raise ConstructionFailure unless row . v = 0 mod q for all pairs."""
-    ri, cj, vals = [], [], []
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            ri.append(i)
-            cj.append(j)
-            vals.append(v % q)
-    k = basis.nrows
-    if not vals or k == 0:
-        return
-    ri = np.asarray(ri, dtype=np.int64)
-    cj = np.asarray(cj, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64)
-    bt = basis.arr.T
-    sums = np.zeros((len(rows), k), dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // k)
-    for s in range(0, len(vals), step):
-        r = ri[s:s + step]
-        prod = (bt[cj[s:s + step]] * vals[s:s + step, None]) % q
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        seg = np.add.reduceat(prod, starts, axis=0) % q
-        sums[r[starts]] = (sums[r[starts]] + seg) % q
-    bad = np.flatnonzero(sums.any(axis=1))
+    bad = np.flatnonzero(sparse_values(basis, rows).arr.any(axis=0))
     if bad.size:
         raise ConstructionFailure(
             f"row {int(bad[0])} does not vanish on the kernel basis"
         )
+
+
+def sparse_values(basis: MatQ, rows) -> MatQ:
+    """basis @ dense(rows).T for sparse integer rows {column: value}.
+
+    Entry [i, k] is the value of basis row i on row k.  Each entry of
+    each row is paired with its column of basis.arr.T, in chunks of at
+    most _CHUNK_CELLS cells, and summed per row; no dense row is formed.
+    """
+    q = basis.q
+    k = basis.nrows
+    sums = np.zeros((len(rows), k), dtype=np.int64)
+    ri, cj, vals = [], [], []
+    for i, row in enumerate(rows):
+        ri += [i] * len(row)
+        cj += row.keys()
+        vals += row.values()
+    if vals and k:
+        ri = np.asarray(ri, dtype=np.int64)
+        cj = np.asarray(cj, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.int64) % q
+        bt = basis.arr.T
+        step = max(1, _CHUNK_CELLS // k)
+        for s in range(0, len(vals), step):
+            r = ri[s:s + step]
+            prod = (bt[cj[s:s + step]] * vals[s:s + step, None]) % q
+            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            seg = np.add.reduceat(prod, starts, axis=0) % q
+            sums[r[starts]] = (sums[r[starts]] + seg) % q
+    return MatQ(q, sums.T)
 
 
 def left_kernel(m: MatQ) -> MatQ:
@@ -318,6 +327,26 @@ def matpow(m: MatQ, k: int) -> MatQ:
         base = base @ base
         k >>= 1
     return out
+
+
+def project_rows(basis: MatQ, images) -> tuple[np.ndarray, int | None]:
+    """Coordinates in an RREF basis of every row of images.
+
+    Checks once that basis is in reduced row-echelon form (ValueError
+    otherwise), reads the coordinates of all rows off the pivot columns
+    and rebuilds the rows from them.  Returns (coords, None) when every
+    row lies in the row space, else (coords, index of the first row
+    that does not); the caller raises its own error.
+    """
+    q = basis.q
+    imgs = np.mod(np.asarray(images, dtype=np.int64), q)
+    red, pivots = rref(basis)
+    if red.nrows != basis.nrows or not (red == basis):
+        raise ValueError("basis must be in reduced row-echelon form")
+    coords = imgs[:, list(pivots)]
+    recon = mulmod(coords, basis.arr, q) if pivots else np.zeros_like(imgs)
+    bad = np.flatnonzero((recon != imgs).any(axis=1))
+    return coords, (int(bad[0]) if bad.size else None)
 
 
 def coordinates_in_rowspace(basis: MatQ, v) -> np.ndarray | None:

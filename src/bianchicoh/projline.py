@@ -146,6 +146,15 @@ class P1Table:
             raise BadDeterminant(f"determinant {g.det()} is not a unit")
         return self.normalize(x.c * g.a + x.d * g.c, x.c * g.b + x.d * g.d)
 
+    def action(self, g: Mat2) -> list[int]:
+        """Index of x*g for every point x in order, one det check for all."""
+        if not g.det().is_unit():
+            raise BadDeterminant(f"determinant {g.det()} is not a unit")
+        ga, gb, gc, gd = g.entries()
+        normalize = self.normalize
+        return [normalize(x.c * ga + x.d * gc, x.c * gb + x.d * gd).index
+                for x in self.points]
+
     def base_point(self) -> P1Point:
         """The class of (0 : 1), the coset of Gamma_0(n) itself."""
         return self.normalize(self.ctx.zero, self.ctx.one)

@@ -208,43 +208,72 @@ def _round_half_down(num: int, den: int) -> int:
     return -((den - 2 * num) // (2 * den))
 
 
-def euclid_divmod(a: QuadInt, b: QuadInt) -> tuple[QuadInt, QuadInt]:
-    """Return (q, r) with a = q*b + r and norm(r) < norm(b).
+def divmod_coords(ctx: FieldCtx, a0: int, a1: int, b0: int,
+                  b1: int) -> tuple[int, int, int, int]:
+    """The division rule on coordinates: a = q*b + r, norm(r) < norm(b).
 
-    The primary candidate rounds each coordinate of the exact quotient to
-    the nearest integer with ties toward minus infinity.  For d = 7, 11
-    that candidate can fail the norm inequality (the covering radius of
-    the lattice exceeds the coordinate box), so a 3x3 neighbourhood search
-    then picks the minimum-norm remainder, breaking ties by quotient
-    coordinates.  The descent norm(r) < norm(b) is asserted.
+    a = a0 + a1*w and b = b0 + b1*w; returns (q0, q1, r0, r1).  The
+    primary candidate rounds each coordinate of the exact quotient
+    a*conj(b)/norm(b) to the nearest integer, ties toward minus
+    infinity.  For d = 7, 11 that candidate can fail the norm inequality
+    (the covering radius of the lattice exceeds the coordinate box), so
+    a 3x3 neighbourhood search then picks the minimum-norm remainder,
+    breaking ties by quotient coordinates.  The descent is asserted.
 
     Raises:
         ZeroDivisionError: if b == 0.
     """
-    if b.is_zero():
+    m = ctx.norm_w
+    if ctx.shifted:
+        nb = b0 * b0 + b0 * b1 + m * b1 * b1
+        # a * conj(b) with conj(b) = (b0 + b1) - b1*w and w^2 = w - m
+        c0 = b0 + b1
+        n0 = a0 * c0 + m * a1 * b1
+        n1 = a1 * c0 - a0 * b1 - a1 * b1
+    else:
+        nb = b0 * b0 + m * b1 * b1
+        n0 = a0 * b0 + m * a1 * b1
+        n1 = a1 * b0 - a0 * b1
+    if nb == 0:
         raise ZeroDivisionError("division by zero in Z[w]")
-    nb = b.norm()
-    num = a * b.conjugate()
-    qa = _round_half_down(num.a, nb)
-    qb = _round_half_down(num.b, nb)
-    q = QuadInt(a.ctx, qa, qb)
-    r = a - q * b
-    if r.norm() < nb:
-        return q, r
+    sh = 1 if ctx.shifted else 0
+    q0 = _round_half_down(n0, nb)
+    q1 = _round_half_down(n1, nb)
     best = None
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            cand = QuadInt(a.ctx, qa + da, qb + db)
-            rem = a - cand * b
-            key = (rem.norm(), cand.a, cand.b)
-            if best is None or key < best[0]:
-                best = (key, cand, rem)
-    _, q, r = best
-    if r.norm() >= nb:  # impossible in a norm-Euclidean field
+    # the primary candidate first, then the rest of its 3x3 block
+    for d0, d1 in ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1),
+                   (1, -1), (1, 0), (1, 1)):
+        c0, c1 = q0 + d0, q1 + d1
+        r0 = a0 - c0 * b0 + m * c1 * b1
+        r1 = a1 - c0 * b1 - c1 * b0 - sh * c1 * b1
+        nr = r0 * r0 + sh * r0 * r1 + m * r1 * r1
+        if d0 == d1 == 0:
+            if nr < nb:
+                return c0, c1, r0, r1
+            continue
+        key = (nr, c0, c1)
+        if best is None or key < best[0]:
+            best = (key, c0, c1, r0, r1)
+    (nr, _, _), c0, c1, r0, r1 = best
+    if nr >= nb:  # impossible in a norm-Euclidean field
         raise ArithmeticError(
-            f"no norm-decreasing remainder for {a} / {b} (d={a.ctx.d})"
+            f"no norm-decreasing remainder for ({a0}, {a1}) / ({b0}, {b1}) "
+            f"(d={ctx.d})"
         )
-    return q, r
+    return c0, c1, r0, r1
+
+
+def euclid_divmod(a: QuadInt, b: QuadInt) -> tuple[QuadInt, QuadInt]:
+    """Return (q, r) with a = q*b + r and norm(r) < norm(b).
+
+    The rule is divmod_coords on the coordinates of a and b.
+
+    Raises:
+        ZeroDivisionError: if b == 0.
+    """
+    ctx = a.ctx
+    q0, q1, r0, r1 = divmod_coords(ctx, a.a, a.b, b.a, b.b)
+    return QuadInt(ctx, q0, q1), QuadInt(ctx, r0, r1)
 
 
 def exact_div(a: QuadInt, b: QuadInt) -> QuadInt:

@@ -3,15 +3,21 @@
 Cosets are identified with P^1(O/n) through the bottom row, the base
 coset being (0:1).  A breadth-first spanning tree (moves ordered by
 generator id, then inverse moves) fixes a transversal; Schreier
-generators sit on the non-tree positive edges.  Rewriting walks a word
+generators sit on the non-tree positive edges.  Rewriting walks letters
 through the coset action and collects signed visits to non-tree edges,
 which is all that survives abelianization.  Every ambient relator is
 walked from every coset, and the walk must close; the rewritten rows
 form the relator matrix, kept sparse as one dict {Schreier generator
 index: nonzero exponent} per relator and coset, relator-major.  A relator
 walk touches a handful of edges, so the rows are short; their mod-q
-kernel is the cohomology downstream.  rewrite and express return dense
-exponent lists.
+kernel is the cohomology downstream.
+
+express(m) checks that m lies in Gamma_0(n), takes the certified
+letters of fpres.matrix_to_word and walks them from the base coset; the
+walk must close.  The letters are not freely reduced, but a letter next
+to its inverse visits one edge with opposite signs, so nothing changes.
+rewrite and express return the same sparse {index: exponent} dicts as
+the relator rows, and consumers pair them with a basis directly.
 """
 
 from __future__ import annotations
@@ -49,17 +55,8 @@ class CongCtx:
         elif move_order != "default":
             raise ValueError(f"unknown move_order {move_order!r}")
         # integer action tables: act[g][0] = right mult by g, [1] by g^-1
-        self.act = []
-        for gid in range(p.gen_count):
-            fwd = [0] * ncos
-            mat = p._mats[gid]
-            inv = p._invs[gid]
-            for x in p1.points:
-                fwd[x.index] = p1.apply(mat, x).index
-            bwd = [0] * ncos
-            for x in p1.points:
-                bwd[x.index] = p1.apply(inv, x).index
-            self.act.append((fwd, bwd))
+        self.act = [(p1.action(p._mats[gid]), p1.action(p._invs[gid]))
+                    for gid in range(p.gen_count)]
         base = p1.base_point().index
         self.base = base
         transversal: list = [None] * ncos
@@ -149,36 +146,19 @@ class CongCtx:
     def membership(self, m: Mat2) -> bool:
         return m.det().is_one() and self.level.contains(m.c)
 
-    def rewrite(self, w: Word) -> list[int]:
-        end, vec = self._walk(w.letters, self.base)
+    def rewrite(self, letters) -> dict[int, int]:
+        """Sparse exponents {sgen index: exponent} of a word in Gamma_0(n)."""
+        end, vec = self._walk(letters, self.base)
         if end != self.base:
             raise NotInSubgroup("word does not lie in the congruence subgroup")
-        dense = [0] * len(self.sgens)
-        for k, v in vec.items():
-            dense[k] = v
-        return dense
+        return {k: v for k, v in vec.items() if v}
 
-    def express(self, m: Mat2) -> list[int]:
-        if not self.membership(m):
+    def express(self, m: Mat2) -> dict[int, int]:
+        """Sparse exponents of m in the Schreier generators.
+
+        Raises NotInSubgroup when the lower-left entry escapes the level
+        and NotUnimodular when det m != 1.
+        """
+        if not self.level.contains(m.c):
             raise NotInSubgroup(f"{m} is not in Gamma_0({self.level})")
         return self.rewrite(matrix_to_word(m, self.pres))
-
-
-def build(level: PIdeal, ctx: FieldCtx, move_order="default") -> CongCtx:
-    return CongCtx(level, ctx, move_order)
-
-
-def membership(m: Mat2, cc: CongCtx) -> bool:
-    return cc.membership(m)
-
-
-def rewrite(w: Word, cc: CongCtx) -> list[int]:
-    return cc.rewrite(w)
-
-
-def express(m: Mat2, cc: CongCtx) -> list[int]:
-    return cc.express(m)
-
-
-def relator_matrix(cc: CongCtx) -> list[dict[int, int]]:
-    return cc.relmat

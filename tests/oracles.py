@@ -4,8 +4,14 @@ Everything here is deliberately written against the definitions rather
 than the library's own algorithms: an integer Smith form by alternating
 row/column Euclid, a brute-force projective-line count over all residue
 pairs, the all-pairs sweep that fixes the canonical points of P^1, and
-a small Todd-Coxeter coset enumerator.  Each oracle is itself
+a small Todd-Coxeter coset enumerator.  Each of these is itself
 sanity-checked in test_oracles.py before anything else relies on it.
+
+The rest are the earlier, plainer forms of code the library now does
+faster, kept as references: the Euclidean descent on QuadInt objects
+with its letter-by-letter check (euclid_word) and its rounding rule
+(euclid_divmod_box), a coset walk through P1Table.apply (rewrite) and
+the four-entry Hecke quotient (quotient_full).
 """
 
 from __future__ import annotations
@@ -451,3 +457,112 @@ def dense_rows(rows, ncols):
             dense[j] = v
         out.append(dense)
     return out
+
+
+def quotient_full(x, delta, lam, level):
+    """x * delta^-1 by dividing all four entries of x * adj(delta) by lam.
+
+    Returns the quotient when every division is exact and the quotient
+    has unit determinant and lower-left entry in the level, else None.
+    """
+    from bianchicoh.qfield import Mat2, euclid_divmod
+
+    ents = []
+    for e in (x * delta.adjugate()).entries():
+        q, r = euclid_divmod(e, lam)
+        if not r.is_zero():
+            return None
+        ents.append(q)
+    quot = Mat2(*ents)
+    if not (quot.det().is_unit() and level.contains(quot.c)):
+        return None
+    return quot
+
+
+def euclid_word(m, p):
+    """Word for m in SL_2(O) by the Euclidean descent on QuadInt objects.
+
+    The descent splits off T_q S^-1 with q from euclid_divmod until the
+    lower-left entry vanishes, then a diagonal unit word and a
+    translation.  The word is freely reduced and checked letter by
+    letter with word_to_matrix.
+    """
+    from bianchicoh.errors import NotUnimodular
+    from bianchicoh.fpres import Word, _unit_diag_letters, word_to_matrix
+    from bianchicoh.qfield import Mat2, euclid_divmod
+
+    def translation(x):
+        out = [(p.t_id, 1 if x.a > 0 else -1)] * abs(x.a)
+        return out + [(p.u_id, 1 if x.b > 0 else -1)] * abs(x.b)
+
+    if not m.det().is_one():
+        raise NotUnimodular(f"determinant {m.det()} != 1")
+    letters = []
+    cur = m
+    while not cur.c.is_zero():
+        q, _ = euclid_divmod(cur.a, cur.c)
+        letters += translation(q) + [(p.s_id, -1)]
+        nxt = Mat2(-cur.c, -cur.d, cur.a - q * cur.c, cur.b - q * cur.d)
+        assert nxt.c.norm() < cur.c.norm()
+        cur = nxt
+    u = cur.a
+    letters += _unit_diag_letters(p, u) + translation(u.conjugate() * cur.b)
+    w = Word(letters)
+    assert word_to_matrix(w, p) == m
+    return w
+
+
+def rewrite(cc, letters):
+    """(end coset, sparse exponents) of letters walked from the base coset.
+
+    Moves through P1Table.apply with the generator matrices rather than
+    the integer action tables, and records +-1 on every non-tree edge
+    crossed; zeros are dropped.
+    """
+    p1 = cc.cosets
+    mats = [m for _, m in cc.pres.generators]
+    pos = p1.points[cc.base]
+    vec = {}
+    for gid, e in letters:
+        if e == 1:
+            nxt = p1.apply(mats[gid], pos)
+            edge = (pos.index, gid)
+        else:
+            nxt = p1.apply(mats[gid].inv_det_one(), pos)
+            edge = (nxt.index, gid)
+        k = cc._sgen_index.get(edge)
+        if k is not None:
+            vec[k] = vec.get(k, 0) + e
+        pos = nxt
+    return pos.index, {k: v for k, v in vec.items() if v}
+
+
+def euclid_divmod_box(a, b):
+    """(q, r, took_fallback) for a = q*b + r by the rounding rule on QuadInt.
+
+    Rounds each coordinate of a*conj(b)/norm(b) to the nearest integer,
+    ties toward minus infinity; when that remainder does not shrink the
+    norm, takes the least (norm of remainder, q.a, q.b) over the 3x3
+    block of quotients around it.
+    """
+    from bianchicoh.qfield import QuadInt
+
+    def nearest(num, den):
+        # the least integer k with k >= num/den - 1/2
+        k = num // den
+        while 2 * (num - k * den) > den:
+            k += 1
+        while 2 * (num - (k - 1) * den) <= den:
+            k -= 1
+        return k
+
+    nb = b.norm()
+    num = a * b.conjugate()
+    q0, q1 = nearest(num.a, nb), nearest(num.b, nb)
+    q = QuadInt(a.ctx, q0, q1)
+    if (a - q * b).norm() < nb:
+        return q, a - q * b, False
+    cands = [QuadInt(a.ctx, q0 + i, q1 + j)
+             for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    q = min(cands, key=lambda c: ((a - c * b).norm(), c.a, c.b))
+    return q, a - q * b, True

@@ -30,7 +30,7 @@ from bianchicoh.modlinalg import MatQ, coordinates_in_rowspace
 from bianchicoh.fpres import Word, builtin_presentation, matrix_to_word, word_to_matrix
 from bianchicoh.projline import P1Table
 from bianchicoh.qfield import Mat2, field, parse_element
-from bianchicoh.schreier import build
+from bianchicoh.schreier import CongCtx
 from oracles import (
     abelian_invariants,
     brute_p1_count,
@@ -118,7 +118,7 @@ def _random_member(cc, rng, nsteps=5):
 
 
 def _layers(ctx, level, q):
-    cc = build(level, ctx)
+    cc = CongCtx(level, ctx)
     full = h1(cc, q)
     par = parabolic(full)
     return cc, full, par, unit_invariants(par)
@@ -148,7 +148,7 @@ def test_acceptance_1_hecke_partition():
         # each representative locates itself, so the cosets are disjoint
         for j, rep in enumerate(hc.reps):
             assert locate_right_coset(hc, rep)[0] == j
-        cc = build(n, ctx)
+        cc = CongCtx(n, ctx)
         mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
         for _ in range(500):
             x = _random_member(cc, rng, 4) * mid * _random_member(cc, rng, 4)
@@ -190,7 +190,7 @@ def test_acceptance_3_conjugation_identity():
         n_text, p_text, _ = A_CONFIGS[d]
         n = parse_ideal(ctx, n_text)
         p = parse_ideal(ctx, p_text)
-        cc = build(n, ctx)
+        cc = CongCtx(n, ctx)
         rng = random.Random(300 + d)
         one, zero = ctx.one, ctx.zero
         done = 0
@@ -290,7 +290,7 @@ def test_acceptance_6_invariance():
         n = parse_ideal(ctx, n_text)
         cc, full, par, uni = _layers(ctx, n, q)
         # a permuted spanning-tree construction must not move any dimension
-        cc2 = build(n, ctx, move_order="reversed")
+        cc2 = CongCtx(n, ctx, move_order="reversed")
         full2 = h1(cc2, q)
         par2 = parabolic(full2)
         uni2 = unit_invariants(par2)
@@ -342,7 +342,7 @@ def test_acceptance_7_cross_validation():
     for d, texts in levels.items():
         ctx = field(d)
         for text in texts:
-            cc = build(parse_ideal(ctx, text), ctx)
+            cc = CongCtx(parse_ideal(ctx, text), ctx)
             relmat = dense_rows(cc.relmat, len(cc.sgens))
             rank, torsion = abelian_invariants(relmat, len(cc.sgens))
             for q in (5, 7):

@@ -21,7 +21,8 @@ from bianchicoh.errors import BadModulus
 from bianchicoh.ideals import parse_ideal
 from bianchicoh.modlinalg import coordinates_in_rowspace
 from bianchicoh.qfield import Mat2, field
-from bianchicoh.schreier import build
+import bianchicoh.schreier as schreier
+from bianchicoh.schreier import CongCtx
 from oracles import abelian_invariants, dense_rows
 
 # (d, level, q) -> (dim H^1, dim parabolic, dim parabolic-unit)
@@ -39,7 +40,7 @@ FROZEN_DIMS = [
 
 def _build(d, text):
     ctx = field(d)
-    return build(parse_ideal(ctx, text), ctx)
+    return CongCtx(parse_ideal(ctx, text), ctx)
 
 
 def _random_member(cc, rng, nsteps=5):
@@ -207,13 +208,13 @@ def test_dimensions_stable_under_tree_permutation_and_cusp_substitution():
     for d, text, q, dims in FROZEN_DIMS[2:5]:
         ctx = field(d)
         n = parse_ideal(ctx, text)
-        cc2 = build(n, ctx, move_order="reversed")
+        cc2 = CongCtx(n, ctx, move_order="reversed")
         full2 = h1(cc2, q)
         par2 = parabolic(full2)
         uni2 = unit_invariants(par2)
         assert (full2.dim, par2.dim, uni2.dim) == dims, (d, text, "reversed")
         # replace each cusp representative by a translate: same subspace
-        cc = build(n, ctx)
+        cc = CongCtx(n, ctx)
         full = h1(cc, q)
         moved = []
         for cusp in cusps(cc):
@@ -222,3 +223,16 @@ def test_dimensions_stable_under_tree_permutation_and_cusp_substitution():
             c2 = g.c * cusp.a + g.d * cusp.c
             moved.append(Cusp(a2, c2, g * cusp.gmat, n.colon_square(c2)))
         assert parabolic(full, cusp_list=moved).basis == parabolic(full).basis
+
+
+def test_unit_conjugation_on_a_zero_space_evaluates_nothing(monkeypatch):
+    cc = _build(1, "(3)")
+    par = parabolic(h1(cc, 5))
+    assert par.dim == 0
+
+    def no_express(self, m):
+        raise AssertionError("express ran on a zero-dimensional space")
+
+    monkeypatch.setattr(schreier.CongCtx, "express", no_express)
+    op = unit_conjugation_operator(par)
+    assert op.nrows == 0 and op.ncols == 0

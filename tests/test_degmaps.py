@@ -26,12 +26,12 @@ from bianchicoh.errors import (
 from bianchicoh.ideals import parse_ideal
 from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, parse_element
-from bianchicoh.schreier import build
+from bianchicoh.schreier import CongCtx
 
 
 def _layers(d, level_text, q):
     ctx = field(d)
-    cc = build(parse_ideal(ctx, level_text), ctx)
+    cc = CongCtx(parse_ideal(ctx, level_text), ctx)
     full = h1(cc, q)
     par = parabolic(full)
     return cc, full, par, unit_invariants(par)

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from bianchicoh.errors import BadGeneratorId, NotUnimodular, UnsupportedField
+import bianchicoh.fpres as fpres
+from bianchicoh.errors import (
+    BadGeneratorId,
+    ConstructionFailure,
+    NotUnimodular,
+    UnsupportedField,
+)
 from bianchicoh.fpres import (
     Word,
     builtin_presentation,
@@ -15,7 +21,7 @@ from bianchicoh.fpres import (
     word_to_matrix,
 )
 from bianchicoh.qfield import Mat2, field
-from oracles import abelian_invariants
+from oracles import abelian_invariants, euclid_word
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -82,8 +88,10 @@ def test_matrix_word_round_trip_random():
                 for _ in range(rng.randrange(1, 12))
             ]
             m = word_to_matrix(Word(letters), p)
-            back = matrix_to_word(m, p)
+            back = Word(matrix_to_word(m, p))
             assert word_to_matrix(back, p) == m
+            # the same word as the descent on QuadInt objects
+            assert back == euclid_word(m, p)
 
 
 def _letter_by_letter(w, p):
@@ -122,6 +130,55 @@ def test_matrix_to_word_requires_determinant_one():
     bad = Mat2(ctx.element(2), ctx.zero, ctx.zero, ctx.one)
     with pytest.raises(NotUnimodular):
         matrix_to_word(bad, p)
+    bad = Mat2(ctx.element(2), ctx.one, ctx.element(3), ctx.one)
+    with pytest.raises(NotUnimodular):  # determinant -1, with a descent
+        matrix_to_word(bad, p)
+
+
+def test_unit_word_table_is_checked_once_per_field(monkeypatch):
+    for d in FIELDS:
+        ctx = field(d)
+        p = builtin_presentation(ctx)
+        assert sorted(p.unit_words) == sorted((u.a, u.b) for u in ctx.units)
+        for u in ctx.units:
+            diag = Mat2(u, ctx.zero, ctx.zero, u.conjugate())
+            assert word_to_matrix(Word(p.unit_words[(u.a, u.b)]), p) == diag
+    real = fpres._unit_diag_letters
+
+    def corrupted(p, u):
+        letters = real(p, u)
+        return letters[:-1] if len(letters) > 1 else letters
+
+    monkeypatch.setattr(fpres, "_unit_diag_letters", corrupted)
+    for d in FIELDS:
+        with pytest.raises(ConstructionFailure):
+            fpres.builtin_presentation.__wrapped__(field(d))
+
+
+def test_step_product_catches_a_wrong_step(monkeypatch):
+    """A quotient that disagrees with its remainder fails the product check."""
+    rng = random.Random(19)
+    real = fpres.divmod_coords
+
+    def skewed(ctx, a0, a1, b0, b1):
+        q0, q1, r0, r1 = real(ctx, a0, a1, b0, b1)
+        return q0, q1 + 1, r0, r1
+
+    monkeypatch.setattr(fpres, "divmod_coords", skewed)
+    for d in FIELDS:
+        p = builtin_presentation(field(d))
+        checked = 0
+        while checked < 20:
+            letters = [
+                (rng.randrange(p.gen_count), rng.choice((1, -1)))
+                for _ in range(rng.randrange(1, 12))
+            ]
+            m = word_to_matrix(Word(letters), p)
+            if m.c.is_zero():
+                continue
+            with pytest.raises(ConstructionFailure):
+                matrix_to_word(m, p)
+            checked += 1
 
 
 def test_unsupported_field_rejected():

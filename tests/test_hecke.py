@@ -18,7 +18,7 @@ from bianchicoh.errors import (
     ShapeMismatch,
 )
 from bianchicoh.hecke import (
-    diamond,
+    HeckeCosets,
     eisenstein_check,
     gamma01_cosets,
     hecke_cosets,
@@ -27,11 +27,11 @@ from bianchicoh.hecke import (
     ray_trivial_primes,
     ray_trivial_unit,
 )
-from bianchicoh.ideals import PIdeal, parse_ideal, primes_by_norm
+from bianchicoh.ideals import PIdeal, ResidueSystem, parse_ideal, primes_by_norm
 from bianchicoh.modlinalg import MatQ
-from bianchicoh.qfield import Mat2, field, parse_element
-from bianchicoh.schreier import build
-from oracles import scan_right_cosets
+from bianchicoh.qfield import Mat2, field, parse_element, xgcd
+from bianchicoh.schreier import CongCtx
+from oracles import quotient_full, scan_right_cosets
 
 # the acceptance A-configuration level of each field
 A_LEVELS = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
@@ -48,7 +48,7 @@ def _random_member(cc, rng, nsteps=5):
 
 def _unit_space(d, level_text, q):
     ctx = field(d)
-    cc = build(parse_ideal(ctx, level_text), ctx)
+    cc = CongCtx(parse_ideal(ctx, level_text), ctx)
     return cc, unit_invariants(parabolic(h1(cc, q)))
 
 
@@ -73,7 +73,7 @@ def test_double_coset_elements_land_in_one_right_coset():
     rng = random.Random(47)
     ctx = field(1)
     level = parse_ideal(ctx, "(2+1*w)")
-    cc = build(level, ctx)
+    cc = CongCtx(level, ctx)
     l = parse_ideal(ctx, "(1+1*w)")
     hc = hecke_cosets(l, level)
     mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
@@ -168,7 +168,7 @@ def test_hecke_matrix_commutes_for_two_primes():
     t2 = hecke_matrix(parse_ideal(ctx, "(1-1*w)"), space)
     assert t1.mat @ t2.mat == t2.mat @ t1.mat
     # on a 3-dimensional space as well, where commuting is not automatic
-    cc3 = build(parse_ideal(ctx, "(3+1*w)"), ctx)
+    cc3 = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
     full = h1(cc3, 5)
     s1 = hecke_matrix(parse_ideal(ctx, "(1+1*w)"), full)
     s2 = hecke_matrix(parse_ideal(ctx, "(1-1*w)"), full)
@@ -183,12 +183,6 @@ def test_hecke_requires_prime_coprime_to_level():
         hecke_matrix(parse_ideal(ctx, "(2)"), space)  # (w)^2
     with pytest.raises(NotCoprimeToLevel):
         hecke_matrix(parse_ideal(ctx, "(3+1*w)"), space)
-
-
-def test_diamond_is_identity():
-    _, space = _unit_space(11, "(1-2*w)", 5)
-    dm = diamond(parse_ideal(space.cc.ctx, "(2)"), space)
-    assert dm.mat == MatQ.identity(5, space.dim)
 
 
 def test_ray_trivial_primes_frozen_lists():
@@ -298,3 +292,41 @@ def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
         hecke_matrix(parse_ideal(ctx, "(3)"), space)
     with pytest.raises(NotCoprimeToLevel):
         hecke_matrix(parse_ideal(ctx, "(0+1*w)"), space)
+
+
+def test_inverse_table_agrees_with_xgcd():
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        for l in primes_by_norm(ctx, 50):
+            res = ResidueSystem(l)
+            hc = HeckeCosets(l, PIdeal(ctx.one), [], res)
+            assert hc.inverse[0] is None and res.reps[0].is_zero()
+            for i, x in enumerate(res.reps[1:], start=1):
+                y = res.reps[hc.inverse[i]]
+                assert y == res.reduce(xgcd(x, l.gen)[1]), (d, str(l), x)
+                assert res.reduce(x * y).is_one()
+
+
+def test_narrowed_quotient_agrees_with_the_full_division():
+    rng = random.Random(53)
+    for d, level_text in A_LEVELS.items():
+        ctx = field(d)
+        level = parse_ideal(ctx, level_text)
+        for l in [l for l in primes_by_norm(ctx, 30)
+                  if l.is_coprime(level)][:2]:
+            hc = hecke_cosets(l, level)
+            lam = l.gen
+            for di in hc.reps:
+                for dj in hc.reps:
+                    assert (hecke._quotient_in_gamma0(di, dj, lam, level)
+                            == quotient_full(di, dj, lam, level))
+            hits = 0
+            for _ in range(40):
+                delta = hc.reps[rng.randrange(len(hc))]
+                x = (_random_gamma0(ctx, level, rng) * delta
+                     * _random_gamma0(ctx, level, rng))
+                for dj in hc.reps:
+                    got = hecke._quotient_in_gamma0(x, dj, lam, level)
+                    assert got == quotient_full(x, dj, lam, level)
+                    hits += got is not None
+            assert hits == 40  # each x lies in exactly one right coset

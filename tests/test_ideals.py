@@ -21,7 +21,7 @@ from bianchicoh.ideals import (
     primes_by_norm,
     search_prime_coprime_normminus1,
 )
-from bianchicoh.qfield import field, gcd, parse_element
+from bianchicoh.qfield import divides, field, gcd, parse_element
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -189,3 +189,18 @@ def test_prime_residue_reps_in_ideal():
     assert all(n.contains(k) for k in reps)
     rs = ResidueSystem(p)
     assert len({rs.reduce(k).key() for k in reps}) == p.norm()
+
+
+def test_containment_on_the_lattice_agrees_with_division():
+    rng = random.Random(83)
+    for d in FIELDS:
+        ctx = field(d)
+        for _ in range(200):
+            g = ctx.element(rng.randint(-12, 12), rng.randint(-12, 12))
+            n = PIdeal(g)
+            k = ctx.element(rng.randint(-9, 9), rng.randint(-9, 9))
+            x = ctx.element(rng.randint(-300, 300), rng.randint(-300, 300))
+            for y in (g * k, g * k + ctx.one, x, x * g, ctx.zero):
+                assert n.contains(y) == divides(g, y), (d, str(g), str(y))
+        zero = PIdeal(ctx.zero)
+        assert zero.contains(ctx.zero) and not zero.contains(ctx.one)

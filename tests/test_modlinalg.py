@@ -19,12 +19,14 @@ from bianchicoh.modlinalg import (
     left_kernel,
     matpow,
     mulmod,
+    project_rows,
     rank,
     rref,
     sparse_kernel_basis,
+    sparse_values,
 )
 from bianchicoh.qfield import field
-from bianchicoh.schreier import build
+from bianchicoh.schreier import CongCtx
 from oracles import dense_rows
 
 
@@ -163,6 +165,10 @@ def test_products_exact_at_the_largest_modulus():
     basis = rref(MatQ(q, [[q - 1] * 5, [1, 2, 3, 4, q - 2]]))[0]
     v = (MatQ(q, [[q - 1, q - 2]]) @ basis).arr[0]
     assert coordinates_in_rowspace(basis, v).tolist() == [q - 1, q - 2]
+    coords, bad = project_rows(basis, [v])
+    assert bad is None and coords.tolist() == [[q - 1, q - 2]]
+    want = [[(int(row[0]) * (q - 1) - int(row[4])) % q] for row in basis.arr]
+    assert sparse_values(basis, [{0: q - 1, 4: -1}]).to_lists() == want
 
 
 def _dense_kernel(rows, ncols, q):
@@ -175,7 +181,7 @@ def test_sparse_kernel_equals_dense_kernel_on_relator_matrices():
               11: "(1-2*w)"}
     for d, text in levels.items():
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
         for q in (5, 2147483647):
             sparse = sparse_kernel_basis(cc.relmat, len(cc.sgens), q)
             assert sparse == _dense_kernel(cc.relmat, len(cc.sgens), q), (d, q)
@@ -231,3 +237,46 @@ def test_sparse_kernel_certificate_catches_a_wrong_basis(monkeypatch):
     monkeypatch.setattr(modlinalg, "kernel_basis", identity_kernel)
     with pytest.raises(ConstructionFailure, match="does not vanish"):
         sparse_kernel_basis(rows, ncols, 5)
+
+
+def test_project_rows_equals_the_per_row_projection():
+    rng = random.Random(67)
+    for q in (5, 7, 2147483647):
+        for _ in range(30):
+            basis = rref(_random_mat(rng, q, rng.randrange(0, 5), 7))[0]
+            rows = []
+            for _ in range(rng.randrange(1, 8)):
+                if basis.nrows and rng.random() < 0.7:
+                    coeffs = [rng.randrange(q) for _ in range(basis.nrows)]
+                    rows.append(mulmod(np.array(coeffs), basis.arr, q))
+                else:
+                    rows.append(np.array([rng.randrange(q) for _ in range(7)]))
+            coords, bad = project_rows(basis, np.array(rows))
+            want = [coordinates_in_rowspace(basis, r) for r in rows]
+            assert bad == next(
+                (i for i, c in enumerate(want) if c is None), None)
+            for got, c in zip(coords, want):
+                if c is not None:
+                    assert got.tolist() == c.tolist()
+    with pytest.raises(ValueError):
+        project_rows(MatQ(5, [[2, 0, 0]]), [[1, 0, 0]])
+
+
+def test_sparse_values_equal_the_dense_product():
+    rng = random.Random(73)
+    for q in (5, 2147483647):
+        for nrows in (0, 1, 3):
+            basis = _random_mat(rng, q, nrows, 9)
+            rows = [
+                {j: rng.randint(-3 * q, 3 * q)
+                 for j in rng.sample(range(9), rng.randrange(0, 6))}
+                for _ in range(rng.randrange(0, 6))
+            ]
+            dense = MatQ(q, np.array(dense_rows(rows, 9),
+                                     dtype=object).reshape(-1, 9) % q)
+            got = sparse_values(basis, rows)
+            assert got.arr.shape == (nrows, len(rows))
+            if nrows and rows:
+                assert got == basis @ dense.transpose()
+            else:
+                assert not got.arr.any()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from bianchicoh.errors import BadDeterminant, NotProjectivePoint, ZeroModulus
+from bianchicoh.fpres import builtin_presentation
 from bianchicoh.ideals import PIdeal, enumerate_ideals, parse_ideal
 from bianchicoh.projline import P1Table, p1_table
 from bianchicoh.qfield import Mat2, field
@@ -147,3 +148,17 @@ def test_point_order_matches_the_sweep_at_large_levels():
         n = parse_ideal(ctx, text)
         points, _ = sweep_p1(n)
         assert [(pt.c, pt.d) for pt in P1Table(n).points] == points, text
+
+
+def test_action_table_matches_apply():
+    for d, text in [(1, "(2+1*w)"), (2, "(3+1*w)"), (3, "(2)"), (11, "(1-2*w)")]:
+        ctx = field(d)
+        tab = p1_table(parse_ideal(ctx, text))
+        pres = builtin_presentation(ctx)
+        for _, g in pres.generators:
+            for h in (g, g.inv_det_one()):
+                assert tab.action(h) == [tab.apply(h, x).index
+                                         for x in tab.points]
+        bad = Mat2(ctx.element(2), ctx.zero, ctx.zero, ctx.one)
+        with pytest.raises(BadDeterminant):
+            tab.action(bad)

@@ -11,6 +11,7 @@ from bianchicoh.qfield import (
     Mat2,
     are_coprime,
     divides,
+    divmod_coords,
     euclid_divmod,
     exact_div,
     field,
@@ -20,6 +21,7 @@ from bianchicoh.qfield import (
     parse_element,
     xgcd,
 )
+from oracles import euclid_divmod_box
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -192,3 +194,22 @@ def test_mat2_inverse_requires_unit_determinant():
         m.inv_det_one()
     with pytest.raises(ValueError):
         m.inv_unit_det()
+
+
+def test_divmod_coords_is_the_box_rounding_rule():
+    """Quotients equal the rounding rule on QuadInt, fallback included."""
+    rng = random.Random(71)
+    for d in FIELDS:
+        ctx = field(d)
+        fallbacks = 0
+        for _ in range(2000):
+            a, b = _rand_elt(ctx, rng), _rand_elt(ctx, rng, bound=8)
+            if b.is_zero():
+                continue
+            q, r, fell_back = euclid_divmod_box(a, b)
+            fallbacks += fell_back
+            assert divmod_coords(ctx, a.a, a.b, b.a, b.b) == (q.a, q.b, r.a, r.b)
+            assert euclid_divmod(a, b) == (q, r)
+        assert (fallbacks > 0) == (d in (7, 11)), (d, fallbacks)
+    with pytest.raises(ZeroDivisionError):
+        divmod_coords(field(2), 1, 1, 0, 0)

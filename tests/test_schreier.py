@@ -6,12 +6,18 @@ import random
 
 import pytest
 
-from bianchicoh.errors import NotInSubgroup
+from bianchicoh.errors import NotInSubgroup, NotUnimodular
 from bianchicoh.fpres import Word, word_to_matrix
 from bianchicoh.ideals import parse_ideal
-from bianchicoh.qfield import Mat2, field
-from bianchicoh.schreier import build, express, membership, relator_matrix, rewrite
-from oracles import abelian_invariants, dense_rows, tc_subgroup_abelianization
+from bianchicoh.qfield import Mat2, QuadInt, _round_half_down, euclid_divmod, field
+from bianchicoh.schreier import CongCtx
+from oracles import (
+    abelian_invariants,
+    dense_rows,
+    euclid_word,
+    rewrite,
+    tc_subgroup_abelianization,
+)
 
 # (d, level, expected abelianization of Gamma_0(level))
 FROZEN_ABELIANIZATIONS = [
@@ -34,12 +40,12 @@ def _random_member(cc, rng, nsteps=6):
 def test_counts_and_shapes():
     for d, text, _ in FROZEN_ABELIANIZATIONS:
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
         ncos = len(cc.cosets)
         nsgens = len(cc.sgens)
         # Schreier: one generator per non-tree positive edge
         assert nsgens == ncos * cc.pres.gen_count - (ncos - 1)
-        relmat = relator_matrix(cc)
+        relmat = cc.relmat
         assert len(relmat) == len(cc.pres.relators) * ncos
         # sparse rows: sgen index -> nonzero exponent
         assert all(0 <= j < nsgens and v for row in relmat for j, v in row.items())
@@ -48,7 +54,7 @@ def test_counts_and_shapes():
 
 def test_transversal_carries_base_to_each_coset():
     ctx = field(1)
-    cc = build(parse_ideal(ctx, "(2+1*w)"), ctx)
+    cc = CongCtx(parse_ideal(ctx, "(2+1*w)"), ctx)
     base = cc.cosets.base_point()
     for x in range(len(cc.cosets)):
         assert cc.cosets.apply(cc.tmats[x], base).index == x
@@ -57,17 +63,17 @@ def test_transversal_carries_base_to_each_coset():
 def test_schreier_generators_lie_in_subgroup_and_match_words():
     for d, text, _ in FROZEN_ABELIANIZATIONS[:3]:
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
         for w, m in cc.sgens:
             assert word_to_matrix(w, cc.pres) == m
-            assert membership(m, cc)
+            assert cc.membership(m)
 
 
 def test_relator_rows_certified_by_matrix_walk():
     """Re-trace every relator from every coset with independent logic."""
     for d, text in [(1, "(2+1*w)"), (3, "(2)"), (11, "(0+1*w)")]:
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
         p1 = cc.cosets
         pres = cc.pres
         ident = Mat2.identity(ctx)
@@ -102,7 +108,7 @@ def test_relator_rows_certified_by_matrix_walk():
 def test_abelianization_matches_frozen_and_todd_coxeter():
     for d, text, expected in FROZEN_ABELIANIZATIONS:
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
         relmat = dense_rows(cc.relmat, len(cc.sgens))
         rank, torsion = abelian_invariants(relmat, len(cc.sgens))
         assert (rank, tuple(torsion)) == expected, (d, text)
@@ -118,7 +124,7 @@ def test_abelianization_matches_frozen_and_todd_coxeter():
 def test_rewrite_is_additive_on_concatenation():
     rng = random.Random(23)
     ctx = field(2)
-    cc = build(parse_ideal(ctx, "(3+1*w)"), ctx)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
     words = [w for w, _ in cc.sgens]
     for _ in range(25):
         w1 = Word()
@@ -126,25 +132,26 @@ def test_rewrite_is_additive_on_concatenation():
         for _ in range(4):
             w1 = w1 * rng.choice(words)
             w2 = w2 * rng.choice(words).inverse()
-        v1 = rewrite(w1, cc)
-        v2 = rewrite(w2, cc)
-        v12 = rewrite(w1 * w2, cc)
-        assert v12 == [a + b for a, b in zip(v1, v2)]
+        v1 = cc.rewrite(w1)
+        v2 = cc.rewrite(w2)
+        v12 = cc.rewrite(w1 * w2)
+        total = {k: v1.get(k, 0) + v2.get(k, 0) for k in v1.keys() | v2.keys()}
+        assert v12 == {k: v for k, v in total.items() if v}
 
 
 def test_express_is_additive_modulo_relators():
     """express(m1*m2) - express(m1) - express(m2) lies in the relator lattice."""
     rng = random.Random(29)
     ctx = field(2)
-    cc = build(parse_ideal(ctx, "(3+1*w)"), ctx)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
     relmat = dense_rows(cc.relmat, len(cc.sgens))
     base_inv = abelian_invariants(relmat, len(cc.sgens))
     for _ in range(10):
         m1 = _random_member(cc, rng)
         m2 = _random_member(cc, rng)
-        v1 = express(m1, cc)
-        v2 = express(m2, cc)
-        v12 = express(m1 * m2, cc)
+        v1, v2, v12 = dense_rows(
+            [cc.express(m1), cc.express(m2), cc.express(m1 * m2)],
+            len(cc.sgens))
         diff = [a - b - c for a, b, c in zip(v12, v1, v2)]
         # adding a lattice row leaves the quotient group unchanged
         assert abelian_invariants(relmat + [diff], len(cc.sgens)) == base_inv
@@ -153,13 +160,12 @@ def test_express_is_additive_modulo_relators():
 def test_express_round_trip_through_sgens():
     """The exponent vector of a known sgen product recovers that product."""
     ctx = field(7)
-    cc = build(parse_ideal(ctx, "(1+2*w)"), ctx)
+    cc = CongCtx(parse_ideal(ctx, "(1+2*w)"), ctx)
     relmat = dense_rows(cc.relmat, len(cc.sgens))
     for k, (_, m) in enumerate(cc.sgens[:10]):
-        v = express(m, cc)
         # in the abelianization the vector must hit coordinate k once,
         # up to relator rows
-        diff = list(v)
+        diff = dense_rows([cc.express(m)], len(cc.sgens))[0]
         diff[k] -= 1
         rank, torsion = abelian_invariants(relmat + [diff], len(cc.sgens))
         assert (rank, torsion) == abelian_invariants(relmat, len(cc.sgens))
@@ -167,25 +173,87 @@ def test_express_round_trip_through_sgens():
 
 def test_membership_and_rejection():
     ctx = field(1)
-    cc = build(parse_ideal(ctx, "(2+1*w)"), ctx)
+    cc = CongCtx(parse_ideal(ctx, "(2+1*w)"), ctx)
     s = Mat2(ctx.zero, ctx.zero - ctx.one, ctx.one, ctx.zero)
-    assert not membership(s, cc)
+    assert not cc.membership(s)
     with pytest.raises(NotInSubgroup):
-        express(s, cc)
+        cc.express(s)
     with pytest.raises(NotInSubgroup):
-        rewrite(cc.pres.word_from_str("s"), cc)
+        cc.rewrite(cc.pres.word_from_str("s"))
     t = Mat2(ctx.one, ctx.one, ctx.zero, ctx.one)
-    assert membership(t, cc)
-    assert isinstance(express(t, cc), list)
+    assert cc.membership(t)
+    assert isinstance(cc.express(t), dict)
 
 
 def test_move_order_permutation_changes_nothing_essential():
     for d, text, expected in FROZEN_ABELIANIZATIONS[:3]:
         ctx = field(d)
-        cc = build(parse_ideal(ctx, text), ctx, move_order="reversed")
+        cc = CongCtx(parse_ideal(ctx, text), ctx, move_order="reversed")
         assert len(cc.sgens) == len(cc.cosets) * cc.pres.gen_count - (len(cc.cosets) - 1)
         relmat = dense_rows(cc.relmat, len(cc.sgens))
         rank, torsion = abelian_invariants(relmat, len(cc.sgens))
         assert (rank, tuple(torsion)) == expected
     with pytest.raises(ValueError):
-        build(parse_ideal(field(1), "(3)"), field(1), move_order="sideways")
+        CongCtx(parse_ideal(field(1), "(3)"), field(1), move_order="sideways")
+
+
+# levels of the fused-express check: several per field
+EXPRESS_LEVELS = [
+    (1, "(2+1*w)"), (1, "(3)"), (2, "(3+1*w)"), (2, "(0+1*w)"),
+    (3, "(2)"), (3, "(1+5*w)"), (7, "(1+2*w)"), (7, "(0+1*w)"),
+    (11, "(1-2*w)"), (11, "(2)"), (11, "(0+1*w)"),
+]
+
+
+def _takes_fallback(m):
+    """True when some step of the descent of m needs the 3x3 search."""
+    ctx = m.ctx
+    cur = m
+    while not cur.c.is_zero():
+        num = cur.a * cur.c.conjugate()
+        nc = cur.c.norm()
+        q = QuadInt(ctx, _round_half_down(num.a, nc),
+                    _round_half_down(num.b, nc))
+        if (cur.a - q * cur.c).norm() >= nc:
+            return True
+        q, _ = euclid_divmod(cur.a, cur.c)
+        cur = Mat2(-cur.c, -cur.d, cur.a - q * cur.c, cur.b - q * cur.d)
+    return False
+
+
+def test_express_equals_rewrite_of_the_descent_word():
+    """The fused express agrees with rewrite(euclid_word(m)) as dicts."""
+    rng = random.Random(41)
+    fallbacks = {7: 0, 11: 0}
+    for d, text in EXPRESS_LEVELS:
+        ctx = field(d)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        members = [_random_member(cc, rng, nsteps=1 + k % 8)
+                   for k in range(40)]
+        if d in fallbacks:
+            # about 1 in 50 of these descends through the 3x3 search
+            extra = [_random_member(cc, rng, nsteps=1 + k % 12)
+                     for k in range(400)]
+            extra = [m for m in extra if _takes_fallback(m)]
+            fallbacks[d] += len(extra)
+            members += extra
+        for m in members:
+            got = cc.express(m)
+            end, want = rewrite(cc, euclid_word(m, cc.pres).letters)
+            assert end == cc.base
+            assert got == want, (d, text, m)
+            assert all(got.values())
+    assert fallbacks[7] > 0 and fallbacks[11] > 0, fallbacks
+
+
+def test_express_rejects_non_members_and_bad_determinants():
+    for d, text in [(2, "(3+1*w)"), (7, "(1+2*w)")]:
+        ctx = field(d)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        one, zero = ctx.one, ctx.zero
+        with pytest.raises(NotInSubgroup):
+            cc.express(Mat2(one, zero, one, one))  # lower-left 1 escapes
+        with pytest.raises(NotUnimodular):
+            cc.express(Mat2(ctx.element(2), zero, zero, one))
+        with pytest.raises(NotUnimodular):
+            cc.express(Mat2(-one, zero, zero, one))  # determinant -1
