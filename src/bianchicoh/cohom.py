@@ -13,10 +13,18 @@ The parabolic subspace imposes vanishing on the unipotent stabilizer of
 every cusp (two conditions per cusp, one for each Z-basis vector of the
 width ideal); torsion parts of the stabilizers contribute nothing since
 q is coprime to their order.  The unit-invariant subspace is the fixed
-space of conjugation by diag(u0, 1) for a generator u0 of the unit
-group, which descends the computation from SL_2 to GL_2 level; its
-operator projects the images of all basis classes in one batch
-(modlinalg.project_rows).
+space of conjugation by delta = diag(u0, 1) for a generator u0 of the
+unit group, which descends the computation from SL_2 to GL_2 level.
+
+letter_table_operator evaluates every operator given by a level-one
+letter table (see schreier): the walks of the Schreier generators and
+of the tree steps are paired with the basis in one batch, the steps are
+summed along the tree, and the images of all basis classes are projected
+in one batch (modlinalg.project_rows).  T_l is one such operator
+(hecke), and the unit operator is the one-representative case: its table
+holds the letters of delta g^{+-1} delta^{-1} for every ambient letter,
+built once per field and checked with word_to_matrix, so no Schreier
+generator is expressed.
 
 Cusps are enumerated exactly: candidates a/c with c running over the
 divisors of the level generator and a over lifted invertible residues,
@@ -25,6 +33,8 @@ the stabilizer congruence over units.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +55,8 @@ from .modlinalg import (
     sparse_values,
 )
 from .qfield import Mat2, QuadInt, divides, exact_div, gcd, xgcd
-from .schreier import CongCtx
+from .fpres import builtin_presentation
+from .schreier import CongCtx, letter_table
 
 FULL = "full"
 PARABOLIC = "parabolic"
@@ -247,24 +258,60 @@ def _unit_conj_generator(ctx) -> QuadInt:
     return -ctx.one
 
 
+def letter_table_operator(space: CohomSubspace, table, what: str) -> np.ndarray:
+    """Coordinates of f -> sum_i f(reps[i] g reps[sigma(i)]^{-1}) on space.
+
+    table is a level-one letter table (schreier.letter_table).  Row i of
+    the result holds the coordinates of the image of basis class i.
+    CongCtx.push_letter_table gives the quotient walks of every Schreier
+    generator T_x g T_y^{-1} and the tree steps; pairing both with the
+    basis in one batch and summing the steps along the tree gives S_x,
+    and the image on that generator is its walks plus S_x - S_y.
+    ProjectionFailure names `what` when an image escapes the subspace.
+    """
+    cc = space.cc
+    q = space.q.q
+    rows, steps = cc.push_letter_table(table)
+    vals = sparse_values(space.basis, rows + steps).arr
+    nsg = len(rows)
+    # tree[y] = values of S_y, summed from the base in BFS order
+    tree = vals[:, nsg:].T.copy()
+    for y in cc.tree_order[1:]:
+        tree[y] = (tree[y] + tree[cc.tree_edge[y][0]]) % q
+    xs = [x for x, _ in cc.sgen_edges]
+    ys = [cc.act[gid][0][x] for x, gid in cc.sgen_edges]
+    images = (vals[:, :nsg] + tree[xs].T - tree[ys].T) % q
+    coords, bad = project_rows(space.basis, images)
+    if bad is not None:
+        raise ProjectionFailure(
+            f"{what} escapes the subspace; this indicates a bug"
+        )
+    return coords
+
+
+@lru_cache(maxsize=None)
+def unit_letter_table(ctx):
+    """Letter table of conjugation by delta = diag(u0, 1), once per field.
+
+    The one representative is delta, and the entry of g^{+-1} holds the
+    letters of delta g^{+-1} delta^{-1}.
+    """
+    one, zero = ctx.one, ctx.zero
+    u0 = _unit_conj_generator(ctx)
+    delta = Mat2(u0, zero, zero, one)
+    delta_inv = Mat2(u0.conjugate(), zero, zero, one)  # units have norm 1
+    return letter_table([delta], builtin_presentation(ctx),
+                        lambda x: (0, x * delta_inv))
+
+
 def unit_conjugation_operator(space: CohomSubspace) -> MatQ:
     """Matrix of f -> (g -> f(diag(u0,1) g diag(u0,1)^{-1})) on space."""
-    cc = space.cc
-    ctx = cc.ctx
     q = space.q.q
     if space.dim == 0:
         return MatQ(q, np.zeros((0, 0), dtype=np.int64))
-    u0 = _unit_conj_generator(ctx)
-    u0i = u0.conjugate()
-    vrows = [cc.express(Mat2(m.a, u0 * m.b, u0i * m.c, m.d))
-             for _, m in cc.sgens]
-    # row i = values of U(f_i) on the Schreier generators
-    images = sparse_values(space.basis, vrows)
-    coords, bad = project_rows(space.basis, images.arr)
-    if bad is not None:
-        raise ProjectionFailure(
-            "unit conjugation escapes the subspace; this is a bug"
-        )
+    coords = letter_table_operator(
+        space, unit_letter_table(space.cc.ctx), "unit conjugation"
+    )
     return MatQ(q, coords)
 
 

@@ -1,9 +1,11 @@
 """Degeneracy maps between cohomology at level n and level n*p.
 
 Both maps evaluate a level-n class on the Schreier generators of the
-level-n*p group: the plain restriction uses the generators as they are,
-the twisted variant conjugates them by diag(pi, 1) first, which divides
-the lower-left entry by pi and so lands back at level n.  The combined
+level-n*p group: the plain restriction walks each generator's word in
+the ambient letters through the level-n coset table (the walk must
+close), the twisted variant conjugates the generators by diag(pi, 1)
+first, which divides the lower-left entry by pi and so lands back at
+level n, and expresses them there.  The combined
 map alpha stacks the two; its kernel is the object the Hecke checks
 constrain.  All maps act on coordinate row vectors: a class with
 coordinates x in the domain basis maps to x @ mat in the codomain basis.
@@ -157,12 +159,14 @@ def restriction_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
     """Plain restriction from level n to level n*p.
 
     Every generator of the smaller group already lies in the level-n
-    group, so each src basis class is evaluated on the dst generators
-    as they stand and re-expressed in dst coordinates.  The image is
+    group, so its stored word is rewritten by the src coset table (the
+    walk must close); words for one element differ by relators, which
+    every class kills.  Each src basis class is evaluated on the dst
+    generators and re-expressed in dst coordinates.  The image is
     required to lie in dst's subspace; escaping it is fatal.
     """
     _check_pair(src, dst)
-    ev_rows = [src.cc.express(m) for _, m in dst.cc.sgens]
+    ev_rows = [src.cc.rewrite(word.letters) for word, _ in dst.cc.sgens]
     return _map_from_values(src, dst, ev_rows)
 
 

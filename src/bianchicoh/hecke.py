@@ -1,18 +1,33 @@
 """Hecke operators, coset decompositions, and the Eisenstein check.
 
 T_l acts through the N(l)+1 explicit right-coset representatives of the
-double coset of diag(1, lambda): the upper-triangular sigma_{k,lambda}
-over a residue system mod l, plus diag(lambda, 1).  Applying a class to
-delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes the
-operator on functionals.  The permutation sigma is read off x mod
-lambda for x = delta_i * gamma (the Manin-symbol index of its coset in
-P^1(O/l)), with inverses mod lambda from a table built once per prime,
-and the single candidate is certified by an exact division that lands
-in the level group.  Uniqueness is certified once per prime and level:
-hecke_cosets checks that no two representatives share a right coset, so
-no element can lie in two.  hecke_matrix sums the sparse exponents of
-the N(l)+1 quotients for each Schreier generator, pairs them with the
-basis in one product and projects every image back onto the basis.
+double coset of diag(1, lambda): the upper-triangular [[1, k], [0,
+lambda]] over a residue system mod l, plus diag(lambda, 1).  Applying a
+class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
+the operator on functionals.  locate_right_coset reads the coset of x
+off x mod lambda (k = b/a, or d/c, or diag(lambda, 1)), with inverses
+mod lambda from a table built once per prime, and certifies the one
+candidate by an exact division that lands in the level group.
+hecke_cosets checks at every level that no two representatives share a
+right coset, so no element can lie in two.
+
+The representatives and the coset read off x mod lambda do not depend
+on the level, so T_l is driven by a level-one letter table, built
+lazily and kept once per prime: for each representative delta_j and
+each ambient letter g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W
+located on hecke_cosets(l, (1)) and W kept as the letters of
+fpres.matrix_to_word (schreier.letter_table).  Each entry is certified
+once: the exact-division locator, the step-product check of the
+descent, word_to_matrix of the letters equals W, W delta_k equals
+delta_j g^{+-1}, and each letter permutes the indices j.
+
+cohom.letter_table_operator pushes the table along the Schreier tree
+(CongCtx.push_letter_table) and evaluates T_l with no matrix arithmetic
+per Schreier generator.  Each call certifies that every quotient walk
+closes, which puts the quotient in Gamma_0(n); that sigma is a
+bijection; and that every image projects back onto the basis
+(ProjectionFailure otherwise).
+
 The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
 stable subspace for ray-trivial l, which is the finite-level meaning of
 "supported on Eisenstein maximal ideals only".
@@ -20,9 +35,11 @@ stable subspace for ray-trivial l, which is the finite-level meaning of
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .cohom import CohomSubspace
+from .cohom import CohomSubspace, letter_table_operator
 from .errors import (
     ConstructionFailure,
     ExhaustedSearch,
@@ -30,10 +47,10 @@ from .errors import (
     NotPrime,
     NotStable,
     PermutationFailure,
-    ProjectionFailure,
     ShapeMismatch,
 )
 from .degmaps import LinMap
+from .fpres import builtin_presentation
 from .ideals import (
     PIdeal,
     ResidueSystem,
@@ -41,8 +58,9 @@ from .ideals import (
     prime_residue_reps_in_ideal,
     primes_by_norm,
 )
-from .modlinalg import MatQ, block_diag2, project_rows, rref, sparse_values
+from .modlinalg import MatQ, block_diag2, project_rows, rref
 from .qfield import Mat2, QuadInt, euclid_divmod, xgcd
+from .schreier import letter_table
 
 
 class HeckeCosets:
@@ -215,36 +233,31 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
     return reps
 
 
+@lru_cache(maxsize=None)
+def hecke_letter_table(l: PIdeal):
+    """Level-one letter table of T_l, built once per prime and field.
+
+    reps[j] * g^{+-1} = W * reps[k] is located by locate_right_coset on
+    hecke_cosets(l, (1)): the representatives and the index read off x
+    mod lambda do not depend on the level.
+    """
+    hc = hecke_cosets(l, PIdeal(l.ctx.one))
+    return letter_table(hc.reps, builtin_presentation(l.ctx),
+                        lambda x: locate_right_coset(hc, x))
+
+
 def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
     """Matrix of T_l on the given subspace, rows = images of basis.
 
-    On a zero-dimensional space the cosets are still built and checked,
-    so a bad l is rejected, but no generator is evaluated.
+    The cosets are built and checked at the level of space first, so a
+    bad l is rejected; on a zero-dimensional space nothing else runs and
+    no letter table is built.
     """
-    cc = space.cc
-    hc = hecke_cosets(l, cc.level)
+    hecke_cosets(l, space.cc.level)
     q = space.q.q
     if space.dim == 0:
         return LinMap(space, space, MatQ(q, np.zeros((0, 0), dtype=np.int64)))
-    nreps = len(hc.reps)
-    ev_rows = []
-    for _, gamma in cc.sgens:
-        row: dict[int, int] = {}
-        sigma = []
-        for di in hc.reps:
-            j, quot = locate_right_coset(hc, di * gamma)
-            sigma.append(j)
-            for k, v in cc.express(quot).items():
-                row[k] = row.get(k, 0) + v
-        if sorted(sigma) != list(range(nreps)):
-            raise PermutationFailure("coset permutation is not a bijection")
-        ev_rows.append(row)
-    images = sparse_values(space.basis, ev_rows)
-    coords, bad = project_rows(space.basis, images.arr)
-    if bad is not None:
-        raise ProjectionFailure(
-            "Hecke image escapes the subspace; this indicates a bug"
-        )
+    coords = letter_table_operator(space, hecke_letter_table(l), "Hecke image")
     return LinMap(space, space, MatQ(q, coords))
 
 

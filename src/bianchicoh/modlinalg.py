@@ -55,8 +55,8 @@ class MatQ:
         arr = np.array(data, dtype=np.int64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
-        elif arr.ndim == 0 or (arr.ndim == 2 and arr.size == 0):
-            arr = arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
+        elif arr.ndim == 0:
+            arr = arr.reshape(0, 0)
         self.arr = np.mod(arr, q)
 
     @staticmethod

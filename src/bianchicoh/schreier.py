@@ -2,15 +2,18 @@
 
 Cosets are identified with P^1(O/n) through the bottom row, the base
 coset being (0:1).  A breadth-first spanning tree (moves ordered by
-generator id, then inverse moves) fixes a transversal; Schreier
-generators sit on the non-tree positive edges.  Rewriting walks letters
-through the coset action and collects signed visits to non-tree edges,
-which is all that survives abelianization.  Every ambient relator is
-walked from every coset, and the walk must close; the rewritten rows
-form the relator matrix, kept sparse as one dict {Schreier generator
-index: nonzero exponent} per relator and coset, relator-major.  A relator
-walk touches a handful of edges, so the rows are short; their mod-q
-kernel is the cohomology downstream.
+generator id, then inverse moves) fixes a transversal T_x; the tree is
+kept as its BFS order (tree_order, base first) and the edge into each
+coset (tree_edge[y] = (parent, letter)), so T_y = T_parent * letter.
+Schreier generators T_x g T_y^{-1} sit on the non-tree positive edges
+(sgen_edges).  Rewriting walks letters through the coset action and
+collects signed visits to non-tree edges, which is all that survives
+abelianization.  Every ambient relator is walked from every coset, and
+the walk must close; the rewritten rows form the relator matrix, kept
+sparse as one dict {Schreier generator index: nonzero exponent} per
+relator and coset, relator-major.  A relator walk touches a handful of
+edges, so the rows are short; their mod-q kernel is the cohomology
+downstream.
 
 express(m) checks that m lies in Gamma_0(n), takes the certified
 letters of fpres.matrix_to_word and walks them from the base coset; the
@@ -18,12 +21,32 @@ walk must close.  The letters are not freely reduced, but a letter next
 to its inverse visits one edge with opposite signs, so nothing changes.
 rewrite and express return the same sparse {index: exponent} dicts as
 the relator rows, and consumers pair them with a basis directly.
+
+An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
+representatives are permuted by SL_2(O) comes as a level-one letter
+table (letter_table): delta_j g^{+-1} = W delta_k, with W given by its
+letters.  push_letter_table carries it along the tree.  With
+delta_i T_x = A_{i,x} delta_{pi_x(i)}, a tree step x -> y by letter h
+gives A_{i,y} = A_{i,x} W(pi_x(i), h), so walking that W from the end
+e_{i,x} of the walk of A_{i,x} gives e_{i,y} and the step's exponents.
+For the Schreier generator on (x, g), delta_i T_x g T_y^{-1} =
+A_{i,x} W(pi_x(i), g) A_{sigma(i),y}^{-1} delta_{sigma(i)}, so its
+quotient walks W(pi_x(i), g) from e_{i,x} and must end at
+e_{sigma(i),y}; that closure certifies the quotient lies in Gamma_0(n).
+The value is the walk plus S_x - S_y, with S_x the sum over i of the
+walks of A_{i,x}, which the caller sums along the tree from the steps.
 """
 
 from __future__ import annotations
 
-from .errors import NotInSubgroup, ZeroModulus
-from .fpres import Word, builtin_presentation, matrix_to_word
+from . import fpres
+from .errors import (
+    ConstructionFailure,
+    NotInSubgroup,
+    PermutationFailure,
+    ZeroModulus,
+)
+from .fpres import AmbientPresentation, Word, builtin_presentation, matrix_to_word
 from .ideals import PIdeal
 from .projline import P1Table
 from .qfield import FieldCtx, Mat2
@@ -64,6 +87,7 @@ class CongCtx:
         transversal[base] = Word()
         tmats[base] = Mat2.identity(self.ctx)
         tree_pos = set()
+        tree_edge: list = [None] * ncos
         queue = [base]
         head = 0
         while head < len(queue):
@@ -77,12 +101,16 @@ class CongCtx:
                         m = p._mats[gid] if e == 1 else p._invs[gid]
                         tmats[y] = tmats[x] * m
                         tree_pos.add((x, gid) if e == 1 else (y, gid))
+                        tree_edge[y] = (x, (gid, e))
                         queue.append(y)
         if any(t is None for t in transversal):
             raise ZeroModulus("coset graph is disconnected")  # unreachable
         self.transversal = transversal
         self.tmats = tmats
         self._tree_pos = tree_pos
+        # BFS order, base first; tree_edge[y] = (parent, letter into y)
+        self.tree_order = queue
+        self.tree_edge = tree_edge
 
     def _build_sgens(self):
         p = self.pres
@@ -104,27 +132,32 @@ class CongCtx:
                 sgens.append((word, mat))
         self.sgens = sgens
         self._sgen_index = index
+        self.sgen_edges = list(index)  # (x, gid) of each Schreier generator
         for _, m in sgens:
             if not self.membership(m):
                 raise NotInSubgroup(f"Schreier generator {m} escapes the level")
 
-    def _walk(self, letters, start):
+    def _walk(self, letters, start, vec=None):
         """Walk letters from a coset; return (end coset, sgen exponents).
 
         The exponents come as a dict {sgen index: exponent}, which may
-        hold zeros where visits cancel.
+        hold zeros where visits cancel; they are added into vec when
+        one is given.
         """
-        vec: dict[int, int] = {}
+        if vec is None:
+            vec = {}
+        index = self._sgen_index
+        act = self.act
         pos = start
         for gid, e in letters:
             if e == 1:
-                idx = self._sgen_index.get((pos, gid))
+                idx = index.get((pos, gid))
                 if idx is not None:
                     vec[idx] = vec.get(idx, 0) + 1
-                pos = self.act[gid][0][pos]
+                pos = act[gid][0][pos]
             else:
-                prev = self.act[gid][1][pos]
-                idx = self._sgen_index.get((prev, gid))
+                prev = act[gid][1][pos]
+                idx = index.get((prev, gid))
                 if idx is not None:
                     vec[idx] = vec.get(idx, 0) - 1
                 pos = prev
@@ -162,3 +195,91 @@ class CongCtx:
         if not self.level.contains(m.c):
             raise NotInSubgroup(f"{m} is not in Gamma_0({self.level})")
         return self.rewrite(matrix_to_word(m, self.pres))
+
+    def push_letter_table(self, table):
+        """Walk a level-one letter table along the tree (module docstring).
+
+        table[j][letter] = (k, letters) with reps[j] * letter = W * reps[k]
+        and W the value of letters.  Returns (rows, steps): rows[s] sums
+        the walks of the quotients of Schreier generator s, one per
+        representative, and
+        steps[y] sums the walks of the tree step into coset y ({} at the
+        base), both as {sgen index: exponent} dicts.  Raises
+        NotInSubgroup when a quotient walk does not close and
+        PermutationFailure when a step or a generator does not permute
+        the representatives.
+        """
+        nreps = len(table)
+        ncos = len(self.cosets)
+        walk = self._walk
+        # start[y][j]: the coset where the walk of A_{i,y} ends, for the i
+        # with reps[i] * T_y = A_{i,y} * reps[j]
+        start: list = [None] * ncos
+        start[self.base] = [self.base] * nreps
+        steps: list = [{} for _ in range(ncos)]
+        for y in self.tree_order[1:]:
+            x, letter = self.tree_edge[y]
+            sx = start[x]
+            sy = [None] * nreps
+            vec = steps[y]
+            for j in range(nreps):
+                k, letters = table[j][letter]
+                sy[k] = walk(letters, sx[j], vec)[0]
+            if None in sy:
+                raise PermutationFailure(
+                    f"tree step into coset {y} does not permute the representatives"
+                )
+            start[y] = sy
+        rows = []
+        act = self.act
+        for x, gid in self.sgen_edges:
+            sx = start[x]
+            sy = start[act[gid][0][x]]
+            letter = (gid, 1)
+            vec = {}
+            seen = set()
+            for j in range(nreps):
+                k, letters = table[j][letter]
+                if walk(letters, sx[j], vec)[0] != sy[k]:
+                    raise NotInSubgroup(
+                        f"quotient walk of generator ({x}, {gid}) did not close"
+                    )
+                seen.add(k)
+            if len(seen) != nreps:
+                raise PermutationFailure("coset permutation is not a bijection")
+            rows.append(vec)
+        return rows, steps
+
+
+def letter_table(reps, pres: AmbientPresentation, locate):
+    """Certified table[j][(gid, e)] = (k, letters) for reps[j] * g^e.
+
+    locate(x) returns (k, W) with x = W * reps[k] and W in SL_2(O).  Each
+    entry keeps the freely reduced letters of matrix_to_word(W), checked
+    once: their value is W and W * reps[k] == reps[j] * g^e
+    (ConstructionFailure otherwise).  Each letter must permute the
+    indices (PermutationFailure otherwise).
+    """
+    nreps = len(reps)
+    table: list[dict] = [{} for _ in range(nreps)]
+    for gid in range(pres.gen_count):
+        for e, g in ((1, pres._mats[gid]), (-1, pres._invs[gid])):
+            targets = set()
+            for j, dj in enumerate(reps):
+                x = dj * g
+                k, w = locate(x)
+                word = Word(matrix_to_word(w, pres))
+                # through the module, so that wrappers of fpres see the call
+                if fpres.word_to_matrix(word, pres) != w or w * reps[k] != x:
+                    raise ConstructionFailure(
+                        f"table word of representative {j} and letter "
+                        f"{pres.names[gid]}^{e} does not give its quotient"
+                    )
+                table[j][(gid, e)] = (k, word.letters)
+                targets.add(k)
+            if len(targets) != nreps:
+                raise PermutationFailure(
+                    f"letter {pres.names[gid]}^{e} does not permute the "
+                    f"representatives"
+                )
+    return table

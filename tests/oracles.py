@@ -10,8 +10,10 @@ sanity-checked in test_oracles.py before anything else relies on it.
 The rest are the earlier, plainer forms of code the library now does
 faster, kept as references: the Euclidean descent on QuadInt objects
 with its letter-by-letter check (euclid_word) and its rounding rule
-(euclid_divmod_box), a coset walk through P1Table.apply (rewrite) and
-the four-entry Hecke quotient (quotient_full).
+(euclid_divmod_box), a coset walk through P1Table.apply (rewrite), the
+four-entry Hecke quotient (quotient_full), and T_l and the unit
+conjugation operator by one located and expressed quotient per Schreier
+generator and representative (hecke_matrix, unit_conjugation_operator).
 """
 
 from __future__ import annotations
@@ -566,3 +568,69 @@ def euclid_divmod_box(a, b):
              for i in (-1, 0, 1) for j in (-1, 0, 1)]
     q = min(cands, key=lambda c: ((a - c * b).norm(), c.a, c.b))
     return q, a - q * b, True
+
+
+def hecke_rows(l, cc):
+    """Summed exponents of the T_l quotients of every Schreier generator.
+
+    For each Schreier generator gamma and representative delta_i, the
+    coset of delta_i * gamma is located at the level of cc and the
+    quotient in the level group is expressed by the Euclidean descent;
+    the permutation of the representatives must be a bijection.
+    """
+    from bianchicoh.errors import PermutationFailure
+    from bianchicoh.hecke import hecke_cosets, locate_right_coset
+
+    hc = hecke_cosets(l, cc.level)
+    nreps = len(hc.reps)
+    ev_rows = []
+    for _, gamma in cc.sgens:
+        row = {}
+        sigma = []
+        for di in hc.reps:
+            j, quot = locate_right_coset(hc, di * gamma)
+            sigma.append(j)
+            for k, v in cc.express(quot).items():
+                row[k] = row.get(k, 0) + v
+        if sorted(sigma) != list(range(nreps)):
+            raise PermutationFailure("coset permutation is not a bijection")
+        ev_rows.append(row)
+    return ev_rows
+
+
+def project_values(space, ev_rows):
+    """Coordinate matrix of the classes f -> (s_k -> f(ev_rows[k])).
+
+    Pairs the basis with the rows and projects every image back onto
+    the basis; ProjectionFailure when one escapes.
+    """
+    from bianchicoh.errors import ProjectionFailure
+    from bianchicoh.modlinalg import MatQ, project_rows, sparse_values
+
+    images = sparse_values(space.basis, ev_rows)
+    coords, bad = project_rows(space.basis, images.arr)
+    if bad is not None:
+        raise ProjectionFailure("image escapes the subspace")
+    return MatQ(space.q.q, coords)
+
+
+def hecke_matrix(l, space):
+    """T_l on space by locating and expressing every quotient."""
+    return project_values(space, hecke_rows(l, space.cc))
+
+
+def unit_conjugation_operator(space):
+    """Conjugation by diag(u0, 1) on space, expressing every conjugate.
+
+    Each Schreier generator [[a, b], [c, d]] becomes
+    [[a, u0*b], [c/u0, d]], which is expressed by the Euclidean descent.
+    """
+    from bianchicoh.cohom import _unit_conj_generator
+    from bianchicoh.qfield import Mat2
+
+    cc = space.cc
+    u0 = _unit_conj_generator(cc.ctx)
+    u0i = u0.conjugate()
+    return project_values(space, [
+        cc.express(Mat2(m.a, u0 * m.b, u0i * m.c, m.d)) for _, m in cc.sgens
+    ])

@@ -16,13 +16,15 @@ from bianchicoh.cohom import (
     parabolic,
     unit_conjugation_operator,
     unit_invariants,
+    unit_letter_table,
 )
-from bianchicoh.errors import BadModulus
+from bianchicoh.errors import BadModulus, ConstructionFailure
 from bianchicoh.ideals import parse_ideal
 from bianchicoh.modlinalg import coordinates_in_rowspace
 from bianchicoh.qfield import Mat2, field
 import bianchicoh.schreier as schreier
 from bianchicoh.schreier import CongCtx
+import oracles
 from oracles import abelian_invariants, dense_rows
 
 # (d, level, q) -> (dim H^1, dim parabolic, dim parabolic-unit)
@@ -189,6 +191,48 @@ def test_unit_operator_is_an_involution_power():
         op = unit_conjugation_operator(par)
         order = len(cc.ctx.units) // 2 if cc.ctx.d in (1, 3) else 2
         assert matpow(op, order) == MatQ.identity(q, par.dim)
+
+
+# parabolic levels of the unit-operator check, beyond FROZEN_DIMS
+UNIT_LEVELS = [
+    (1, "(5+2*w)", 7),
+    (2, "(9+11*w)", 5),
+    (2, "(23)", 5),
+    (3, "(23)", 5),
+    (11, "(3)", 5),
+]
+
+
+def test_unit_operator_equals_the_descent_oracle():
+    """The one-representative letter table gives the expressed conjugates."""
+    checked = 0
+    for d, text, q in [(d, t, q) for d, t, q, _ in FROZEN_DIMS] + UNIT_LEVELS:
+        cc = _build(d, text)
+        full = h1(cc, q)
+        for space in (full, parabolic(full)):
+            if space.dim:
+                got = unit_conjugation_operator(space)
+                assert got == oracles.unit_conjugation_operator(space), (
+                    d, text, q, space.kind)
+                checked += 1
+    assert checked >= 15
+
+
+def test_unit_letter_table_is_built_once_per_field_and_certified(monkeypatch):
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        table = unit_letter_table(ctx)
+        assert unit_letter_table(field(d)) is table
+        assert len(table) == 1
+        assert {k for k, _ in table[0].values()} == {0}
+    descent = schreier.matrix_to_word
+
+    def one_letter_too_many(m, p):
+        return descent(m, p) + [(p.s_id, 1)]
+
+    monkeypatch.setattr(schreier, "matrix_to_word", one_letter_too_many)
+    with pytest.raises(ConstructionFailure):
+        unit_letter_table.__wrapped__(field(2))
 
 
 def test_evaluate_is_a_homomorphism():

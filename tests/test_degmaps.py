@@ -7,9 +7,17 @@ import random
 import numpy as np
 import pytest
 
-from bianchicoh.cohom import h1, parabolic, unit_invariants, evaluate
+from bianchicoh.cohom import (
+    FULL,
+    CohomSubspace,
+    evaluate,
+    h1,
+    parabolic,
+    unit_invariants,
+)
 from bianchicoh.degmaps import (
     LinMap,
+    _map_from_values,
     alpha,
     conjugate_by_pgen,
     kernel,
@@ -172,6 +180,35 @@ def test_zero_dimensional_source_gives_empty_maps():
     amap = alpha(rmap, tmap)
     assert amap.mat.nrows == 0
     assert kernel(amap).nrows == 0
+
+
+def test_zero_dimensional_destination_gives_the_zero_map():
+    d, q = 2, 5
+    src_cc, src, _, _ = _layers(d, "(3+1*w)", q)
+    dst_cc = CongCtx(parse_ideal(field(d), _product_level(d, "(3+1*w)", "(0+1*w)")),
+                     field(d))
+    dst = CohomSubspace(dst_cc, src.q,
+                        MatQ(q, np.zeros((0, len(dst_cc.sgens)), dtype=np.int64)),
+                        FULL)
+    assert src.dim > 0 and dst.dim == 0
+    zmap = _map_from_values(src, dst, [{} for _ in dst_cc.sgens])
+    assert zmap.mat.arr.shape == (src.dim, 0)
+    assert zmap.apply([1] * src.dim).shape == (0,)
+
+
+def test_restriction_walks_the_destination_words():
+    """restriction_map equals expressing every destination generator."""
+    for d, n_text, p_text, q in [
+        (2, "(3+1*w)", "(0+1*w)", 5),
+        (3, "(1+5*w)", "(1+1*w)", 5),
+        (7, "(1+2*w)", "(0+1*w)", 5),
+    ]:
+        src_cc, src_full, src_par, _ = _layers(d, n_text, q)
+        _, dst_full, dst_par, _ = _layers(d, _product_level(d, n_text, p_text), q)
+        for src, dst in ((src_full, dst_full), (src_par, dst_par)):
+            rows = [src_cc.express(m) for _, m in dst.cc.sgens]
+            assert restriction_map(src, dst).mat == _map_from_values(
+                src, dst, rows).mat, (d, n_text, src.kind)
 
 
 def test_linmap_shape_guards_and_serialization():

@@ -8,13 +8,22 @@ import numpy as np
 import pytest
 
 import bianchicoh.hecke as hecke
-from bianchicoh.cohom import h1, parabolic, unit_invariants
+import bianchicoh.schreier as schreier
+from bianchicoh.cohom import (
+    h1,
+    letter_table_operator,
+    parabolic,
+    unit_invariants,
+)
 from bianchicoh.degmaps import alpha, kernel, restriction_map, twisted_map
 from bianchicoh.errors import (
+    ConstructionFailure,
     ExhaustedSearch,
     NotCoprimeToLevel,
+    NotInSubgroup,
     NotPrime,
     PermutationFailure,
+    ProjectionFailure,
     ShapeMismatch,
 )
 from bianchicoh.hecke import (
@@ -27,10 +36,12 @@ from bianchicoh.hecke import (
     ray_trivial_primes,
     ray_trivial_unit,
 )
+from bianchicoh.fpres import Word, word_to_matrix
 from bianchicoh.ideals import PIdeal, ResidueSystem, parse_ideal, primes_by_norm
 from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, parse_element, xgcd
 from bianchicoh.schreier import CongCtx
+import oracles
 from oracles import quotient_full, scan_right_cosets
 
 # the acceptance A-configuration level of each field
@@ -330,3 +341,179 @@ def test_narrowed_quotient_agrees_with_the_full_division():
                     assert got == quotient_full(x, dj, lam, level)
                     hits += got is not None
             assert hits == 40  # each x lies in exactly one right coset
+
+
+# (d, level, q, how many of the chosen primes): the A-configurations, a
+# d=11 level coprime to the ramified prime, and a d=2 level of norm 529
+TABLE_LEVELS = [
+    (1, "(2+5*w)", 7, None),
+    (2, "(3+1*w)", 5, None),
+    (3, "(1+5*w)", 5, None),
+    (7, "(1+2*w)", 5, None),
+    (11, "(1-2*w)", 5, None),
+    (11, "(3)", 5, None),
+    (2, "(23)", 5, 2),
+]
+
+
+def _prime_kind(l):
+    n = l.norm()
+    r = int(round(n ** 0.5))
+    if r * r == n:
+        return "inert"
+    if PIdeal(l.gen * l.gen) == PIdeal(l.ctx.element(n)):
+        return "ramified"
+    return "split"
+
+
+def _table_primes(level):
+    """The first ramified, split and inert primes and the first of norm >= 37."""
+    chosen = {}
+    for l in primes_by_norm(level.ctx, 50):
+        if not l.is_coprime(level):
+            continue
+        key = "large" if l.norm() >= 37 else _prime_kind(l)
+        chosen.setdefault(key, l)
+    return sorted(chosen.values(), key=lambda l: l.norm())
+
+
+def test_letter_table_operator_equals_the_descent_oracle():
+    """T_l equals locate-plus-express on full, parabolic and unit spaces."""
+    covered = {}
+    for d, level_text, q, count in TABLE_LEVELS:
+        ctx = field(d)
+        level = parse_ideal(ctx, level_text)
+        cc = CongCtx(level, ctx)
+        full = h1(cc, q)
+        par = parabolic(full)
+        spaces = [full, par, unit_invariants(par)]
+        assert full.dim > 0
+        for l in _table_primes(level)[:count]:
+            rows = oracles.hecke_rows(l, cc)
+            for space in spaces:
+                got = hecke_matrix(l, space).mat
+                assert got == oracles.project_values(space, rows), (
+                    d, level_text, str(l), space.kind)
+            covered.setdefault(d, set()).update({_prime_kind(l), l.norm()})
+    for d, seen in covered.items():
+        assert {"ramified", "split", "inert"} <= seen, (d, seen)
+        assert max(x for x in seen if isinstance(x, int)) >= 37, d
+        assert min(x for x in seen if isinstance(x, int)) <= 3, d
+
+
+def _copy_table(table):
+    return [dict(entries) for entries in table]
+
+
+def test_table_word_must_give_its_quotient(monkeypatch):
+    ctx = field(2)
+    l = parse_ideal(ctx, "(1+1*w)")
+    descent = schreier.matrix_to_word
+
+    def one_letter_too_many(m, p):
+        return descent(m, p) + [(p.t_id, 1)]
+
+    monkeypatch.setattr(schreier, "matrix_to_word", one_letter_too_many)
+    with pytest.raises(ConstructionFailure):
+        hecke.hecke_letter_table.__wrapped__(l)
+
+
+def test_table_quotient_must_carry_its_representative():
+    ctx = field(7)
+    l = parse_ideal(ctx, "(1-1*w)")
+    hc = hecke_cosets(l, PIdeal(ctx.one))
+    p = schreier.builtin_presentation(ctx)
+
+    def wrong_index(x):
+        k, w = locate_right_coset(hc, x)
+        return (k + 1) % len(hc.reps), w
+
+    with pytest.raises(ConstructionFailure):
+        schreier.letter_table(hc.reps, p, wrong_index)
+
+
+def test_wrong_table_index_is_caught():
+    """A wrong k in any entry that is read fails a closure or permutation.
+
+    Schreier generators read the positive letters and tree steps read
+    the letters of the tree edges; an entry read by neither cannot
+    change T_l.
+    """
+    ctx = field(2)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
+    full = h1(cc, 5)
+    l = parse_ideal(ctx, "(1+1*w)")
+    table = hecke.hecke_letter_table(l)
+    want = oracles.hecke_matrix(l, full)
+    assert MatQ(5, letter_table_operator(full, table, "Hecke image")) == want
+    read = {cc.tree_edge[y][1] for y in cc.tree_order[1:]}
+    read |= {(gid, 1) for gid in range(cc.pres.gen_count)}
+    nreps = len(table)
+    caught = 0
+    for j in range(nreps):
+        for letter, (k, letters) in table[j].items():
+            bad = _copy_table(table)
+            bad[j][letter] = ((k + 1) % nreps, letters)
+            if letter in read:
+                with pytest.raises((NotInSubgroup, PermutationFailure,
+                                    ProjectionFailure)):
+                    letter_table_operator(full, bad, "Hecke image")
+                caught += 1
+            else:
+                got = letter_table_operator(full, bad, "Hecke image")
+                assert MatQ(5, got) == want
+    assert caught >= nreps * len(read) > 0
+
+
+def test_corrupted_table_word_fails_the_closure():
+    """A word that no longer gives its quotient leaves a walk open."""
+    ctx = field(2)
+    full = h1(CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx), 5)
+    table = hecke.hecke_letter_table(parse_ideal(ctx, "(1+1*w)"))
+    t = (schreier.builtin_presentation(ctx).t_id, 1)
+    for j in range(len(table)):
+        bad = _copy_table(table)
+        k, letters = bad[j][t]
+        bad[j][t] = (k, letters + (t,))
+        with pytest.raises(NotInSubgroup):
+            letter_table_operator(full, bad, "Hecke image")
+
+
+def test_colliding_table_index_fails_the_bijection_at_level_one():
+    """With one coset every walk closes, so only sigma can catch a collision."""
+    ctx = field(2)
+    full = h1(CongCtx(PIdeal(ctx.one), ctx), 5)
+    assert full.dim == 1
+    table = hecke.hecke_letter_table(parse_ideal(ctx, "(1+1*w)"))
+    bad = _copy_table(table)
+    t = (schreier.builtin_presentation(ctx).t_id, 1)
+    bad[0][t] = (bad[1][t][0], bad[0][t][1])
+    with pytest.raises(PermutationFailure):
+        letter_table_operator(full, bad, "Hecke image")
+
+
+def test_letter_table_rejects_representatives_sharing_a_coset():
+    ctx = field(3)
+    p = schreier.builtin_presentation(ctx)
+    delta = Mat2(ctx.omega, ctx.zero, ctx.zero, ctx.one)
+    delta_inv = Mat2(ctx.omega.conjugate(), ctx.zero, ctx.zero, ctx.one)
+    assert len(schreier.letter_table([delta], p, lambda x: (0, x * delta_inv))) == 1
+    with pytest.raises(PermutationFailure):
+        schreier.letter_table([delta, delta], p, lambda x: (0, x * delta_inv))
+
+
+def test_letter_table_permutes_the_representatives_and_is_memoized():
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        p = schreier.builtin_presentation(ctx)
+        for l in primes_by_norm(ctx, 10):
+            table = hecke.hecke_letter_table(l)
+            assert hecke.hecke_letter_table(parse_ideal(ctx, str(l))) is table
+            assert len(table) == l.norm() + 1
+            reps = hecke_cosets(l, PIdeal(ctx.one)).reps
+            for j, entries in enumerate(table):
+                assert len(entries) == 2 * p.gen_count
+                for (gid, e), (k, letters) in entries.items():
+                    g = p._mats[gid] if e == 1 else p._invs[gid]
+                    w = word_to_matrix(Word(letters), p)
+                    assert w * reps[k] == reps[j] * g

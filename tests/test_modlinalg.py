@@ -40,6 +40,13 @@ def test_constructor_normalizes_mod_q():
     assert MatQ(5, []).nrows == 0
 
 
+def test_empty_two_dimensional_shapes_are_kept():
+    assert MatQ(5, np.zeros((3, 0), dtype=np.int64)).arr.shape == (3, 0)
+    assert MatQ(5, np.zeros((0, 4), dtype=np.int64)).arr.shape == (0, 4)
+    assert MatQ(5, []).arr.shape == (0, 0)
+    assert MatQ.zeros(5, 2, 0).transpose().arr.shape == (0, 2)
+
+
 def test_matmul_add_sub_shapes():
     a = MatQ(7, [[1, 2], [3, 4]])
     b = MatQ(7, [[1, 0, 1], [0, 1, 1]])

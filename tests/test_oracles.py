@@ -182,3 +182,23 @@ def test_sweep_p1_counts_rays_and_maps_them_to_their_first_pair():
 def test_dense_rows_places_entries_and_zero_fills():
     assert dense_rows([{0: 2, 3: -1}, {}], 4) == [[2, 0, 0, -1], [0, 0, 0, 0]]
     assert dense_rows([], 3) == []
+
+
+def test_descent_operators_commute_and_have_finite_order():
+    """The judges of T_l and of the unit operator behave like operators."""
+    from bianchicoh.cohom import h1, parabolic
+    from bianchicoh.modlinalg import MatQ
+    from bianchicoh.schreier import CongCtx
+
+    from oracles import hecke_matrix, unit_conjugation_operator
+
+    ctx = field(2)
+    full = h1(CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx), 5)
+    assert full.dim == 3
+    t1 = hecke_matrix(parse_ideal(ctx, "(1+1*w)"), full)
+    t2 = hecke_matrix(parse_ideal(ctx, "(1-1*w)"), full)
+    assert t1 @ t2 == t2 @ t1
+    assert not t1.is_zero()
+    for space in (full, parabolic(full)):
+        u = unit_conjugation_operator(space)
+        assert u @ u == MatQ.identity(5, space.dim)  # u0 = -1 when d = 2

@@ -52,6 +52,24 @@ def test_counts_and_shapes():
         assert all(len(row) == nsgens for row in dense_rows(relmat, nsgens))
 
 
+def test_recorded_tree_reproduces_the_transversal():
+    """tree_order and tree_edge rebuild every transversal word in BFS order."""
+    for d, text, _ in FROZEN_ABELIANIZATIONS + [(2, "(3+1*w)", None)]:
+        ctx = field(d)
+        for move_order in ("default", "reversed"):
+            cc = CongCtx(parse_ideal(ctx, text), ctx, move_order=move_order)
+            order = cc.tree_order
+            assert order[0] == cc.base and cc.tree_edge[cc.base] is None
+            assert sorted(order) == list(range(len(cc.cosets)))
+            place = {y: i for i, y in enumerate(order)}
+            for y in order[1:]:
+                x, (gid, e) = cc.tree_edge[y]
+                assert place[x] < place[y]
+                assert cc.act[gid][0 if e == 1 else 1][x] == y
+                assert cc.transversal[y] == cc.transversal[x] * Word([(gid, e)])
+                assert len(cc.transversal[y]) == len(cc.transversal[x]) + 1
+
+
 def test_transversal_carries_base_to_each_coset():
     ctx = field(1)
     cc = CongCtx(parse_ideal(ctx, "(2+1*w)"), ctx)
