@@ -134,7 +134,7 @@ class Cusp:
 def h1(cc: CongCtx, q) -> CohomSubspace:
     """Full H^1(Gamma_0(level), Z/q) as kernel of the relator matrix."""
     qm = _as_modulus(q)
-    basis = sparse_kernel_basis(cc.relmat, len(cc.sgens), qm.q)
+    basis = sparse_kernel_basis(cc.relmat, len(cc.sgen_edges), qm.q)
     return CohomSubspace(cc, qm, basis, FULL)
 
 

@@ -6,8 +6,9 @@ lambda]] over a residue system mod l, plus diag(lambda, 1).  Applying a
 class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
 the operator on functionals.  locate_right_coset reads the coset of x
 off x mod lambda (k = b/a, or d/c, or diag(lambda, 1)), with inverses
-mod lambda from a table built once per prime, and certifies the one
-candidate by an exact division that lands in the level group.
+mod lambda from a table built on first use by one batch inversion
+(ideals.inverses_mod), and certifies the one candidate by an exact
+division that lands in the level group.
 hecke_cosets checks at every level that no two representatives share a
 right coset, so no element can lie in two.
 
@@ -55,6 +56,7 @@ from .ideals import (
     PIdeal,
     ResidueSystem,
     format_ideal,
+    inverses_mod,
     prime_residue_reps_in_ideal,
     primes_by_norm,
 )
@@ -68,10 +70,11 @@ class HeckeCosets:
 
     reps[k] = [1, k-th residue; 0, lambda] in the order of `residues`,
     and reps[-1] = diag(lambda, 1).  inverse[i] is the index of the
-    inverse mod lambda of the i-th residue (None for 0).
+    inverse mod lambda of the i-th residue (None for 0); it is built on
+    first use, by one batch inversion (ideals.inverses_mod).
     """
 
-    __slots__ = ("l", "level", "reps", "lam", "residues", "inverse")
+    __slots__ = ("l", "level", "reps", "lam", "residues", "_inverse")
 
     def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2],
                  residues: ResidueSystem):
@@ -80,11 +83,19 @@ class HeckeCosets:
         self.reps = reps
         self.lam = l.gen
         self.residues = residues
-        self.inverse = [
-            None if x.is_zero()
-            else residues.index(residues.reduce(xgcd(x, l.gen)[1]))
-            for x in residues.reps
-        ]
+        self._inverse = None
+
+    @property
+    def inverse(self) -> list:
+        if self._inverse is None:
+            res = self.residues
+            units = [x for x in res.reps if not x.is_zero()]
+            pairs = inverses_mod(self.l, [(x.a, x.b) for x in units])
+            inverse = [None] * len(res)
+            for x, (a, b) in zip(units, pairs):
+                inverse[res.index(x)] = res.index(QuadInt(self.l.ctx, a, b))
+            self._inverse = inverse
+        return self._inverse
 
     def __len__(self):
         return len(self.reps)

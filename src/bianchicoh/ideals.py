@@ -11,6 +11,9 @@ polynomial of w mod p.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterator
+
 from .errors import (
     ExhaustedSearch,
     NotCoprime,
@@ -50,13 +53,17 @@ class PIdeal:
     def is_unit_ideal(self) -> bool:
         return self.gen.is_one()
 
+    def hnf(self) -> tuple[int, int, int]:
+        """The lattice basis (p, q, r) of _lattice_hnf, computed once."""
+        if self._hnf is None:
+            self._hnf = _lattice_hnf(self.gen)
+        return self._hnf
+
     def contains(self, x: QuadInt) -> bool:
         """Membership in the lattice [[p, 0], [q, r]] of _lattice_hnf."""
         if self.gen.is_zero():
             return x.is_zero()
-        if self._hnf is None:
-            self._hnf = _lattice_hnf(self.gen)
-        p, q, r = self._hnf
+        p, q, r = self.hnf()
         k, rem = divmod(x.b, r)
         return rem == 0 and (x.a - k * q) % p == 0
 
@@ -111,8 +118,7 @@ class PIdeal:
         """
         if self.is_zero():
             raise ZeroModulus("zero ideal meets Z in 0 only")
-        p, _, _ = _lattice_hnf(self.gen)
-        return p
+        return self.hnf()[0]
 
     def is_prime(self) -> bool:
         if self.is_zero() or self.norm() == 1:
@@ -179,7 +185,7 @@ class ResidueSystem:
             raise ZeroModulus("residues mod (0) are not finite")
         self.modulus = modulus
         self.ctx = modulus.ctx
-        self._p, self._q, self._r = _lattice_hnf(modulus.gen)
+        self._p, self._q, self._r = modulus.hnf()
         self.reps = [
             QuadInt(self.ctx, i, j)
             for j in range(self._r)
@@ -221,6 +227,49 @@ class ResidueSystem:
                 cached = [x for x in self.reps if gcd(x, g).is_unit()]
             self._invertible = cached
         return cached
+
+
+def inverses_mod(modulus: PIdeal, xs) -> list[tuple[int, int]]:
+    """Inverses modulo the ideal of residues given as (a, b) coordinates.
+
+    One extended gcd serves the whole list (Montgomery's trick): the
+    prefix products x_1 * ... * x_i are formed mod the ideal, the last
+    one is inverted by xgcd, and walking back, the inverse of x_i is the
+    inverse of its prefix times the prefix before it, and the inverse of
+    that prefix is the inverse of x_i's prefix times x_i.  That is three
+    products per residue.  Every result is reduced into the box of
+    ResidueSystem.  Raises NotCoprime when some x is not a unit mod the
+    ideal (the gcd of the full product with the generator is then not 1).
+    """
+    ctx = modulus.ctx
+    p, q, r = modulus.hnf()
+    nw = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+
+    def mul(x0, x1, y0, y1):
+        be = x1 * y1
+        z0 = x0 * y0 - nw * be
+        z1 = x0 * y1 + x1 * y0 + sh * be
+        k = z1 // r
+        return (z0 - k * q) % p, z1 - k * r
+
+    if not xs:
+        return []
+    prefix = []
+    acc = (1, 0)
+    for x0, x1 in xs:
+        acc = mul(*acc, x0, x1)
+        prefix.append(acc)
+    g, s, _ = xgcd(QuadInt(ctx, *acc), modulus.gen)
+    if not g.is_one():
+        raise NotCoprime(f"a residue is not a unit mod {modulus}")
+    inv = mul(s.a, s.b, 1, 0)
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = mul(*inv, *prefix[i - 1])
+        inv = mul(*inv, *xs[i])
+    out[0] = inv
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +359,28 @@ def divisors(n: PIdeal) -> list[PIdeal]:
     return sorted(out, key=lambda d: (d.norm(), d.gen.key()))
 
 
-def primes_by_norm(ctx: FieldCtx, max_norm: int) -> list[PIdeal]:
-    """All prime ideals of norm <= max_norm, sorted by (norm, generator)."""
-    out = []
+def primes_by_norm(ctx: FieldCtx, max_norm: int) -> Iterator[PIdeal]:
+    """The prime ideals of norm <= max_norm, lazily, by (norm, generator).
+
+    Split and ramified primes above a rational prime p have norm p and
+    come in the order of primes_above.  An inert p has norm p^2 and
+    waits in a queue until the rational primes pass p^2.  So a caller
+    that stops early factors no rational prime beyond the last one it
+    needed; callers that want the whole list take list(...).
+    """
+    inert: deque[int] = deque()
     for p in range(2, max_norm + 1):
-        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
             continue
-        roots = _minpoly_roots_mod_p(ctx, p)
-        if roots:
-            out.extend(PIdeal(g) for g in primes_above(ctx, p))
+        while inert and inert[0] ** 2 < p:
+            yield PIdeal(QuadInt(ctx, inert.popleft(), 0))
+        above = primes_above(ctx, p)
+        if above[0].norm() == p:
+            yield from (PIdeal(g) for g in above)
         elif p * p <= max_norm:
-            out.append(PIdeal(QuadInt(ctx, p, 0)))
-    return sorted(out, key=lambda l: (l.norm(), l.gen.key()))
+            inert.append(p)
+    for p in inert:
+        yield PIdeal(QuadInt(ctx, p, 0))
 
 
 def enumerate_ideals(ctx: FieldCtx, max_norm: int) -> list[PIdeal]:

@@ -6,23 +6,36 @@ enumeration order (first by c, then by d), and points are listed in
 that order; this fixes the coset numbering that the Schreier machinery
 walks.
 
+Everything per point runs on integer coordinates.  A residue x0 + x1*w
+of the box of ResidueSystem is numbered x1*p + x0, with (p, q, r) the
+lattice basis of the level (PIdeal.hnf), and a point is kept as the
+coordinates (c0, c1, d0, d1) of its pair.  The P1Point objects are
+built on first use only (points), for the API edge: normalize, apply,
+base_point and inspect p1.
+
 The table is built one divisor class at a time.  Units act transitively
 on the residues c with a given g = gcd(c, n), so every ray through such
 a c meets c_min(g), the first residue of the class, and a unit w with
 w*c = c_min is recorded for each c by walking the unit orbit of c_min.
+The unit inverses come from one batch inversion (ideals.inverses_mod).
 The units fixing c_min are those = 1 mod m, m = n/g, so the second
 coordinates paired with c_min in the ray of (c : d) are the residues
 y = w*d (mod m) that lie in no prime dividing g; the canonical one is
-the first such y.  A table keyed by residues mod m' (m times the primes
-of g that do not divide m, so that the key also decides membership in
-those primes) maps each admissible w*d to its point.  Normalization is
-then one product, two reductions and two dictionary lookups, and the
-point count is checked against the local formula.
+the first such y.  A class table keyed by residues mod m' (m times the
+primes of g that do not divide m, so that the key also decides
+membership in those primes) maps each admissible w*d to its point.
+
+index_of is the one normalization rule: reduce c mod n, read (w, key
+lattice, class table) off c, reduce w*d mod m' and look the key up;
+NotProjectivePoint when it is missing.  action(g) runs it over every
+point after one ring product per entry, with one determinant check for
+the whole table; normalize and apply wrap it.  The point count is
+checked against the local formula at construction.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BadDeterminant,
@@ -30,8 +43,8 @@ from .errors import (
     NotProjectivePoint,
     ZeroModulus,
 )
-from .ideals import PIdeal, ResidueSystem, factor
-from .qfield import Mat2, QuadInt, exact_div, gcd, xgcd
+from .ideals import PIdeal, factor, inverses_mod
+from .qfield import Mat2, QuadInt, exact_div, format_element, gcd
 
 
 class P1Point:
@@ -58,6 +71,16 @@ class P1Point:
         return f"({self.c}:{self.d})"
 
 
+def _residue_mask(prime: PIdeal, p: int, r: int) -> bytearray:
+    """mask[k] = 1 when residue number k of the box p x r lies in prime."""
+    pp, qq, rr = prime.hnf()
+    mask = bytearray(p * r)
+    for j in range(0, r, rr):
+        for i in range((j // rr) * qq % pp, p, pp):
+            mask[j * p + i] = 1
+    return mask
+
+
 class P1Table:
     """Enumerated P^1(O/level) with normalization and right action."""
 
@@ -66,80 +89,114 @@ class P1Table:
             raise ZeroModulus("P^1 over O/(0) is not finite")
         self.level = level
         self.ctx = level.ctx
-        self.rs = ResidueSystem(level)
         self._build()
 
     def _build(self):
-        rs = self.rs
-        reps = rs.reps
+        ctx = self.ctx
+        nw = ctx.norm_w
+        sh = 1 if ctx.shifted else 0
         gen = self.level.gen
+        p, q, r = self.level.hnf()
+        size = p * r
         fac = [] if self.level.is_unit_ideal() else factor(self.level)
         # membership of every residue in every prime divisor of the level
-        masks = [[p.contains(x) for x in reps] for p, _ in fac]
-        units = [x for i, x in enumerate(reps) if not any(m[i] for m in masks)]
-        inverses = [rs.reduce(xgcd(u, gen)[1]) for u in units]
-        # residue key -> (w, key system, class table) with w*c = c_min
-        orbit: dict[tuple[int, int], tuple] = {}
+        masks = [_residue_mask(P, p, r) for P, _ in fac]
+        units = [(k % p, k // p) for k in range(size)
+                 if not any(m[k] for m in masks)]
+        inverses = inverses_mod(self.level, units)
+        # residue number of c -> (w0, w1, key lattice, class table), w*c = c_min
+        orbit: list = [None] * size
         classes = []  # (c_min, first admissible y of each ray, class table)
-        for c in reps:
-            if (c.a, c.b) in orbit:
+        for ci in range(size):
+            if orbit[ci] is not None:
                 continue
-            g = gcd(c, gen)
-            m = exact_div(gen, g)
-            in_g = [i for i, (p, _) in enumerate(fac) if p.contains(c)]
+            c0, c1 = ci % p, ci // p
+            c = QuadInt(ctx, c0, c1)
+            m = exact_div(gen, gcd(c, gen))
+            in_g = [t for t, mask in enumerate(masks) if mask[ci]]
             mkey = m
-            for i in in_g:
-                if not fac[i][0].contains(m):
-                    mkey = mkey * fac[i][0].gen
-            rs_m = ResidueSystem(PIdeal(m))
-            rs_key = rs_m if mkey is m else ResidueSystem(PIdeal(mkey))
-            table: dict[tuple[int, int], QuadInt] = {}
-            first: dict[tuple[int, int], QuadInt] = {}
-            for i, y in enumerate(reps):
-                if any(masks[j][i] for j in in_g):
+            for t in in_g:
+                if not fac[t][0].contains(m):
+                    mkey = mkey * fac[t][0].gen
+            pm, qm, rm = PIdeal(m).hnf()
+            pk, qk, rk = PIdeal(mkey).hnf()
+            skip = [masks[t] for t in in_g]
+            table: dict[int, int] = {}  # key of y mod m' -> first y of its ray
+            first: dict[int, int] = {}  # key of y mod m -> first y
+            for yi in range(size):
+                if skip and any(mask[yi] for mask in skip):
                     continue
-                ym = rs_m.reduce(y)
-                y0 = first.setdefault((ym.a, ym.b), y)
-                yk = ym if rs_key is rs_m else rs_key.reduce(y)
-                table[(yk.a, yk.b)] = y0
-            classes.append((c, list(first.values()), table))
-            for u, ui in zip(units, inverses):
-                x = rs.reduce(u * c)
-                orbit.setdefault((x.a, x.b), (ui, rs_key, table))
-        index = rs.index
-        pairs = sorted(
-            ((index(c), index(y), c, y) for c, ys, _ in classes for y in ys)
-        )
-        points = [P1Point(c, y, k) for k, (_, _, c, y) in enumerate(pairs)]
-        # class tables map keys to the canonical points themselves
-        by_pair = {(pt.c.a, pt.c.b, pt.d.a, pt.d.b): pt for pt in points}
-        for c, _, table in classes:
-            for k, y in table.items():
-                table[k] = by_pair[(c.a, c.b, y.a, y.b)]
-        self.points = points
+                y0, y1 = yi % p, yi // p
+                k = y1 // rm
+                y0m = first.setdefault((y1 - k * rm) * pm + (y0 - k * qm) % pm,
+                                       yi)
+                k = y1 // rk
+                table[(y1 - k * rk) * pk + (y0 - k * qk) % pk] = y0m
+            classes.append((ci, first.values(), table))
+            entry = (pk, qk, rk, table)
+            for (u0, u1), (v0, v1) in zip(units, inverses):
+                be = u1 * c1
+                x0 = u0 * c0 - nw * be
+                x1 = u0 * c1 + u1 * c0 + sh * be
+                k = x1 // r
+                xi = (x1 - k * r) * p + (x0 - k * q) % p
+                if orbit[xi] is None:
+                    orbit[xi] = (v0, v1, *entry)
+        pairs = sorted((ci, yi) for ci, ys, _ in classes for yi in ys)
+        # class tables map keys to point indices
+        by_pair = {pair: k for k, pair in enumerate(pairs)}
+        for ci, _, table in classes:
+            for key, yi in table.items():
+                table[key] = by_pair[(ci, yi)]
         self._orbit = orbit
+        # level lattice and ring constants of index_of
+        self._ring = (p, q, r, nw, sh)
+        self._coords = [(ci % p, ci // p, yi % p, yi // p) for ci, yi in pairs]
         expected = 1
-        for p, e in fac:
-            np = p.norm()
+        for P, e in fac:
+            np = P.norm()
             expected *= np ** (e - 1) * (np + 1)
-        if len(points) != expected:
+        if len(pairs) != expected:
             raise ConstructionFailure(
-                f"|P^1| = {len(points)} but the local formula gives {expected}"
+                f"|P^1| = {len(pairs)} but the local formula gives {expected}"
             )
 
     def __len__(self):
-        return len(self.points)
+        return len(self._coords)
 
-    def normalize(self, c: QuadInt, d: QuadInt) -> P1Point:
-        rc = self.rs.reduce(c)
-        w, rs_key, table = self._orbit[(rc.a, rc.b)]
-        y = rs_key.reduce(w * d)
-        pt = table.get((y.a, y.b))
+    @cached_property
+    def points(self) -> list[P1Point]:
+        """The canonical points in order, as objects (built on first use)."""
+        ctx = self.ctx
+        return [P1Point(QuadInt(ctx, c0, c1), QuadInt(ctx, d0, d1), k)
+                for k, (c0, c1, d0, d1) in enumerate(self._coords)]
+
+    def index_of(self, c0: int, c1: int, d0: int, d1: int) -> int:
+        """Index of the point of (c0 + c1*w : d0 + d1*w), the one rule.
+
+        Raises NotProjectivePoint when the pair is not projective.
+        """
+        p, q, r, nw, sh = self._ring
+        k = c1 // r
+        ci = (c1 - k * r) * p + (c0 - k * q) % p
+        w0, w1, pk, qk, rk, table = self._orbit[ci]
+        be = w1 * d1
+        y1 = w0 * d1 + w1 * d0 + sh * be
+        k = y1 // rk
+        pt = table.get((y1 - k * rk) * pk + (w0 * d0 - nw * be - k * qk) % pk)
         if pt is None:
+            ctx = self.ctx
+            k = d1 // r
+            c = QuadInt(ctx, ci % p, ci // p)
+            d = QuadInt(ctx, (d0 - k * q) % p, d1 - k * r)
             raise NotProjectivePoint(
-                f"({rc}:{self.rs.reduce(d)}) is not projective mod {self.level}"
+                f"({format_element(c)}:{format_element(d)}) is not projective "
+                f"mod {self.level}"
             )
         return pt
+
+    def normalize(self, c: QuadInt, d: QuadInt) -> P1Point:
+        return self.points[self.index_of(c.a, c.b, d.a, d.b)]
 
     def apply(self, g: Mat2, x: P1Point) -> P1Point:
         if not g.det().is_unit():
@@ -150,14 +207,26 @@ class P1Table:
         """Index of x*g for every point x in order, one det check for all."""
         if not g.det().is_unit():
             raise BadDeterminant(f"determinant {g.det()} is not a unit")
-        ga, gb, gc, gd = g.entries()
-        normalize = self.normalize
-        return [normalize(x.c * ga + x.d * gc, x.c * gb + x.d * gd).index
-                for x in self.points]
+        a0, a1, b0, b1, e0, e1, f0, f1 = g.coords()
+        nw = self.ctx.norm_w
+        sh = 1 if self.ctx.shifted else 0
+        index_of = self.index_of
+        out = []
+        # (c : d) * g = (c*a + d*e : c*b + d*f) with g = [[a, b], [e, f]]
+        for c0, c1, d0, d1 in self._coords:
+            x = c1 * a1 + d1 * e1
+            y = c1 * b1 + d1 * f1
+            out.append(index_of(
+                c0 * a0 + d0 * e0 - nw * x,
+                c0 * a1 + c1 * a0 + d0 * e1 + d1 * e0 + sh * x,
+                c0 * b0 + d0 * f0 - nw * y,
+                c0 * b1 + c1 * b0 + d0 * f1 + d1 * f0 + sh * y,
+            ))
+        return out
 
     def base_point(self) -> P1Point:
         """The class of (0 : 1), the coset of Gamma_0(n) itself."""
-        return self.normalize(self.ctx.zero, self.ctx.one)
+        return self.points[self.index_of(0, 0, 1, 0)]
 
 
 @lru_cache(maxsize=None)

@@ -393,18 +393,33 @@ def format_element(x: QuadInt) -> str:
 # 2x2 matrices over Z[w]
 
 
-def _dot2(ctx: FieldCtx, x1: QuadInt, y1: QuadInt, x2: QuadInt,
-          y2: QuadInt) -> QuadInt:
-    """x1*y1 + x2*y2 on coordinates, without intermediate elements.
+def mat_mul_coords(ctx: FieldCtx, x: tuple, y: tuple) -> tuple:
+    """The product of two matrices given as 8-int coordinate tuples.
 
-    (a + b w)(c + e w) = ac - m be + (ae + bc) w, plus be w when w is
-    shifted (w^2 = w - m rather than -m).
+    A tuple (a0, a1, b0, b1, c0, c1, d0, d1) stands for [[a, b], [c, d]]
+    with a = a0 + a1*w and so on (Mat2.coords).  Each entry is a sum
+    x*y + x'*y' formed without intermediate elements: (a + b w)(c + e w)
+    = ac - m be + (ae + bc) w, plus be w when w is shifted (w^2 = w - m
+    rather than -m).
     """
-    be = x1.b * y1.b + x2.b * y2.b
-    w_part = x1.a * y1.b + x1.b * y1.a + x2.a * y2.b + x2.b * y2.a
-    if ctx.shifted:
-        w_part += be
-    return QuadInt(ctx, x1.a * y1.a + x2.a * y2.a - ctx.norm_w * be, w_part)
+    a0, a1, b0, b1, c0, c1, d0, d1 = x
+    e0, e1, f0, f1, g0, g1, h0, h1 = y
+    m = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+    ae = a1 * e1 + b1 * g1
+    af = a1 * f1 + b1 * h1
+    ce = c1 * e1 + d1 * g1
+    cf = c1 * f1 + d1 * h1
+    return (
+        a0 * e0 + b0 * g0 - m * ae,
+        a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0 + sh * ae,
+        a0 * f0 + b0 * h0 - m * af,
+        a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0 + sh * af,
+        c0 * e0 + d0 * g0 - m * ce,
+        c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0 + sh * ce,
+        c0 * f0 + d0 * h0 - m * cf,
+        c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0 + sh * cf,
+    )
 
 
 class Mat2:
@@ -425,6 +440,18 @@ class Mat2:
         mk = lambda v: v if isinstance(v, QuadInt) else QuadInt(ctx, v, 0)
         return Mat2(mk(a), mk(b), mk(c), mk(d))
 
+    @staticmethod
+    def from_coords(ctx: FieldCtx, t: tuple) -> "Mat2":
+        """The matrix of an 8-int coordinate tuple (see mat_mul_coords)."""
+        a0, a1, b0, b1, c0, c1, d0, d1 = t
+        return Mat2(QuadInt(ctx, a0, a1), QuadInt(ctx, b0, b1),
+                    QuadInt(ctx, c0, c1), QuadInt(ctx, d0, d1))
+
+    def coords(self) -> tuple:
+        """(a0, a1, b0, b1, c0, c1, d0, d1) with a = a0 + a1*w, and so on."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
+
     @property
     def ctx(self) -> FieldCtx:
         return self.a.ctx
@@ -433,12 +460,8 @@ class Mat2:
         ctx = self.a.ctx
         if other.a.ctx is not ctx and other.a.ctx != ctx:
             raise FieldMismatch(f"mixing d={ctx.d} with d={other.a.ctx.d}")
-        return Mat2(
-            _dot2(ctx, self.a, other.a, self.b, other.c),
-            _dot2(ctx, self.a, other.b, self.b, other.d),
-            _dot2(ctx, self.c, other.a, self.d, other.c),
-            _dot2(ctx, self.c, other.b, self.d, other.d),
-        )
+        return Mat2.from_coords(
+            ctx, mat_mul_coords(ctx, self.coords(), other.coords()))
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)

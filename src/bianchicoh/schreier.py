@@ -1,12 +1,25 @@
 """Reidemeister-Schreier data for Gamma_0(n) inside SL_2(O).
 
 Cosets are identified with P^1(O/n) through the bottom row, the base
-coset being (0:1).  A breadth-first spanning tree (moves ordered by
-generator id, then inverse moves) fixes a transversal T_x; the tree is
-kept as its BFS order (tree_order, base first) and the edge into each
-coset (tree_edge[y] = (parent, letter)), so T_y = T_parent * letter.
+coset being (0:1); act[g] holds the integer action tables of each
+generator and its inverse (P1Table.action, one determinant check per
+table).  A breadth-first spanning tree (moves ordered by generator id,
+then inverse moves) fixes a transversal T_x; the tree is kept as its BFS
+order (tree_order, base first) and the edge into each coset
+(tree_edge[y] = (parent, letter)), so T_y = T_parent * letter.
 Schreier generators T_x g T_y^{-1} sit on the non-tree positive edges
-(sgen_edges).  Rewriting walks letters through the coset action and
+(sgen_edges).
+
+The construction runs on integer coordinates: each T_x is an 8-int
+tuple (Mat2.coords), multiplied along the tree by qfield.mat_mul_coords,
+and every Schreier generator is formed on tuples at construction and
+certified there: determinant 1 and lower-left entry in the level
+lattice, NotInSubgroup otherwise.  The objects are built on first use
+only, from tree_edge and the tuples: transversal (Words), tmats (Mat2)
+and sgens ((Word, Mat2) pairs, for restriction_map, twisted_map and the
+tests).  Counting generators needs none of them: len(sgen_edges).
+
+Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
 abelianization.  Every ambient relator is walked from every coset, and
 the walk must close; the rewritten rows form the relator matrix, kept
@@ -39,6 +52,8 @@ walks of A_{i,x}, which the caller sums along the tree from the steps.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import fpres
 from .errors import (
     ConstructionFailure,
@@ -49,7 +64,7 @@ from .errors import (
 from .fpres import AmbientPresentation, Word, builtin_presentation, matrix_to_word
 from .ideals import PIdeal
 from .projline import P1Table
-from .qfield import FieldCtx, Mat2
+from .qfield import FieldCtx, Mat2, mat_mul_coords
 
 
 class CongCtx:
@@ -71,6 +86,7 @@ class CongCtx:
     def _build_tree(self, move_order):
         p = self.pres
         p1 = self.cosets
+        ctx = self.ctx
         ncos = len(p1)
         gens = list(range(p.gen_count))
         if move_order == "reversed":
@@ -80,12 +96,14 @@ class CongCtx:
         # integer action tables: act[g][0] = right mult by g, [1] by g^-1
         self.act = [(p1.action(p._mats[gid]), p1.action(p._invs[gid]))
                     for gid in range(p.gen_count)]
-        base = p1.base_point().index
+        moves = [[(gid, 1, self.act[gid][0], p._mats[gid].coords()),
+                  (gid, -1, self.act[gid][1], p._invs[gid].coords())]
+                 for gid in gens]
+        base = p1.index_of(0, 0, 1, 0)
         self.base = base
-        transversal: list = [None] * ncos
-        tmats: list = [None] * ncos
-        transversal[base] = Word()
-        tmats[base] = Mat2.identity(self.ctx)
+        # T_x as an 8-int coordinate tuple (Mat2.coords)
+        tcoords: list = [None] * ncos
+        tcoords[base] = (1, 0, 0, 0, 0, 0, 1, 0)
         tree_pos = set()
         tree_edge: list = [None] * ncos
         queue = [base]
@@ -93,49 +111,93 @@ class CongCtx:
         while head < len(queue):
             x = queue[head]
             head += 1
-            for gid in gens:
-                for e, table in ((1, self.act[gid][0]), (-1, self.act[gid][1])):
+            tx = tcoords[x]
+            for pair in moves:
+                for gid, e, table, m in pair:
                     y = table[x]
-                    if transversal[y] is None:
-                        transversal[y] = transversal[x] * Word([(gid, e)])
-                        m = p._mats[gid] if e == 1 else p._invs[gid]
-                        tmats[y] = tmats[x] * m
+                    if tcoords[y] is None:
+                        tcoords[y] = mat_mul_coords(ctx, tx, m)
                         tree_pos.add((x, gid) if e == 1 else (y, gid))
                         tree_edge[y] = (x, (gid, e))
                         queue.append(y)
-        if any(t is None for t in transversal):
+        if any(t is None for t in tcoords):
             raise ZeroModulus("coset graph is disconnected")  # unreachable
-        self.transversal = transversal
-        self.tmats = tmats
+        self._tcoords = tcoords
         self._tree_pos = tree_pos
         # BFS order, base first; tree_edge[y] = (parent, letter into y)
         self.tree_order = queue
         self.tree_edge = tree_edge
 
     def _build_sgens(self):
+        """Number the non-tree positive edges and certify their generators.
+
+        Each T_x g T_y^{-1} is formed on coordinate tuples and must have
+        determinant 1 and lower-left entry in the level lattice
+        (NotInSubgroup otherwise).
+        """
         p = self.pres
+        ctx = self.ctx
         ncos = len(self.cosets)
-        sgens = []
+        lp, lq, lr = self.level.hnf()
+        nw = ctx.norm_w
+        sh = 1 if ctx.shifted else 0
+        tcoords = self._tcoords
+        tree_pos = self._tree_pos
+        gmats = [m.coords() for m in p._mats]
+        coords = []
         index = {}
         for x in range(ncos):
+            tx = tcoords[x]
             for gid in range(p.gen_count):
-                if (x, gid) in self._tree_pos:
+                if (x, gid) in tree_pos:
                     continue
                 y = self.act[gid][0][x]
-                word = (
-                    self.transversal[x]
-                    * Word([(gid, 1)])
-                    * self.transversal[y].inverse()
-                )
-                mat = self.tmats[x] * p._mats[gid] * self.tmats[y].inv_det_one()
-                index[(x, gid)] = len(sgens)
-                sgens.append((word, mat))
-        self.sgens = sgens
+                a0, a1, b0, b1, c0, c1, d0, d1 = tcoords[y]
+                m = mat_mul_coords(ctx, mat_mul_coords(ctx, tx, gmats[gid]),
+                                   (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
+                a0, a1, b0, b1, c0, c1, d0, d1 = m
+                ad, bc = a1 * d1, b1 * c1
+                det0 = a0 * d0 - b0 * c0 - nw * (ad - bc)
+                det1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
+                k, rem = divmod(c1, lr)
+                if det0 != 1 or det1 or rem or (c0 - k * lq) % lp:
+                    raise NotInSubgroup(
+                        f"Schreier generator {Mat2.from_coords(ctx, m)} "
+                        f"escapes the level"
+                    )
+                index[(x, gid)] = len(coords)
+                coords.append(m)
+        self._sgen_coords = coords
         self._sgen_index = index
         self.sgen_edges = list(index)  # (x, gid) of each Schreier generator
-        for _, m in sgens:
-            if not self.membership(m):
-                raise NotInSubgroup(f"Schreier generator {m} escapes the level")
+
+    # -- objects, built on first use ------------------------------------
+
+    @cached_property
+    def transversal(self) -> list[Word]:
+        """The word of T_x for every coset x, read off the tree."""
+        words: list = [None] * len(self.tree_edge)
+        words[self.base] = Word()
+        for y in self.tree_order[1:]:
+            x, letter = self.tree_edge[y]
+            words[y] = words[x] * Word([letter])
+        return words
+
+    @cached_property
+    def tmats(self) -> list[Mat2]:
+        """The matrix of T_x for every coset x."""
+        return [Mat2.from_coords(self.ctx, t) for t in self._tcoords]
+
+    @cached_property
+    def sgens(self) -> list[tuple[Word, Mat2]]:
+        """(word, matrix) of every Schreier generator T_x g T_y^{-1}."""
+        words = self.transversal
+        act = self.act
+        return [
+            (words[x] * Word([(gid, 1)]) * words[act[gid][0][x]].inverse(),
+             Mat2.from_coords(self.ctx, m))
+            for (x, gid), m in zip(self.sgen_edges, self._sgen_coords)
+        ]
 
     def _walk(self, letters, start, vec=None):
         """Walk letters from a coset; return (end coset, sgen exponents).

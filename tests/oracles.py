@@ -18,6 +18,8 @@ generator and representative (hecke_matrix, unit_conjugation_operator).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def snf_diagonal(rows, ncols):
     """Diagonal of an integer Smith-like form (no divisibility chain).
@@ -413,6 +415,7 @@ def scan_right_cosets(reps, lam, level, x):
     return hits
 
 
+@lru_cache(maxsize=None)
 def sweep_p1(n):
     """P^1(O/n) by the all-pairs sweep: (points, lookup).
 
@@ -420,7 +423,9 @@ def sweep_p1(n):
     projective pair of a unit ray not yet marked becomes its point, and
     the whole ray is marked.  points lists (c, d) in that order, and
     lookup maps every projective residue pair (c.a, c.b, d.a, d.b) to
-    the index of its point.  Quadratic in the norm of n.
+    the index of its point.  Quadratic in the norm of n, so the result
+    is kept per level for the tests that judge against it; callers must
+    not change it.
     """
     from bianchicoh.ideals import ResidueSystem, factor
 
@@ -634,3 +639,115 @@ def unit_conjugation_operator(space):
     return project_values(space, [
         cc.express(Mat2(m.a, u0 * m.b, u0i * m.c, m.d)) for _, m in cc.sgens
     ])
+
+
+def congruence_objects(level, move_order="default"):
+    """Coset action, tree and Schreier generators of Gamma_0(level) on objects.
+
+    The object-based construction that CongCtx used before it moved to
+    integer coordinates.  The action of each generator and its inverse
+    on P^1 comes from the all-pairs sweep (sweep_p1) and QuadInt
+    products; the breadth-first tree (moves by generator id, then
+    inverse moves) multiplies Word and Mat2 objects along its edges;
+    each Schreier generator T_x g T_y^-1 is a Word and a Mat2 product,
+    and must have determinant 1 and lower-left entry in the level; every
+    relator is walked from every coset and must close.  Returns a dict
+    with the keys act, base, tree_order, tree_edge, transversal, tmats,
+    sgen_edges, sgens and relmat, in the shapes of the CongCtx attributes.
+    """
+    from bianchicoh.fpres import Word, builtin_presentation
+    from bianchicoh.ideals import ResidueSystem
+    from bianchicoh.qfield import Mat2
+
+    ctx = level.ctx
+    pres = builtin_presentation(ctx)
+    points, lookup = sweep_p1(level)
+    rs = ResidueSystem(level)
+
+    def image(g):
+        out = []
+        for c, d in points:
+            x = rs.reduce(c * g.a + d * g.c)
+            y = rs.reduce(c * g.b + d * g.d)
+            out.append(lookup[(x.a, x.b, y.a, y.b)])
+        return out
+
+    mats = [m for _, m in pres.generators]
+    invs = [m.inv_det_one() for m in mats]
+    act = [(image(m), image(mi)) for m, mi in zip(mats, invs)]
+    one = rs.reduce(ctx.one)
+    base = lookup[(0, 0, one.a, one.b)]
+    ncos = len(points)
+    gens = list(range(pres.gen_count))
+    if move_order == "reversed":
+        gens.reverse()
+    transversal = [None] * ncos
+    tmats = [None] * ncos
+    transversal[base] = Word()
+    tmats[base] = Mat2.identity(ctx)
+    tree_pos = set()
+    tree_edge = [None] * ncos
+    queue = [base]
+    for x in queue:
+        for gid in gens:
+            for e, table in ((1, act[gid][0]), (-1, act[gid][1])):
+                y = table[x]
+                if transversal[y] is None:
+                    transversal[y] = transversal[x] * Word([(gid, e)])
+                    tmats[y] = tmats[x] * (mats[gid] if e == 1 else invs[gid])
+                    tree_pos.add((x, gid) if e == 1 else (y, gid))
+                    tree_edge[y] = (x, (gid, e))
+                    queue.append(y)
+    assert all(t is not None for t in transversal)
+    sgens = []
+    index = {}
+    for x in range(ncos):
+        for gid in range(pres.gen_count):
+            if (x, gid) in tree_pos:
+                continue
+            y = act[gid][0][x]
+            word = transversal[x] * Word([(gid, 1)]) * transversal[y].inverse()
+            mat = tmats[x] * mats[gid] * tmats[y].inv_det_one()
+            assert mat.det().is_one() and level.contains(mat.c)
+            index[(x, gid)] = len(sgens)
+            sgens.append((word, mat))
+    relmat = []
+    for r in pres.relators:
+        for x in range(ncos):
+            pos, vec = x, {}
+            for gid, e in r:
+                if e == 1:
+                    k = index.get((pos, gid))
+                    pos = act[gid][0][pos]
+                else:
+                    pos = act[gid][1][pos]
+                    k = index.get((pos, gid))
+                if k is not None:
+                    vec[k] = vec.get(k, 0) + e
+            assert pos == x
+            relmat.append({k: v for k, v in vec.items() if v})
+    return {
+        "act": act, "base": base, "tree_order": queue,
+        "tree_edge": tree_edge, "transversal": transversal, "tmats": tmats,
+        "sgen_edges": list(index), "sgens": sgens, "relmat": relmat,
+    }
+
+
+def primes_by_norm_sorted(ctx, max_norm):
+    """All prime ideals of norm <= max_norm as one list, sorted by (norm, key).
+
+    Lifts every rational prime up to max_norm with primes_above before
+    it sorts: split and ramified primes at norm p, inert p at norm p^2.
+    """
+    from bianchicoh.ideals import PIdeal, _minpoly_roots_mod_p, primes_above
+    from bianchicoh.qfield import QuadInt
+
+    out = []
+    for p in range(2, max_norm + 1):
+        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            continue
+        if _minpoly_roots_mod_p(ctx, p):
+            out.extend(PIdeal(g) for g in primes_above(ctx, p))
+        elif p * p <= max_norm:
+            out.append(PIdeal(QuadInt(ctx, p, 0)))
+    return sorted(out, key=lambda l: (l.norm(), l.gen.key()))

@@ -309,3 +309,19 @@ def test_inspect_reports_frozen_on_a_configurations():
             assert r.returncode == 0, r.stderr
             digest = hashlib.sha256(r.stdout.encode()).hexdigest()
             assert digest == digests[d], (what, d)
+
+
+# stdout sha256 of inspect dims at the inert level (71) of d=2 (norm 5041,
+# |P^1| = 5042), recorded before the coset build ran on integer
+# coordinates; dims 22 / 20 / 8 at q = 5.
+DIMS_71_SHA256 = "42341fcc8e5e94446eaab7eb5a9a8e658bc85b6ad0b20ab520b52fb760c4e889"
+
+
+def test_inspect_dims_frozen_at_norm_5041():
+    r = run_cli("inspect", "dims", "--field-d", "2", "--level", "(71)",
+                "--modulus", "5")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["dims"] == {
+        "h1": 22, "h1_parabolic": 20, "h1_parabolic_unit": 8,
+    }
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == DIMS_71_SHA256

@@ -7,7 +7,8 @@ from math import gcd as igcd
 
 import pytest
 
-from bianchicoh.errors import NotFound, ZeroModulus
+from bianchicoh.errors import NotCoprime, NotFound, ZeroModulus
+from bianchicoh import ideals
 from bianchicoh.ideals import (
     PIdeal,
     ResidueSystem,
@@ -15,13 +16,15 @@ from bianchicoh.ideals import (
     enumerate_ideals,
     factor,
     format_ideal,
+    inverses_mod,
     parse_ideal,
     prime_residue_reps_in_ideal,
     primes_above,
     primes_by_norm,
     search_prime_coprime_normminus1,
 )
-from bianchicoh.qfield import divides, field, gcd, parse_element
+from bianchicoh.qfield import divides, field, gcd, parse_element, xgcd
+from oracles import primes_by_norm_sorted
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -145,11 +148,54 @@ def test_colon_square_is_the_width_ideal():
 
 def test_primes_by_norm_sorted_and_prime():
     for d in FIELDS:
-        primes = primes_by_norm(field(d), 60)
+        primes = list(primes_by_norm(field(d), 60))
         norms = [p.norm() for p in primes]
         assert norms == sorted(norms)
         assert all(p.is_prime() for p in primes)
         assert len(set(primes)) == len(primes)
+
+
+def test_lazy_prime_order_equals_the_sorted_list():
+    for d in FIELDS:
+        ctx = field(d)
+        assert list(primes_by_norm(ctx, 600)) == primes_by_norm_sorted(ctx, 600)
+
+
+def test_lazy_prime_search_stops_at_the_prime_it_needs(monkeypatch):
+    lifted = []
+    lift = ideals.primes_above
+
+    def counted(ctx, p):
+        lifted.append(p)
+        return lift(ctx, p)
+
+    monkeypatch.setattr(ideals, "primes_above", counted)
+    ctx = field(2)
+    primes = primes_by_norm(ctx, 600)
+    assert next(primes) == parse_ideal(ctx, "(0+1*w)")  # norm 2
+    assert lifted == [2]
+    # the inert (5) of norm 25 waits until the rational primes pass 25
+    taken = [next(primes) for _ in range(6)]
+    assert [l.norm() for l in taken] == [3, 3, 11, 11, 17, 17]
+    assert lifted == [2, 3, 5, 7, 11, 13, 17]
+
+
+def test_batch_inverses_equal_xgcd():
+    rng = random.Random(61)
+    for d in FIELDS:
+        ctx = field(d)
+        for n in rng.sample(enumerate_ideals(ctx, 150), 12):
+            rs = ResidueSystem(n)
+            units = rs.invertible_reps()
+            got = inverses_mod(n, [(x.a, x.b) for x in units])
+            for x, (a, b) in zip(units, got):
+                y = rs.reduce(xgcd(x, n.gen)[1])
+                assert (y.a, y.b) == (a, b), (d, str(n), x)
+                assert rs.reduce(x * y) == rs.reduce(ctx.one)
+    n = parse_ideal(field(1), "(3)")
+    assert inverses_mod(n, []) == []
+    with pytest.raises(NotCoprime):
+        inverses_mod(n, [(1, 0), (3, 0), (2, 1)])
 
 
 def test_enumerate_ideals_counts_match_brute_force():

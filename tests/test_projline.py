@@ -8,7 +8,7 @@ import pytest
 
 from bianchicoh.errors import BadDeterminant, NotProjectivePoint, ZeroModulus
 from bianchicoh.fpres import builtin_presentation
-from bianchicoh.ideals import PIdeal, enumerate_ideals, parse_ideal
+from bianchicoh.ideals import PIdeal, ResidueSystem, enumerate_ideals, parse_ideal
 from bianchicoh.projline import P1Table, p1_table
 from bianchicoh.qfield import Mat2, field
 from oracles import brute_p1_count, sweep_p1
@@ -125,7 +125,7 @@ def _assert_matches_sweep(n):
     tab = P1Table(n)
     assert [(pt.c, pt.d) for pt in tab.points] == points, str(n)
     assert [pt.index for pt in tab.points] == list(range(len(points)))
-    reps = tab.rs.reps
+    reps = ResidueSystem(n).reps
     for c in reps:
         for d in reps:
             expected = lookup.get((c.a, c.b, d.a, d.b))

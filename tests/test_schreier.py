@@ -6,13 +6,16 @@ import random
 
 import pytest
 
+from bianchicoh.cohom import h1
 from bianchicoh.errors import NotInSubgroup, NotUnimodular
 from bianchicoh.fpres import Word, word_to_matrix
-from bianchicoh.ideals import parse_ideal
+from bianchicoh.ideals import enumerate_ideals, parse_ideal
+from bianchicoh.projline import P1Table
 from bianchicoh.qfield import Mat2, QuadInt, _round_half_down, euclid_divmod, field
 from bianchicoh.schreier import CongCtx
 from oracles import (
     abelian_invariants,
+    congruence_objects,
     dense_rows,
     euclid_word,
     rewrite,
@@ -275,3 +278,75 @@ def test_express_rejects_non_members_and_bad_determinants():
             cc.express(Mat2(ctx.element(2), zero, zero, one))
         with pytest.raises(NotUnimodular):
             cc.express(Mat2(-one, zero, zero, one))  # determinant -1
+
+
+ORACLE_KEYS = ("act", "base", "tree_order", "tree_edge", "transversal",
+               "tmats", "sgen_edges", "sgens", "relmat")
+
+
+def _assert_matches_objects(level, move_order="default"):
+    cc = CongCtx(level, level.ctx, move_order=move_order)
+    want = congruence_objects(level, move_order)
+    for key in ORACLE_KEYS:
+        assert getattr(cc, key) == want[key], (str(level), move_order, key)
+
+
+def test_coordinate_build_matches_the_object_construction():
+    """Every level of norm <= 60 in the five fields, in both move orders
+    at norm <= 20."""
+    for d in (1, 2, 3, 7, 11):
+        for level in enumerate_ideals(field(d), 60):
+            _assert_matches_objects(level)
+            if level.norm() <= 20:
+                _assert_matches_objects(level, "reversed")
+
+
+def test_coordinate_build_matches_at_the_large_d2_levels():
+    ctx = field(2)
+    for text in ("(9+11*w)", "(19+7*w)", "(23)"):
+        _assert_matches_objects(parse_ideal(ctx, text))
+
+
+def test_objects_are_built_on_first_use_only():
+    ctx = field(2)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
+    h1(cc, 5)
+    lazy = ("transversal", "tmats", "sgens")
+    assert not any(name in vars(cc) for name in lazy)
+    assert "points" not in vars(cc.cosets)
+    assert len(cc.sgens) == len(cc.sgen_edges)
+    assert "sgens" in vars(cc) and "transversal" in vars(cc)
+
+
+def test_corrupted_action_entry_fails_the_generator_certificate(monkeypatch):
+    ctx = field(2)
+    level = parse_ideal(ctx, "(3+1*w)")
+    action = P1Table.action
+
+    def swapped(self, g):
+        out = action(self, g)
+        out[1], out[2] = out[2], out[1]
+        return out
+
+    monkeypatch.setattr(P1Table, "action", swapped)
+    with pytest.raises(NotInSubgroup):
+        CongCtx(level, ctx)
+
+
+def test_corrupted_tree_tuple_fails_the_generator_certificate():
+    for d, text, _ in FROZEN_ABELIANIZATIONS:
+        ctx = field(d)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        y, z = cc.tree_order[-1], cc.tree_order[-2]
+        good = cc._tcoords[y]
+        # an element of SL_2(O) in the wrong coset
+        cc._tcoords[y] = cc._tcoords[z]
+        with pytest.raises(NotInSubgroup):
+            cc._build_sgens()
+        # a matrix of determinant 2
+        cc._tcoords[y] = tuple(2 * v if k < 4 else v
+                               for k, v in enumerate(good))
+        with pytest.raises(NotInSubgroup):
+            cc._build_sgens()
+        cc._tcoords[y] = good
+        cc._build_sgens()
