@@ -138,6 +138,16 @@ def _check_theorem_hypotheses(cfg):
             f'violates the hypothesis "p does not divide N"'
         )
     CoefficientModulus(cfg.modulus)  # raises BadModulus with the reason
+    if cfg.test_primes < 1:
+        raise ConfigError(
+            f'rejected: --test-primes {cfg.test_primes}; violates the '
+            f'hypothesis "at least one test prime"'
+        )
+    if cfg.max_norm < 2:
+        raise ConfigError(
+            f'rejected: --max-norm {cfg.max_norm}; violates the hypothesis '
+            f'"the search reaches norm 2, the least norm of a prime"'
+        )
     return n, p
 
 

@@ -54,7 +54,15 @@ from .modlinalg import (
     sparse_kernel_basis,
     sparse_values,
 )
-from .qfield import Mat2, QuadInt, divides, exact_div, gcd, xgcd
+from .qfield import (
+    Mat2,
+    QuadInt,
+    divides,
+    exact_div,
+    gcd,
+    mat_mul_coords,
+    xgcd,
+)
 from .fpres import builtin_presentation
 from .schreier import CongCtx, letter_table
 
@@ -296,12 +304,12 @@ def unit_letter_table(ctx):
     The one representative is delta, and the entry of g^{+-1} holds the
     letters of delta g^{+-1} delta^{-1}.
     """
-    one, zero = ctx.one, ctx.zero
     u0 = _unit_conj_generator(ctx)
-    delta = Mat2(u0, zero, zero, one)
-    delta_inv = Mat2(u0.conjugate(), zero, zero, one)  # units have norm 1
+    ui = u0.conjugate()  # = u0^{-1}, units have norm 1
+    delta = (u0.a, u0.b, 0, 0, 0, 0, 1, 0)
+    delta_inv = (ui.a, ui.b, 0, 0, 0, 0, 1, 0)
     return letter_table([delta], builtin_presentation(ctx),
-                        lambda x: (0, x * delta_inv))
+                        lambda x: (0, mat_mul_coords(ctx, x, delta_inv)))
 
 
 def unit_conjugation_operator(space: CohomSubspace) -> MatQ:

@@ -8,17 +8,20 @@ product is -I, with S^4 and centrality relators [S^2, g] added once.
 Every stored relator is machine-checked to evaluate to the identity, so
 a transcription slip fails loudly at construction time.
 
-Words go to matrices by word_to_matrix, which multiplies the letters,
-each run of one repeated letter taken as a single power.  Matrices go to
-letters by matrix_to_word, the Euclidean algorithm on the bottom row run
-on integer coordinates: while the lower-left entry is nonzero, split off
-T_q S^{-1}, whose product is [[-q, 1], [-1, 0]]; the terminal matrix is
-diag(u, u^{-1}) T_x = [[u, u*x], [0, u^{-1}]].  The letters of T_q are
-t^a u^b for q = a + b*w, and those of diag(u, u^{-1}) come from a
-table that builtin_presentation checks once per field with
-word_to_matrix.  So the product of the closed forms is the value of the
-letters, and matrix_to_word checks that product against the input on
-every call, two ring products per step, in place of evaluating the word.
+Words go to matrices by word_to_matrix, which multiplies the letters on
+coordinate tuples, each run of one repeated letter taken as a single
+power.  Matrices go to letters by matrix_to_word, the Euclidean
+algorithm on the bottom row run on integer coordinates: while the
+lower-left entry is nonzero, split off T_q S^{-1}, whose product is
+[[-q, 1], [-1, 0]]; the terminal matrix is diag(u, u^{-1}) T_x =
+[[u, u*x], [0, u^{-1}]].  The letters of T_q are t^a u^b for
+q = a + b*w, and those of diag(u, u^{-1}) come from a table that
+builtin_presentation checks once per field with word_to_matrix.  So
+the product of the closed forms is the value of the letters, and
+matrix_to_word checks that product against the input on every call, two
+ring products per step, in place of evaluating the word.  The descent,
+its determinant check and the product check all run on coordinates;
+only the input is a Mat2.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from .errors import (
     NotUnimodular,
     UnsupportedField,
 )
-from .qfield import FieldCtx, Mat2, QuadInt, divmod_coords, format_element
+from .qfield import (
+    FieldCtx,
+    Mat2,
+    QuadInt,
+    divmod_coords,
+    format_element,
+    mat_mul_coords,
+    mat_pow_coords,
+)
 
 
 class Word:
@@ -115,6 +126,9 @@ class AmbientPresentation:
         self.name_to_id = {n: i for i, n in enumerate(self.names)}
         self._mats = [m for _, m in self.generators]
         self._invs = [m.inv_det_one() for m in self._mats]
+        # coordinate tuples (Mat2.coords) of each letter: [e][gid], e = +-1
+        self._letter_coords = (None, [m.coords() for m in self._mats],
+                               [m.coords() for m in self._invs])
         self.s_id = self.name_to_id["s"]
         self.t_id = self.name_to_id["t"]
         self.u_id = self.name_to_id["u"]
@@ -218,13 +232,19 @@ def builtin_presentation(ctx: FieldCtx) -> AmbientPresentation:
 
 
 def word_to_matrix(w: Word, p: AmbientPresentation) -> Mat2:
-    """Exact product of the letters; each run of one letter is one power."""
-    out = Mat2.identity(p.ctx)
+    """Exact product of the letters; each run of one letter is one power.
+
+    The product runs on coordinate tuples (qfield.mat_mul_coords); one
+    Mat2 is built at the end.
+    """
+    ctx = p.ctx
+    out = None
     for (g, e), run in groupby(w):
         if not 0 <= g < p.gen_count:
             raise BadGeneratorId(f"generator id {g} out of range")
-        out = out * (p._mats[g] if e == 1 else p._invs[g]) ** len(list(run))
-    return out
+        step = mat_pow_coords(ctx, p._letter_coords[e][g], len(list(run)))
+        out = step if out is None else mat_mul_coords(ctx, out, step)
+    return Mat2.from_coords(ctx, out or (1, 0, 0, 0, 0, 0, 1, 0))
 
 
 def _unit_diag_letters(p: AmbientPresentation, u: QuadInt) -> list:
@@ -269,16 +289,18 @@ def matrix_to_word(m: Mat2, p: AmbientPresentation) -> list:
     Raises:
         NotUnimodular: if det m != 1.
     """
-    if not m.det().is_one():
-        raise NotUnimodular(f"determinant {m.det()} != 1")
     ctx = p.ctx
     nw = ctx.norm_w
     sh = 1 if ctx.shifted else 0
+    m_coords = m.coords()
+    a0, a1, b0, b1, c0, c1, d0, d1 = m_coords
+    ad, bc = a1 * d1, b1 * c1
+    if (a0 * d0 - b0 * c0 - nw * (ad - bc) != 1
+            or a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)):
+        raise NotUnimodular(f"determinant {m.det()} != 1")
     t_pos, t_neg = (p.t_id, 1), (p.t_id, -1)
     u_pos, u_neg = (p.u_id, 1), (p.u_id, -1)
     s_inv = (p.s_id, -1)
-    a0, a1, b0, b1 = m.a.a, m.a.b, m.b.a, m.b.b
-    c0, c1, d0, d1 = m.c.a, m.c.b, m.d.a, m.d.b
     # running product [[pa, pb], [pc, pd]] of the step matrices
     pa0, pa1, pb0, pb1, pc0, pc1, pd0, pd1 = 1, 0, 0, 0, 0, 0, 1, 0
     letters: list = []
@@ -312,23 +334,28 @@ def matrix_to_word(m: Mat2, p: AmbientPresentation) -> list:
             pc0,
             pc1,
         )
-    # the terminal matrix is [[u, b], [0, u^-1]]
-    u = QuadInt(ctx, a0, a1)
-    if not u.is_unit():
+    # the terminal matrix is [[u, b], [0, u^-1]] with u = a
+    if a0 * a0 + sh * a0 * a1 + nw * a1 * a1 != 1:
         raise NotUnimodular("upper-triangular part is not unimodular")
     unit_word = p.unit_words.get((a0, a1))
     if unit_word is None:
-        raise ConstructionFailure(f"no diagonal word for unit {u}")
+        raise ConstructionFailure(
+            f"no diagonal word for unit {QuadInt(ctx, a0, a1)}")
     letters += unit_word
-    ui = u.conjugate()  # = u^-1, units have norm 1
-    x = ui * QuadInt(ctx, b0, b1)
-    if x.a:
-        letters += [t_pos if x.a > 0 else t_neg] * abs(x.a)
-    if x.b:
-        letters += [u_pos if x.b > 0 else u_neg] * abs(x.b)
-    steps = Mat2(QuadInt(ctx, pa0, pa1), QuadInt(ctx, pb0, pb1),
-                 QuadInt(ctx, pc0, pc1), QuadInt(ctx, pd0, pd1))
-    if steps * Mat2(u, u * x, ctx.zero, ui) != m:
+    # u^-1 = conj(u), units have norm 1; x = u^-1 * b
+    i0, i1 = a0 + sh * a1, -a1
+    be = i1 * b1
+    x0, x1 = i0 * b0 - nw * be, i0 * b1 + i1 * b0 + sh * be
+    if x0:
+        letters += [t_pos if x0 > 0 else t_neg] * abs(x0)
+    if x1:
+        letters += [u_pos if x1 > 0 else u_neg] * abs(x1)
+    # the tail diag(u, u^-1) T_x = [[u, u*x], [0, u^-1]]
+    be = a1 * x1
+    tail = (a0, a1, a0 * x0 - nw * be, a0 * x1 + a1 * x0 + sh * be,
+            0, 0, i0, i1)
+    steps = (pa0, pa1, pb0, pb1, pc0, pc1, pd0, pd1)
+    if mat_mul_coords(ctx, steps, tail) != m_coords:
         raise ConstructionFailure(f"step product differs from {m}")
     return letters
 

@@ -4,19 +4,32 @@ T_l acts through the N(l)+1 explicit right-coset representatives of the
 double coset of diag(1, lambda): the upper-triangular [[1, k], [0,
 lambda]] over a residue system mod l, plus diag(lambda, 1).  Applying a
 class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
-the operator on functionals.  locate_right_coset reads the coset of x
-off x mod lambda (k = b/a, or d/c, or diag(lambda, 1)), with inverses
-mod lambda from a table built on first use by one batch inversion
-(ideals.inverses_mod), and certifies the one candidate by an exact
-division that lands in the level group.
-hecke_cosets checks at every level that no two representatives share a
-right coset, so no element can lie in two.
+the operator on functionals.
+
+The representatives are built and certified once per prime
+(_prime_cosets), and hecke_cosets(l, level) only checks that l is prime
+and coprime to the level.  The certificate is the kernel-line lemma
+(_check_kernel_lines): if delta_i = gamma * delta_j with gamma in
+GL_2(O), then gamma is invertible mod lambda, so delta_i and delta_j
+kill the same line of (O/lambda)^2.  The lines are (-k : 1) for
+[[1, k], [0, lambda]] and (1 : 0) for diag(lambda, 1); each is checked
+to be killed by its representative, and the N(l)+1 lines to be
+pairwise distinct.  So no two representatives share a right coset of
+GL_2(O), nor of any level group inside it, in O(N(l)) steps.
+
+locate_right_coset reads the coset of x off x mod lambda (k = b/a, or
+d/c, or diag(lambda, 1)), with inverses mod lambda from a table built
+on first use by one batch inversion (ideals.inverses_mod), and
+certifies the one candidate by an exact division that lands in the
+level group (_quotient_in_gamma0).  Both run on 8-int coordinate tuples
+(Mat2.coords); locate_right_coset takes and returns Mat2 objects at the
+edge.
 
 The representatives and the coset read off x mod lambda do not depend
 on the level, so T_l is driven by a level-one letter table, built
 lazily and kept once per prime: for each representative delta_j and
 each ambient letter g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W
-located on hecke_cosets(l, (1)) and W kept as the letters of
+located on coordinates and W kept as the letters of
 fpres.matrix_to_word (schreier.letter_table).  Each entry is certified
 once: the exact-division locator, the step-product check of the
 descent, word_to_matrix of the letters equals W, W delta_k equals
@@ -61,7 +74,7 @@ from .ideals import (
     primes_by_norm,
 )
 from .modlinalg import MatQ, block_diag2, project_rows, rref
-from .qfield import Mat2, QuadInt, euclid_divmod, xgcd
+from .qfield import Mat2, QuadInt, divmod_coords, xgcd
 from .schreier import letter_table
 
 
@@ -69,18 +82,21 @@ class HeckeCosets:
     """Right-coset representatives for the double coset of diag(1, l).
 
     reps[k] = [1, k-th residue; 0, lambda] in the order of `residues`,
-    and reps[-1] = diag(lambda, 1).  inverse[i] is the index of the
-    inverse mod lambda of the i-th residue (None for 0); it is built on
-    first use, by one batch inversion (ideals.inverses_mod).
+    and reps[-1] = diag(lambda, 1); coords holds their coordinate tuples
+    (Mat2.coords), which the locator reads.  inverse[i] is the index of
+    the inverse mod lambda of the i-th residue (None for 0); it is built
+    on first use, by one batch inversion (ideals.inverses_mod).
     """
 
-    __slots__ = ("l", "level", "reps", "lam", "residues", "_inverse")
+    __slots__ = ("l", "level", "reps", "coords", "lam", "residues",
+                 "_inverse")
 
     def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2],
                  residues: ResidueSystem):
         self.l = l
         self.level = level
         self.reps = reps
+        self.coords = [m.coords() for m in reps]
         self.lam = l.gen
         self.residues = residues
         self._inverse = None
@@ -104,74 +120,174 @@ class HeckeCosets:
         return f"HeckeCosets(l={self.l}, {len(self.reps)} reps)"
 
 
-def _gamma0_tilde_member(m: Mat2, level: PIdeal) -> bool:
-    """Membership in matrices with unit determinant and lower-left in level."""
-    return m.det().is_unit() and level.contains(m.c)
-
-
-def _divide(e: QuadInt, lam: QuadInt) -> QuadInt | None:
-    """e / lambda when the division is exact, else None."""
-    q, r = euclid_divmod(e, lam)
-    return q if r.is_zero() else None
-
-
-def _quotient_in_gamma0(x: Mat2, delta: Mat2, lam: QuadInt, level: PIdeal):
+def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt, level: PIdeal):
     """x * delta^{-1} when it lands in the unit-det level group, else None.
 
-    delta is a representative of hecke_cosets.  For [[1, k], [0, lambda]]
-    the quotient is [[a, (b - a*k)/lambda], [c, (d - c*k)/lambda]], and
-    for diag(lambda, 1) it is [[a/lambda, b], [c/lambda, d]], so only two
-    entries are divided; both divisions must be exact.
+    x and delta are coordinate tuples (Mat2.coords), and so is the
+    result; delta is a representative of hecke_cosets.  For
+    [[1, k], [0, lambda]] the quotient is [[a, (b - a*k)/lambda],
+    [c, (d - c*k)/lambda]], and for diag(lambda, 1) it is
+    [[a/lambda, b], [c/lambda, d]], so only two entries are divided
+    (divmod_coords); both divisions must be exact.
     """
-    a, b, c, d = x.a, x.b, x.c, x.d
-    if delta.a.is_one():
-        k = delta.b
-        top = _divide(b - a * k, lam)
-        if top is None:
+    ctx = lam.ctx
+    nw = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+    l0, l1 = lam.a, lam.b
+    a0, a1, b0, b1, c0, c1, d0, d1 = x
+    if delta[0] == 1 and delta[1] == 0:
+        k0, k1 = delta[2], delta[3]
+        be = a1 * k1
+        b0, b1, r0, r1 = divmod_coords(
+            ctx, b0 - a0 * k0 + nw * be, b1 - a0 * k1 - a1 * k0 - sh * be,
+            l0, l1)
+        if r0 or r1:
             return None
-        bottom = _divide(d - c * k, lam)
-        if bottom is None:
-            return None
-        quot = Mat2(a, top, c, bottom)
+        be = c1 * k1
+        d0, d1, r0, r1 = divmod_coords(
+            ctx, d0 - c0 * k0 + nw * be, d1 - c0 * k1 - c1 * k0 - sh * be,
+            l0, l1)
     else:
-        left = _divide(a, lam)
-        if left is None:
+        a0, a1, r0, r1 = divmod_coords(ctx, a0, a1, l0, l1)
+        if r0 or r1:
             return None
-        low = _divide(c, lam)
-        if low is None:
-            return None
-        quot = Mat2(left, b, low, d)
-    if not _gamma0_tilde_member(quot, level):
+        c0, c1, r0, r1 = divmod_coords(ctx, c0, c1, l0, l1)
+    if r0 or r1:
         return None
-    return quot
+    ad, bc = a1 * d1, b1 * c1
+    e0 = a0 * d0 - b0 * c0 - nw * (ad - bc)
+    e1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
+    if e0 * e0 + sh * e0 * e1 + nw * e1 * e1 != 1:
+        return None
+    lp, lq, lr = level.hnf()
+    k, rem = divmod(c1, lr)
+    if rem or (c0 - k * lq) % lp:
+        return None
+    return (a0, a1, b0, b1, c0, c1, d0, d1)
+
+
+def _check_kernel_lines(l: PIdeal, coords: list[tuple]) -> None:
+    """Certify that the representatives lie in distinct right cosets.
+
+    Kernel-line lemma: take delta_i = gamma * delta_j with gamma in
+    GL_2(O).  Then gamma is invertible mod lambda, so delta_i and
+    delta_j kill the same line of (O/lambda)^2.  So representatives
+    whose kernel lines mod lambda are pairwise distinct lie in distinct
+    right cosets of GL_2(O), and hence of every level group contained
+    in it, at every level at once.
+
+    The line of each representative comes from its first row that is
+    nonzero mod lambda, (x, y) -> (-y : x), normalized to (-y/x : 1) or
+    (1 : 0).  It is certified by delta != 0 and delta * v = 0 (mod
+    lambda): over the field O/lambda that makes v span the kernel.  The
+    lines must be pairwise distinct (a set) and N(l) + 1 in number.
+    ConstructionFailure otherwise.
+    """
+    ctx = l.ctx
+    nw = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+    p, q, r = l.hnf()
+    zero = (0, 0)
+
+    def red(x0, x1):
+        """x0 + x1*w reduced into the box of ResidueSystem(l)."""
+        k = x1 // r
+        return (x0 - k * q) % p, x1 - k * r
+
+    def mul(x, y):
+        be = x[1] * y[1]
+        return red(x[0] * y[0] - nw * be, x[0] * y[1] + x[1] * y[0] + sh * be)
+
+    if len(coords) != l.norm() + 1:
+        raise ConstructionFailure(
+            f"expected {l.norm() + 1} representatives, built {len(coords)}"
+        )
+    lines = set()
+    for j, (a0, a1, b0, b1, c0, c1, d0, d1) in enumerate(coords):
+        a, b, c, d = red(a0, a1), red(b0, b1), red(c0, c1), red(d0, d1)
+        x, y = (a, b) if a != zero or b != zero else (c, d)
+        if x != zero:
+            xi = (1, 0) if x == (1, 0) else inverses_mod(l, [x])[0]
+            v = (mul((-y[0], -y[1]), xi), (1, 0))
+        elif y != zero:
+            v = ((1, 0), zero)
+        else:
+            raise ConstructionFailure(f"representative {j} is 0 mod {l}")
+        for e, f in ((a, b), (c, d)):
+            s, t = mul(e, v[0]), mul(f, v[1])
+            if red(s[0] + t[0], s[1] + t[1]) != zero:
+                raise ConstructionFailure(
+                    f"representative {j} does not kill its line mod {l}"
+                )
+        if v in lines:
+            raise ConstructionFailure(
+                f"representative {j} shares its kernel line mod {l}, "
+                f"and so its right coset, with an earlier one"
+            )
+        lines.add(v)
+
+
+@lru_cache(maxsize=None)
+def _prime_cosets(l: PIdeal) -> tuple[ResidueSystem, list[Mat2]]:
+    """Residues and certified representatives of T_l, once per prime.
+
+    The representatives are certified by _check_kernel_lines, which
+    proves at every level what a pairwise coset check would.
+    """
+    residues = ResidueSystem(l)
+    l0, l1 = l.gen.a, l.gen.b
+    coords = [(1, 0, k.a, k.b, 0, 0, l0, l1) for k in residues.reps]
+    coords.append((l0, l1, 0, 0, 0, 0, 1, 0))
+    _check_kernel_lines(l, coords)
+    return residues, [Mat2.from_coords(l.ctx, t) for t in coords]
 
 
 def hecke_cosets(l: PIdeal, level: PIdeal) -> HeckeCosets:
-    """The N(l)+1 validated coset representatives for T_l at this level."""
+    """The N(l)+1 certified coset representatives for T_l at this level.
+
+    Rejects l when it is not prime or not coprime to the level; the
+    representatives themselves are shared by every level (_prime_cosets).
+    """
     if not l.is_prime():
         raise NotPrime(f"{l} is not a prime ideal")
     if not l.is_coprime(level):
         raise NotCoprimeToLevel(f"{l} shares a factor with the level {level}")
-    ctx = l.ctx
-    lam = l.gen
-    one, zero = ctx.one, ctx.zero
-    residues = ResidueSystem(l)
-    reps = [Mat2(one, k, zero, lam) for k in residues.reps]
-    reps.append(Mat2(lam, zero, zero, one))
-    hc = HeckeCosets(l, level, reps, residues)
-    if len(reps) != l.norm() + 1:
-        raise ConstructionFailure(
-            f"expected {l.norm() + 1} representatives, built {len(reps)}"
+    residues, reps = _prime_cosets(l)
+    return HeckeCosets(l, level, reps, residues)
+
+
+def _locate(hc: HeckeCosets, x: tuple) -> tuple[int, tuple]:
+    """locate_right_coset on coordinate tuples: (j, quotient coordinates)."""
+    ctx = hc.l.ctx
+    nw = ctx.norm_w
+    sh = 1 if ctx.shifted else 0
+    p, q, r = hc.l.hnf()
+    a0, a1, b0, b1, c0, c1, d0, d1 = x
+
+    def index(y0, y1):
+        """Residue index of y0 + y1*w in the order of ResidueSystem."""
+        k = y1 // r
+        return (y1 - k * r) * p + (y0 - k * q) % p
+
+    def ratio(y0, y1, i):
+        """Residue index of y / z, with z the residue of index i != 0."""
+        zi = hc.inverse[i]
+        z0, z1 = zi % p, zi // p
+        be = y1 * z1
+        return index(y0 * z0 - nw * be, y0 * z1 + y1 * z0 + sh * be)
+
+    i = index(a0, a1)
+    if i:
+        j = ratio(b0, b1, i)
+    else:
+        i = index(c0, c1)
+        j = ratio(d0, d1, i) if i else len(hc.coords) - 1
+    quot = _quotient_in_gamma0(x, hc.coords[j], hc.lam, hc.level)
+    if quot is None:
+        raise PermutationFailure(
+            f"{Mat2.from_coords(ctx, x)} lies in no right coset of T_{hc.l}"
         )
-    for i, di in enumerate(reps):
-        for j, dj in enumerate(reps):
-            if i == j:
-                continue
-            if _quotient_in_gamma0(di, dj, lam, level) is not None:
-                raise ConstructionFailure(
-                    f"representatives {i} and {j} share a right coset"
-                )
-    return hc
+    return j, quot
 
 
 def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
@@ -183,25 +299,10 @@ def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
     not divide a, and k = d / c when it divides a but not c; the inverse
     mod the prime lambda comes from the table hc.inverse.  The single
     candidate is certified by exact division; PermutationFailure means x
-    is not in the double coset.
+    is not in the double coset.  The work runs on coordinates (_locate).
     """
-    res = hc.residues
-    lam = hc.lam
-    a = res.reduce(x.a)
-    if not a.is_zero():
-        ai = res.reps[hc.inverse[res.index(a)]]
-        j = res.index(res.reduce(x.b * ai))
-    else:
-        c = res.reduce(x.c)
-        if c.is_zero():
-            j = len(hc.reps) - 1
-        else:
-            ci = res.reps[hc.inverse[res.index(c)]]
-            j = res.index(res.reduce(x.d * ci))
-    quot = _quotient_in_gamma0(x, hc.reps[j], lam, hc.level)
-    if quot is None:
-        raise PermutationFailure(f"{x} lies in no right coset of T_{hc.l}")
-    return j, quot
+    j, quot = _locate(hc, x.coords())
+    return j, Mat2.from_coords(hc.l.ctx, quot)
 
 
 def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
@@ -253,8 +354,8 @@ def hecke_letter_table(l: PIdeal):
     mod lambda do not depend on the level.
     """
     hc = hecke_cosets(l, PIdeal(l.ctx.one))
-    return letter_table(hc.reps, builtin_presentation(l.ctx),
-                        lambda x: locate_right_coset(hc, x))
+    return letter_table(hc.coords, builtin_presentation(l.ctx),
+                        lambda x: _locate(hc, x))
 
 
 def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:

@@ -422,6 +422,20 @@ def mat_mul_coords(ctx: FieldCtx, x: tuple, y: tuple) -> tuple:
     )
 
 
+def mat_pow_coords(ctx: FieldCtx, x: tuple, k: int) -> tuple:
+    """x**k for k >= 0 on 8-int coordinate tuples, by binary powering."""
+    if k < 0:
+        raise ValueError(f"matrix power needs k >= 0, got {k}")
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mat_mul_coords(ctx, out, x)
+        k >>= 1
+        if k:
+            x = mat_mul_coords(ctx, x, x)
+    return out if out is not None else (1, 0, 0, 0, 0, 0, 1, 0)
+
+
 class Mat2:
     """A 2x2 matrix [[a, b], [c, d]] over one of the rings."""
 
@@ -467,18 +481,9 @@ class Mat2:
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, k: int) -> "Mat2":
-        """self**k for k >= 0, by binary powering."""
-        if k < 0:
-            raise ValueError(f"matrix power needs k >= 0, got {k}")
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out if out is not None else Mat2.identity(self.ctx)
+        """self**k for k >= 0, by binary powering (mat_pow_coords)."""
+        ctx = self.a.ctx
+        return Mat2.from_coords(ctx, mat_pow_coords(ctx, self.coords(), k))
 
     def det(self) -> QuadInt:
         return self.a * self.d - self.b * self.c

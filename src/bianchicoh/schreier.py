@@ -21,12 +21,18 @@ tests).  Counting generators needs none of them: len(sgen_edges).
 
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
-abelianization.  Every ambient relator is walked from every coset, and
-the walk must close; the rewritten rows form the relator matrix, kept
-sparse as one dict {Schreier generator index: nonzero exponent} per
-relator and coset, relator-major.  A relator walk touches a handful of
-edges, so the rows are short; their mod-q kernel is the cohomology
-downstream.
+abelianization.  Every walk reads one table per letter, built once with
+the generators: moves[gid][e] lists, for every coset, the next coset
+and the Schreier generator crossed (-1 on tree edges); the sign is e.
+_walk follows the lists for one start coset.  _build_relmat walks every
+ambient relator from all cosets at once on the same tables as numpy
+arrays; every walk must close (an array equality).  The rewritten rows
+form the relator matrix, kept sparse as one dict {Schreier generator
+index: nonzero exponent} per relator and coset, relator-major, with
+keys in the order of their first visit: the visits are coalesced by
+(row, generator) key and zero sums dropped, exactly as _walk would give
+them.  A relator walk touches a handful of edges, so the rows are
+short; their mod-q kernel is the cohomology downstream.
 
 express(m) checks that m lies in Gamma_0(n), takes the certified
 letters of fpres.matrix_to_word and walks them from the base coset; the
@@ -38,10 +44,11 @@ the relator rows, and consumers pair them with a basis directly.
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
 table (letter_table): delta_j g^{+-1} = W delta_k, with W given by its
-letters.  push_letter_table carries it along the tree.  With
-delta_i T_x = A_{i,x} delta_{pi_x(i)}, a tree step x -> y by letter h
-gives A_{i,y} = A_{i,x} W(pi_x(i), h), so walking that W from the end
-e_{i,x} of the walk of A_{i,x} gives e_{i,y} and the step's exponents.
+letters, built and certified on coordinate tuples.  push_letter_table
+carries it along the tree.  With delta_i T_x = A_{i,x} delta_{pi_x(i)},
+a tree step x -> y by letter h gives A_{i,y} = A_{i,x} W(pi_x(i), h),
+so walking that W from the end e_{i,x} of the walk of A_{i,x} gives
+e_{i,y} and the step's exponents.
 For the Schreier generator on (x, g), delta_i T_x g T_y^{-1} =
 A_{i,x} W(pi_x(i), g) A_{sigma(i),y}^{-1} delta_{sigma(i)}, so its
 quotient walks W(pi_x(i), g) from e_{i,x} and must end at
@@ -53,6 +60,9 @@ walks of A_{i,x}, which the caller sums along the tree from the steps.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
+
+import numpy as np
 
 from . import fpres
 from .errors import (
@@ -145,7 +155,9 @@ class CongCtx:
         tree_pos = self._tree_pos
         gmats = [m.coords() for m in p._mats]
         coords = []
-        index = {}
+        edges = []
+        # crossed[gid][x]: the Schreier generator on the edge (x, gid), or -1
+        crossed = [[-1] * ncos for _ in range(p.gen_count)]
         for x in range(ncos):
             tx = tcoords[x]
             for gid in range(p.gen_count):
@@ -165,11 +177,20 @@ class CongCtx:
                         f"Schreier generator {Mat2.from_coords(ctx, m)} "
                         f"escapes the level"
                     )
-                index[(x, gid)] = len(coords)
+                crossed[gid][x] = len(coords)
+                edges.append((x, gid))
                 coords.append(m)
         self._sgen_coords = coords
-        self._sgen_index = index
-        self.sgen_edges = list(index)  # (x, gid) of each Schreier generator
+        self.sgen_edges = edges  # (x, gid) of each Schreier generator
+        # walk tables, one per letter: moves[gid][e] = (next coset, Schreier
+        # generator crossed or -1) for every coset; e = -1 indexes the last
+        # entry.  Walking g^-1 from y crosses the edge (y * g^-1, gid).
+        self._moves = []
+        for gid in range(p.gen_count):
+            fwd, back = self.act[gid]
+            here = crossed[gid]
+            self._moves.append(
+                (None, (fwd, here), (back, [here[y] for y in back])))
 
     # -- objects, built on first use ------------------------------------
 
@@ -202,39 +223,75 @@ class CongCtx:
     def _walk(self, letters, start, vec=None):
         """Walk letters from a coset; return (end coset, sgen exponents).
 
-        The exponents come as a dict {sgen index: exponent}, which may
-        hold zeros where visits cancel; they are added into vec when
-        one is given.
+        Each letter reads its walk table (moves).  The exponents come as
+        a dict {sgen index: exponent}, which may hold zeros where visits
+        cancel; they are added into vec when one is given.
         """
         if vec is None:
             vec = {}
-        index = self._sgen_index
-        act = self.act
+        moves = self._moves
         pos = start
         for gid, e in letters:
-            if e == 1:
-                idx = index.get((pos, gid))
-                if idx is not None:
-                    vec[idx] = vec.get(idx, 0) + 1
-                pos = act[gid][0][pos]
-            else:
-                prev = act[gid][1][pos]
-                idx = index.get((prev, gid))
-                if idx is not None:
-                    vec[idx] = vec.get(idx, 0) - 1
-                pos = prev
+            nxt, crossed = moves[gid][e]
+            idx = crossed[pos]
+            if idx >= 0:
+                vec[idx] = vec.get(idx, 0) + e
+            pos = nxt[pos]
         return pos, vec
 
     def _build_relmat(self):
-        rows = []
+        """Walk every relator from all cosets at once on the walk tables.
+
+        Row r * |P^1| + x is the walk of relator r from coset x, which
+        must close; its keys come in the order of their first visit and
+        zero sums are dropped, as _walk would give them.
+        """
         ncos = len(self.cosets)
-        for r in self.pres.relators:
-            for x in range(ncos):
-                end, vec = self._walk(r.letters, x)
-                if end != x:
-                    raise NotInSubgroup("relator walk did not close")
-                rows.append({k: v for k, v in vec.items() if v})
-        return rows
+        nsg = len(self.sgen_edges)
+        relators = [r.letters for r in self.pres.relators]
+        # the walk tables stacked, one row per letter, and a last row
+        # that stays put, which pads the shorter relators
+        letters = [(gid, e) for gid in range(self.pres.gen_count)
+                   for e in (1, -1)]
+        nxt = np.array([self._moves[g][e][0] for g, e in letters]
+                       + [list(range(ncos))])
+        crossed = np.array([self._moves[g][e][1] for g, e in letters]
+                           + [[-1] * ncos])
+        sign = np.array([e for _, e in letters] + [0])
+        code = {letter: i for i, letter in enumerate(letters)}
+        length = max(map(len, relators))
+        # codes[t, r * ncos + x]: the letter of step t of relator r
+        codes = np.repeat(np.array(
+            [[code[x] for x in r] + [len(letters)] * (length - len(r))
+             for r in relators]).T, ncos, axis=1)
+        start = np.tile(np.arange(ncos), len(relators))
+        pos = start
+        visits = np.empty(codes.shape, dtype=np.int64)
+        for t in range(length):
+            visits[t] = crossed[codes[t], pos]
+            pos = nxt[codes[t], pos]
+        if not np.array_equal(pos, start):
+            raise NotInSubgroup("relator walk did not close")
+        # visits by row, and each row's in walk order
+        row, step = np.nonzero(visits.T >= 0)
+        col = visits[step, row]
+        signs = sign[codes[step, row]]
+        _, first, inv = np.unique(row * nsg + col, return_index=True,
+                                  return_inverse=True)
+        total = (np.bincount(inv[signs > 0], minlength=len(first))
+                 - np.bincount(inv[signs < 0], minlength=len(first)))
+        # the first visit of each (row, generator), still in walk order
+        at = np.zeros(len(row), dtype=bool)
+        at[first] = True
+        at = np.flatnonzero(at)
+        total = total[inv[at]]
+        at = at[total != 0]
+        sizes = np.bincount(row[at], minlength=len(start)).tolist()
+        col = col[at].tolist()
+        total = total[total != 0].tolist()
+        bounds = [0, *accumulate(sizes)]
+        return [dict(zip(col[b0:b1], total[b0:b1]))
+                for b0, b1 in zip(bounds, bounds[1:])]
 
     # -- queries ------------------------------------------------------
 
@@ -316,23 +373,28 @@ class CongCtx:
 def letter_table(reps, pres: AmbientPresentation, locate):
     """Certified table[j][(gid, e)] = (k, letters) for reps[j] * g^e.
 
-    locate(x) returns (k, W) with x = W * reps[k] and W in SL_2(O).  Each
-    entry keeps the freely reduced letters of matrix_to_word(W), checked
-    once: their value is W and W * reps[k] == reps[j] * g^e
-    (ConstructionFailure otherwise).  Each letter must permute the
-    indices (PermutationFailure otherwise).
+    reps are coordinate tuples (Mat2.coords); locate(x) takes the
+    coordinates of x and returns (k, W) with x = W * reps[k] and W in
+    SL_2(O), also as coordinates.  Each entry keeps the freely reduced
+    letters of matrix_to_word(W), checked once on coordinates: their
+    value is W and W * reps[k] == reps[j] * g^e (ConstructionFailure
+    otherwise).  Each letter must permute the indices
+    (PermutationFailure otherwise).
     """
+    ctx = pres.ctx
     nreps = len(reps)
     table: list[dict] = [{} for _ in range(nreps)]
     for gid in range(pres.gen_count):
-        for e, g in ((1, pres._mats[gid]), (-1, pres._invs[gid])):
+        for e in (1, -1):
+            g = pres._letter_coords[e][gid]
             targets = set()
             for j, dj in enumerate(reps):
-                x = dj * g
+                x = mat_mul_coords(ctx, dj, g)
                 k, w = locate(x)
-                word = Word(matrix_to_word(w, pres))
+                word = Word(matrix_to_word(Mat2.from_coords(ctx, w), pres))
                 # through the module, so that wrappers of fpres see the call
-                if fpres.word_to_matrix(word, pres) != w or w * reps[k] != x:
+                if (fpres.word_to_matrix(word, pres).coords() != w
+                        or mat_mul_coords(ctx, w, reps[k]) != x):
                     raise ConstructionFailure(
                         f"table word of representative {j} and letter "
                         f"{pres.names[gid]}^{e} does not give its quotient"

@@ -11,9 +11,11 @@ The rest are the earlier, plainer forms of code the library now does
 faster, kept as references: the Euclidean descent on QuadInt objects
 with its letter-by-letter check (euclid_word) and its rounding rule
 (euclid_divmod_box), a coset walk through P1Table.apply (rewrite), the
-four-entry Hecke quotient (quotient_full), and T_l and the unit
-conjugation operator by one located and expressed quotient per Schreier
-generator and representative (hecke_matrix, unit_conjugation_operator).
+four-entry Hecke quotient (quotient_full), the all-pairs check that no
+two Hecke representatives share a right coset (shared_right_cosets),
+and T_l and the unit conjugation operator by one located and expressed
+quotient per Schreier generator and representative (hecke_matrix,
+unit_conjugation_operator).
 """
 
 from __future__ import annotations
@@ -486,6 +488,17 @@ def quotient_full(x, delta, lam, level):
     return quot
 
 
+def shared_right_cosets(reps, lam, level):
+    """Pairs (i, j), i != j, with reps[i] * reps[j]^-1 in the level group.
+
+    The all-pairs check that hecke_cosets ran at every level before the
+    kernel-line certificate replaced it: (N(l)+1) * N(l) quotient tests
+    by quotient_full.  Representatives of distinct right cosets give [].
+    """
+    return [(i, j) for i, di in enumerate(reps) for j, dj in enumerate(reps)
+            if i != j and quotient_full(di, dj, lam, level) is not None]
+
+
 def euclid_word(m, p):
     """Word for m in SL_2(O) by the Euclidean descent on QuadInt objects.
 
@@ -528,6 +541,7 @@ def rewrite(cc, letters):
     """
     p1 = cc.cosets
     mats = [m for _, m in cc.pres.generators]
+    index = {edge: k for k, edge in enumerate(cc.sgen_edges)}
     pos = p1.points[cc.base]
     vec = {}
     for gid, e in letters:
@@ -537,7 +551,7 @@ def rewrite(cc, letters):
         else:
             nxt = p1.apply(mats[gid].inv_det_one(), pos)
             edge = (nxt.index, gid)
-        k = cc._sgen_index.get(edge)
+        k = index.get(edge)
         if k is not None:
             vec[k] = vec.get(k, 0) + e
         pos = nxt

@@ -117,6 +117,27 @@ def test_exhausted_prime_search_exits_one():
     assert "ray-trivial" in r.stderr
 
 
+def test_zero_test_primes_rejected_before_any_space():
+    r = run_cli(
+        "verify", "--field-d", "2", "--level", "(3+1*w)",
+        "--prime", "(0+1*w)", "--modulus", "5", "--test-primes", "0",
+    )
+    assert r.returncode == 2
+    assert 'violates the hypothesis "at least one test prime"' in r.stderr
+    assert "timing" not in r.stderr  # no level was built
+
+
+def test_max_norm_below_two_rejected_before_any_space():
+    r = run_cli(
+        "verify", "--field-d", "2", "--level", "(3+1*w)",
+        "--prime", "(0+1*w)", "--modulus", "5", "--max-norm", "0",
+    )
+    assert r.returncode == 2
+    assert ('violates the hypothesis "the search reaches norm 2, the least '
+            'norm of a prime"' in r.stderr)
+    assert "timing" not in r.stderr  # no level was built
+
+
 def test_inspect_p1_unit_level():
     r = run_cli("inspect", "p1", "--field-d", "3", "--level", "(1)")
     assert r.returncode == 0, r.stderr

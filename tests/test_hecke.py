@@ -39,7 +39,7 @@ from bianchicoh.hecke import (
 from bianchicoh.fpres import Word, word_to_matrix
 from bianchicoh.ideals import PIdeal, ResidueSystem, parse_ideal, primes_by_norm
 from bianchicoh.modlinalg import MatQ
-from bianchicoh.qfield import Mat2, field, parse_element, xgcd
+from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element, xgcd
 from bianchicoh.schreier import CongCtx
 import oracles
 from oracles import quotient_full, scan_right_cosets
@@ -78,6 +78,61 @@ def test_hecke_cosets_validation():
         hecke_cosets(parse_ideal(ctx, "(5)"), level)
     with pytest.raises(NotCoprimeToLevel):
         hecke_cosets(parse_ideal(ctx, "(2+1*w)"), level)
+
+
+def test_kernel_line_certificate_agrees_with_the_pairwise_judge():
+    """For every prime of norm <= 50 in the five fields, both accept."""
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        unit = PIdeal(ctx.one)
+        for l in primes_by_norm(ctx, 50):
+            hc = hecke_cosets(l, unit)
+            assert len(hc) == l.norm() + 1
+            assert oracles.shared_right_cosets(hc.reps, l.gen, unit) == []
+            hecke._check_kernel_lines(l, hc.coords)
+
+
+def _coset_mutants(l):
+    """(name, coords) of representative lists that share a right coset."""
+    coords = list(hecke_cosets(l, PIdeal(l.ctx.one)).coords)
+    l0, l1 = l.gen.a, l.gen.b
+    out = []
+    # [[1, k'], [0, lambda]] with k' = k + lambda, next to k itself
+    a0, a1, k0, k1, c0, c1, d0, d1 = coords[-2]
+    shifted = list(coords)
+    shifted[0] = (a0, a1, k0 + l0, k1 + l1, c0, c1, d0, d1)
+    out.append(("k = k' mod lambda", shifted))
+    # diag(lambda, 1) replaced by [[1, 0], [0, lambda]]
+    out.append(("diag(lambda, 1) -> [[1, 0], [0, lambda]]",
+                coords[:-1] + [(1, 0, 0, 0, 0, 0, l0, l1)]))
+    # the first representative replaced by -1 times the last upper one
+    out.append(("-[[1, k], [0, lambda]]",
+                [tuple(-v for v in coords[-2])] + coords[1:]))
+    return out
+
+
+def test_kernel_line_certificate_catches_shared_cosets():
+    """Mutated representatives fail the kernel-line check and the judge."""
+    checked = 0
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        unit = PIdeal(ctx.one)
+        for l in primes_by_norm(ctx, 30):
+            for name, coords in _coset_mutants(l):
+                reps = [Mat2.from_coords(ctx, t) for t in coords]
+                assert oracles.shared_right_cosets(reps, l.gen, unit), name
+                with pytest.raises(ConstructionFailure):
+                    hecke._check_kernel_lines(l, coords)
+                checked += 1
+            # I and [[1, 1], [0, 1]] share a right coset of GL_2(O) but
+            # their top rows give distinct lines; neither kills its line
+            # mod lambda, which is what rejects them
+            coords = hecke_cosets(l, unit).coords
+            with pytest.raises(ConstructionFailure, match="does not kill"):
+                hecke._check_kernel_lines(
+                    l, [(1, 0, 0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 0, 0, 1, 0)]
+                    + coords[2:])
+    assert checked > 20
 
 
 def test_double_coset_elements_land_in_one_right_coset():
@@ -278,7 +333,11 @@ def test_hecke_matrix_on_zero_space_is_empty():
 
 
 def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
-    """A B-configuration: only the pairwise check of hecke_cosets runs."""
+    """A B-configuration: hecke_cosets only validates l, no quotient is tested.
+
+    The representatives are certified once per prime by their kernel
+    lines (hecke._check_kernel_lines), so no quotient test runs at all.
+    """
     _, space = _unit_space(2, "(2)", 5)
     assert space.dim == 0
     ctx = space.cc.ctx
@@ -297,8 +356,7 @@ def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
     l = parse_ideal(ctx, "(3+1*w)")
     t = hecke_matrix(l, space)
     assert t.mat.nrows == 0 and t.mat.ncols == 0
-    nreps = l.norm() + 1
-    assert len(calls) == nreps * (nreps - 1)
+    assert len(calls) == 0
     with pytest.raises(NotPrime):
         hecke_matrix(parse_ideal(ctx, "(3)"), space)
     with pytest.raises(NotCoprimeToLevel):
@@ -327,9 +385,15 @@ def test_narrowed_quotient_agrees_with_the_full_division():
                   if l.is_coprime(level)][:2]:
             hc = hecke_cosets(l, level)
             lam = l.gen
+
+            def narrowed(x, dj):
+                got = hecke._quotient_in_gamma0(x.coords(), dj.coords(),
+                                                lam, level)
+                return None if got is None else Mat2.from_coords(ctx, got)
+
             for di in hc.reps:
                 for dj in hc.reps:
-                    assert (hecke._quotient_in_gamma0(di, dj, lam, level)
+                    assert (narrowed(di, dj)
                             == quotient_full(di, dj, lam, level))
             hits = 0
             for _ in range(40):
@@ -337,7 +401,7 @@ def test_narrowed_quotient_agrees_with_the_full_division():
                 x = (_random_gamma0(ctx, level, rng) * delta
                      * _random_gamma0(ctx, level, rng))
                 for dj in hc.reps:
-                    got = hecke._quotient_in_gamma0(x, dj, lam, level)
+                    got = narrowed(x, dj)
                     assert got == quotient_full(x, dj, lam, level)
                     hits += got is not None
             assert hits == 40  # each x lies in exactly one right coset
@@ -425,11 +489,11 @@ def test_table_quotient_must_carry_its_representative():
     p = schreier.builtin_presentation(ctx)
 
     def wrong_index(x):
-        k, w = locate_right_coset(hc, x)
+        k, w = hecke._locate(hc, x)
         return (k + 1) % len(hc.reps), w
 
     with pytest.raises(ConstructionFailure):
-        schreier.letter_table(hc.reps, p, wrong_index)
+        schreier.letter_table(hc.coords, p, wrong_index)
 
 
 def test_wrong_table_index_is_caught():
@@ -495,11 +559,15 @@ def test_colliding_table_index_fails_the_bijection_at_level_one():
 def test_letter_table_rejects_representatives_sharing_a_coset():
     ctx = field(3)
     p = schreier.builtin_presentation(ctx)
-    delta = Mat2(ctx.omega, ctx.zero, ctx.zero, ctx.one)
-    delta_inv = Mat2(ctx.omega.conjugate(), ctx.zero, ctx.zero, ctx.one)
-    assert len(schreier.letter_table([delta], p, lambda x: (0, x * delta_inv))) == 1
+    delta = Mat2(ctx.omega, ctx.zero, ctx.zero, ctx.one).coords()
+    delta_inv = Mat2(ctx.omega.conjugate(), ctx.zero, ctx.zero, ctx.one).coords()
+
+    def locate(x):
+        return 0, mat_mul_coords(ctx, x, delta_inv)
+
+    assert len(schreier.letter_table([delta], p, locate)) == 1
     with pytest.raises(PermutationFailure):
-        schreier.letter_table([delta, delta], p, lambda x: (0, x * delta_inv))
+        schreier.letter_table([delta, delta], p, locate)
 
 
 def test_letter_table_permutes_the_representatives_and_is_memoized():

@@ -91,10 +91,18 @@ def test_schreier_generators_lie_in_subgroup_and_match_words():
 
 
 def test_relator_rows_certified_by_matrix_walk():
-    """Re-trace every relator from every coset with independent logic."""
-    for d, text in [(1, "(2+1*w)"), (3, "(2)"), (11, "(0+1*w)")]:
+    """Re-trace every relator from every coset with independent logic.
+
+    Covers all five fields, and one level with the reversed move order.
+    Each sparse row must also list its generators in the order of their
+    first visit.
+    """
+    levels = [(d, text, "default") for d, text, _ in FROZEN_ABELIANIZATIONS]
+    levels.append((2, "(3+1*w)", "reversed"))
+    for d, text, move_order in levels:
         ctx = field(d)
-        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        cc = CongCtx(parse_ideal(ctx, text), ctx, move_order=move_order)
+        index = {edge: k for k, edge in enumerate(cc.sgen_edges)}
         p1 = cc.cosets
         pres = cc.pres
         ident = Mat2.identity(ctx)
@@ -107,6 +115,7 @@ def test_relator_rows_certified_by_matrix_walk():
                 pos = p1.points[x]
                 prod = ident
                 vec = [0] * len(cc.sgens)
+                visited = []
                 for gid, e in r:
                     if e == 1:
                         nxt = p1.apply(mats[gid], pos)
@@ -114,15 +123,18 @@ def test_relator_rows_certified_by_matrix_walk():
                     else:
                         nxt = p1.apply(invs[gid], pos)
                         edge = (nxt.index, gid)
-                    k = cc._sgen_index.get(edge)
+                    k = index.get(edge)
                     if k is not None:
                         sm = cc.sgens[k][1]
                         prod = prod * (sm if e == 1 else sm.inv_det_one())
                         vec[k] += e
+                        if k not in visited:
+                            visited.append(k)
                     pos = nxt
                 assert pos.index == x
                 assert prod == ident
                 assert vec == relmat[rowi]
+                assert list(cc.relmat[rowi]) == [k for k in visited if vec[k]]
                 rowi += 1
 
 
@@ -267,6 +279,30 @@ def test_express_equals_rewrite_of_the_descent_word():
     assert fallbacks[7] > 0 and fallbacks[11] > 0, fallbacks
 
 
+A_LEVELS = [(1, "(2+5*w)"), (2, "(3+1*w)"), (3, "(1+5*w)"), (7, "(1+2*w)"),
+            (11, "(1-2*w)")]
+
+
+def test_walk_tables_agree_with_the_apply_walk_on_the_a_levels():
+    """_walk, rewrite and express equal the P1Table.apply walk of oracles."""
+    rng = random.Random(43)
+    for d, text in A_LEVELS:
+        ctx = field(d)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        letters = [(gid, e) for gid in range(cc.pres.gen_count) for e in (1, -1)]
+        for _ in range(30):
+            word = [rng.choice(letters) for _ in range(rng.randrange(1, 20))]
+            end, vec = cc._walk(word, cc.base)
+            assert (end, {k: v for k, v in vec.items() if v}) == rewrite(cc, word)
+        for k in range(30):
+            m = _random_member(cc, rng, nsteps=1 + k % 6)
+            word = euclid_word(m, cc.pres).letters
+            end, want = rewrite(cc, word)
+            assert end == cc.base
+            assert cc.rewrite(word) == want
+            assert cc.express(m) == want, (d, text, m)
+
+
 def test_express_rejects_non_members_and_bad_determinants():
     for d, text in [(2, "(3+1*w)"), (7, "(1+2*w)")]:
         ctx = field(d)
@@ -331,6 +367,17 @@ def test_corrupted_action_entry_fails_the_generator_certificate(monkeypatch):
     monkeypatch.setattr(P1Table, "action", swapped)
     with pytest.raises(NotInSubgroup):
         CongCtx(level, ctx)
+
+
+def test_corrupted_walk_table_fails_the_relator_closure():
+    """Two swapped entries of one letter's walk table leave a relator open."""
+    for d, text, _ in FROZEN_ABELIANIZATIONS:
+        ctx = field(d)
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        nxt, _ = cc._moves[cc.pres.t_id][1]
+        nxt[0], nxt[1] = nxt[1], nxt[0]
+        with pytest.raises(NotInSubgroup):
+            cc._build_relmat()
 
 
 def test_corrupted_tree_tuple_fails_the_generator_certificate():
