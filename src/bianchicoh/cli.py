@@ -84,6 +84,13 @@ class RunConfig:
         self.conductor = (
             parse_ideal(self.ctx, conductor) if conductor else None
         )
+        for name in ("level", "conductor"):
+            ideal = getattr(self, name)
+            if ideal is not None and ideal.is_zero():
+                raise ConfigError(
+                    f'rejected: {name} (0); violates the hypothesis "the '
+                    f'{name} is a nonzero ideal"'
+                )
         if fmt not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}, got {fmt}")
         self.format = fmt
@@ -255,7 +262,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     full_d, par_d, ud = _spaces(ndst, cfg.ctx, q)
     timer.lap("level N*p spaces")
     rmap = restriction_map(us, ud)
-    tmap = twisted_map(us, ud, p.gen)
+    tmap = twisted_map(us, ud)
     amap = alpha(rmap, tmap)
     ker = kernel(amap)
     lemma1 = kernel(rmap).nrows == 0
@@ -380,7 +387,7 @@ def cmd_inspect(sub: str, cfg: RunConfig) -> int:
         _, _, us = _spaces(n, cfg.ctx, cfg.modulus)
         _, _, ud = _spaces(n * p, cfg.ctx, cfg.modulus)
         rmap = restriction_map(us, ud)
-        tmap = twisted_map(us, ud, p.gen)
+        tmap = twisted_map(us, ud)
         amap = alpha(rmap, tmap)
         _emit(cfg, {
             "schema": 1,

@@ -16,15 +16,17 @@ q is coprime to their order.  The unit-invariant subspace is the fixed
 space of conjugation by delta = diag(u0, 1) for a generator u0 of the
 unit group, which descends the computation from SL_2 to GL_2 level.
 
-letter_table_operator evaluates every operator given by a level-one
-letter table (see schreier): the walks of the Schreier generators and
-of the tree steps are paired with the basis in one batch, the steps are
-summed along the tree, and the images of all basis classes are projected
-in one batch (modlinalg.project_rows).  T_l is one such operator
-(hecke), and the unit operator is the one-representative case: its table
-holds the letters of delta g^{+-1} delta^{-1} for every ambient letter,
-built once per field and checked with word_to_matrix, so no Schreier
-generator is expressed.
+letter_table_operator(src, dst, ...) evaluates every operator given by
+a level-one letter table (see schreier): the table is pushed along the
+dst tree with its quotients walked in the src coset table, the walks
+are paired with the src basis and the steps summed along the tree in
+one batch, and the images are projected onto the dst basis in one batch
+(modlinalg.project_rows).  T_l (hecke) and the unit operator map a
+space to itself; the unit table holds the letters of
+delta g^{+-1} delta^{-1} for every ambient letter, built once per field
+and checked with word_to_matrix, so no Schreier generator is expressed.
+The degeneracy maps (degmaps) go from level n to level n*p; LinMap
+lives here so that degmaps can import the T_p table from hecke.
 
 Cusps are enumerated exactly: candidates a/c with c running over the
 divisors of the level generator and a over lifted invertible residues,
@@ -42,6 +44,7 @@ from .errors import (
     BadModulus,
     ConstructionFailure,
     ProjectionFailure,
+    ShapeMismatch,
 )
 from .ideals import PIdeal, ResidueSystem, divisors
 from .modlinalg import (
@@ -50,6 +53,7 @@ from .modlinalg import (
     kernel_basis,
     mulmod,
     project_rows,
+    rank,
     rref,
     sparse_kernel_basis,
     sparse_values,
@@ -121,6 +125,76 @@ class CohomSubspace:
         return (
             f"CohomSubspace({self.kind}, level={self.cc.level}, "
             f"q={self.q.q}, dim={self.dim})"
+        )
+
+
+class LinMap:
+    """Linear map between subspace coordinates, rows = images of basis.
+
+    mat has copies * domain.dim rows and codomain.dim columns; copies
+    is 1 for the plain maps and 2 for the stacked map alpha, whose
+    domain is a pair of classes with concatenated coordinates.
+    """
+
+    __slots__ = ("domain", "codomain", "mat", "copies")
+
+    def __init__(
+        self,
+        domain: CohomSubspace,
+        codomain: CohomSubspace,
+        mat: MatQ,
+        copies: int = 1,
+    ):
+        if copies not in (1, 2):
+            raise ShapeMismatch(f"unsupported domain multiplicity {copies}")
+        if mat.nrows != copies * domain.dim:
+            raise ShapeMismatch(
+                f"{mat.nrows} rows vs {copies} copies of the "
+                f"{domain.dim}-dim domain"
+            )
+        if mat.ncols != codomain.dim:
+            raise ShapeMismatch(
+                f"{mat.ncols} columns vs {codomain.dim}-dim codomain"
+            )
+        if domain.q.q != codomain.q.q or mat.q != domain.q.q:
+            raise BadModulus("domain, codomain and matrix moduli must agree")
+        self.domain = domain
+        self.codomain = codomain
+        self.mat = mat
+        self.copies = copies
+
+    def apply(self, coords) -> np.ndarray:
+        """Image coordinates of a domain coordinate row vector."""
+        q = self.mat.q
+        vec = np.mod(np.asarray(coords, dtype=np.int64), q)
+        if vec.shape != (self.mat.nrows,):
+            raise ShapeMismatch(f"expected {self.mat.nrows} coordinates")
+        return mulmod(vec, self.mat.arr, q)
+
+    def rank(self) -> int:
+        return rank(self.mat)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "q": self.mat.q,
+            "domain": {
+                "level": str(self.domain.cc.level),
+                "kind": self.domain.kind,
+                "dim": self.domain.dim,
+                "copies": self.copies,
+            },
+            "codomain": {
+                "level": str(self.codomain.cc.level),
+                "kind": self.codomain.kind,
+                "dim": self.codomain.dim,
+            },
+            "mat": self.mat.to_lists(),
+        }
+
+    def __repr__(self):
+        return (
+            f"LinMap({self.copies}x{self.domain.dim} -> {self.codomain.dim}, "
+            f"q={self.mat.q})"
         )
 
 
@@ -266,21 +340,22 @@ def _unit_conj_generator(ctx) -> QuadInt:
     return -ctx.one
 
 
-def letter_table_operator(space: CohomSubspace, table, what: str) -> np.ndarray:
-    """Coordinates of f -> sum_i f(reps[i] g reps[sigma(i)]^{-1}) on space.
+def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
+                          what: str, track=None) -> np.ndarray:
+    """Coordinates of f -> (g -> sum_i f(reps[i] g reps[sigma(i)]^{-1})).
 
-    table is a level-one letter table (schreier.letter_table).  Row i of
-    the result holds the coordinates of the image of basis class i.
-    CongCtx.push_letter_table gives the quotient walks of every Schreier
-    generator T_x g T_y^{-1} and the tree steps; pairing both with the
-    basis in one batch and summing the steps along the tree gives S_x,
-    and the image on that generator is its walks plus S_x - S_y.
-    ProjectionFailure names `what` when an image escapes the subspace.
+    f runs over the src basis, g over the Schreier generators of dst
+    and i over track (default: every representative of the table).  Row
+    i holds the dst coordinates of the image of src basis class i.  The
+    image on T_x g T_y^{-1} is its quotient walks plus S_x - S_y, with
+    S_x summed along the dst tree from the step walks
+    (dst.cc.push_letter_table).  ProjectionFailure names `what` when an
+    image escapes dst.
     """
-    cc = space.cc
-    q = space.q.q
-    rows, steps = cc.push_letter_table(table)
-    vals = sparse_values(space.basis, rows + steps).arr
+    cc = dst.cc
+    q = src.q.q
+    rows, steps = cc.push_letter_table(table, src.cc, track)
+    vals = sparse_values(src.basis, rows + steps).arr
     nsg = len(rows)
     # tree[y] = values of S_y, summed from the base in BFS order
     tree = vals[:, nsg:].T.copy()
@@ -289,7 +364,7 @@ def letter_table_operator(space: CohomSubspace, table, what: str) -> np.ndarray:
     xs = [x for x, _ in cc.sgen_edges]
     ys = [cc.act[gid][0][x] for x, gid in cc.sgen_edges]
     images = (vals[:, :nsg] + tree[xs].T - tree[ys].T) % q
-    coords, bad = project_rows(space.basis, images)
+    coords, bad = project_rows(dst.basis, images)
     if bad is not None:
         raise ProjectionFailure(
             f"{what} escapes the subspace; this indicates a bug"
@@ -318,7 +393,7 @@ def unit_conjugation_operator(space: CohomSubspace) -> MatQ:
     if space.dim == 0:
         return MatQ(q, np.zeros((0, 0), dtype=np.int64))
     coords = letter_table_operator(
-        space, unit_letter_table(space.cc.ctx), "unit conjugation"
+        space, space, unit_letter_table(space.cc.ctx), "unit conjugation"
     )
     return MatQ(q, coords)
 

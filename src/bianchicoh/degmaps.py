@@ -1,117 +1,32 @@
 """Degeneracy maps between cohomology at level n and level n*p.
 
-Both maps evaluate a level-n class on the Schreier generators of the
-level-n*p group: the plain restriction walks each generator's word in
-the ambient letters through the level-n coset table (the walk must
-close), the twisted variant conjugates the generators by diag(pi, 1)
-first, which divides the lower-left entry by pi and so lands back at
-level n, and expresses them there.  The combined
-map alpha stacks the two; its kernel is the object the Hecke checks
-constrain.  All maps act on coordinate row vectors: a class with
-coordinates x in the domain basis maps to x @ mat in the codomain basis.
+Both maps take the path of T_l (cohom.letter_table_operator): a
+level-one letter table is pushed along the level-n*p tree, its
+quotients are walked in the level-n coset table (every walk must
+close), and the images are projected onto the destination basis.  The
+plain restriction is the one-representative identity table; the
+twisted map follows the last representative diag(pi, 1) of the T_p
+table (the twist-chain lemma in twisted_map).  The combined map alpha
+stacks the two; its kernel is the object the Hecke checks constrain.
+All maps act on coordinate row vectors: a class with coordinates x in
+the domain basis maps to x @ mat in the codomain basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cohom import CohomSubspace
+from .cohom import CohomSubspace, LinMap, letter_table_operator
 from .errors import (
     BadModulus,
     FieldMismatch,
     LevelMismatch,
-    NonIntegralConjugate,
-    ProjectionFailure,
     ShapeMismatch,
 )
+from .hecke import hecke_letter_table
 from .ideals import PIdeal
-from .modlinalg import (
-    MatQ,
-    left_kernel,
-    mulmod,
-    project_rows,
-    rank,
-    sparse_values,
-)
-from .qfield import Mat2, QuadInt, exact_div
-
-
-class LinMap:
-    """Linear map between subspace coordinates, rows = images of basis.
-
-    mat has copies * domain.dim rows and codomain.dim columns; copies
-    is 1 for the plain maps and 2 for the stacked map alpha, whose
-    domain is a pair of classes with concatenated coordinates.
-    """
-
-    __slots__ = ("domain", "codomain", "mat", "copies")
-
-    def __init__(
-        self,
-        domain: CohomSubspace,
-        codomain: CohomSubspace,
-        mat: MatQ,
-        copies: int = 1,
-    ):
-        if copies not in (1, 2):
-            raise ShapeMismatch(f"unsupported domain multiplicity {copies}")
-        if mat.nrows != copies * domain.dim:
-            raise ShapeMismatch(
-                f"{mat.nrows} rows vs {copies} copies of the "
-                f"{domain.dim}-dim domain"
-            )
-        if mat.ncols != codomain.dim:
-            raise ShapeMismatch(
-                f"{mat.ncols} columns vs {codomain.dim}-dim codomain"
-            )
-        if domain.q.q != codomain.q.q or mat.q != domain.q.q:
-            raise BadModulus("domain, codomain and matrix moduli must agree")
-        self.domain = domain
-        self.codomain = codomain
-        self.mat = mat
-        self.copies = copies
-
-    def apply(self, coords) -> np.ndarray:
-        """Image coordinates of a domain coordinate row vector."""
-        q = self.mat.q
-        vec = np.mod(np.asarray(coords, dtype=np.int64), q)
-        if vec.shape != (self.mat.nrows,):
-            raise ShapeMismatch(f"expected {self.mat.nrows} coordinates")
-        return mulmod(vec, self.mat.arr, q)
-
-    def compose(self, then: LinMap) -> LinMap:
-        """This map followed by `then`."""
-        if then.copies != 1 or then.domain.dim != self.codomain.dim:
-            raise ShapeMismatch("composition domains do not line up")
-        return LinMap(
-            self.domain, then.codomain, self.mat @ then.mat, self.copies
-        )
-
-    def rank(self) -> int:
-        return rank(self.mat)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.mat.q,
-            "domain": {
-                "level": str(self.domain.cc.level),
-                "kind": self.domain.kind,
-                "dim": self.domain.dim,
-                "copies": self.copies,
-            },
-            "codomain": {
-                "level": str(self.codomain.cc.level),
-                "kind": self.codomain.kind,
-                "dim": self.codomain.dim,
-            },
-            "mat": self.mat.to_lists(),
-        }
-
-    def __repr__(self):
-        return (
-            f"LinMap({self.copies}x{self.domain.dim} -> {self.codomain.dim}, "
-            f"q={self.mat.q})"
-        )
+from .modlinalg import MatQ, left_kernel
+from .qfield import QuadInt, exact_div
 
 
 def _check_pair(src: CohomSubspace, dst: CohomSubspace) -> QuadInt:
@@ -134,69 +49,58 @@ def _check_pair(src: CohomSubspace, dst: CohomSubspace) -> QuadInt:
     return pi
 
 
-def _map_from_values(src: CohomSubspace, dst: CohomSubspace, ev_rows) -> LinMap:
-    """LinMap whose rows are src-basis images given by evaluation rows.
-
-    ev_rows[k] holds the sparse exponents, over src Schreier generators,
-    of the k-th dst Schreier generator (possibly conjugated); the image
-    of a functional is its pairing with those rows, projected to dst
-    coordinates.
-    """
-    q = src.q.q
+def _pushed_map(src: CohomSubspace, dst: CohomSubspace, table, what: str,
+                track=None) -> LinMap:
+    """LinMap of a letter table pushed along the dst tree; none at dim 0."""
     if src.dim == 0:
-        return LinMap(src, dst, MatQ(q, np.zeros((0, dst.dim), dtype=np.int64)))
-    images = sparse_values(src.basis, ev_rows)  # row j = values on dst sgens
-    coords, bad = project_rows(dst.basis, images.arr)
-    if bad is not None:
-        raise ProjectionFailure(
-            "degeneracy image escapes the destination subspace; "
-            "this indicates a bug"
-        )
-    return LinMap(src, dst, MatQ(q, coords))
+        coords = np.zeros((0, dst.dim), dtype=np.int64)
+    else:
+        coords = letter_table_operator(src, dst, table, what, track)
+    return LinMap(src, dst, MatQ(src.q.q, coords))
 
 
 def restriction_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
     """Plain restriction from level n to level n*p.
 
-    Every generator of the smaller group already lies in the level-n
-    group, so its stored word is rewritten by the src coset table (the
-    walk must close); words for one element differ by relators, which
-    every class kills.  Each src basis class is evaluated on the dst
-    generators and re-expressed in dst coordinates.  The image is
-    required to lie in dst's subspace; escaping it is fatal.
+    Gamma_0(n*p) lies in Gamma_0(n), so the identity table walks each
+    dst generator as its own word through the src coset table; the walk
+    must close (NotInSubgroup) and the image must lie in dst
+    (ProjectionFailure).
     """
     _check_pair(src, dst)
-    ev_rows = [src.cc.rewrite(word.letters) for word, _ in dst.cc.sgens]
-    return _map_from_values(src, dst, ev_rows)
+    pres = src.cc.pres
+    identity = [{(gid, e): (0, ((gid, e),))
+                 for gid in range(pres.gen_count) for e in (1, -1)}]
+    return _pushed_map(src, dst, identity, "restriction image")
 
 
-def conjugate_by_pgen(m: Mat2, pi: QuadInt) -> Mat2:
-    """diag(pi,1) * m * diag(pi,1)^{-1}, requiring pi | lower-left."""
-    try:
-        c_over = exact_div(m.c, pi)
-    except ArithmeticError as exc:
-        raise NonIntegralConjugate(
-            f"{pi} does not divide the lower-left entry of {m}"
-        ) from exc
-    return Mat2(m.a, m.b * pi, c_over, m.d)
+def twisted_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
+    """Restriction twisted by conjugation with delta = diag(pi, 1).
 
+    pi is the canonical generator of the prime quotient of the levels;
+    delta is the last representative of the level-one T_p table and the
+    only one followed.  Twist-chain lemma: write
+    delta T_x = A_x delta_{pi_x} along the dst tree, A_x in SL_2(O).
+    For the Schreier generator T_x g T_y^{-1}, with
+    delta_{pi_x} g = W delta_k from the table,
 
-def twisted_map(src: CohomSubspace, dst: CohomSubspace, pgen: QuadInt) -> LinMap:
-    """Restriction twisted by conjugation with diag(pi, 1).
+        delta T_x g T_y^{-1} delta^{-1}
+            = A_x W delta_k delta_{pi_y}^{-1} A_y^{-1}.
 
-    Each dst generator [a,b;c,d] becomes [a, b*pi; c/pi, d], which has
-    lower-left in level n and is evaluated there.  The division is
-    exact because c lies in n*p = n*(pi).
+    When k = pi_y this is A_x W A_y^{-1}, and its walk from the level-n
+    base (A_x ends at e_x, W goes on from there and must end at e_y)
+    closes exactly when it lies in Gamma_0(n).  Every generator of
+    Gamma_0(n*p) passes both checks: its conjugate is integral, so
+    delta_k and delta_{pi_y} share a right coset of SL_2(O), which the
+    certified representatives allow only for k = pi_y; and the
+    conjugate lies in Gamma_0(n).  So a wrong index (PermutationFailure)
+    or an open walk (NotInSubgroup) is a bug, and passing both proves,
+    for every generator at once, what dividing its lower-left entry by
+    pi and expressing the conjugate at level n proved one at a time.
     """
     pi = _check_pair(src, dst)
-    if not (PIdeal(pgen) == PIdeal(pi)):
-        raise LevelMismatch(
-            f"({pgen}) is not the prime quotient of the two levels"
-        )
-    ev_rows = []
-    for _, m in dst.cc.sgens:
-        ev_rows.append(src.cc.express(conjugate_by_pgen(m, pgen)))
-    return _map_from_values(src, dst, ev_rows)
+    table = hecke_letter_table(PIdeal(pi))
+    return _pushed_map(src, dst, table, "twisted image", [len(table) - 1])
 
 
 def alpha(r: LinMap, t: LinMap) -> LinMap:

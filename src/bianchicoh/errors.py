@@ -79,10 +79,6 @@ class ProjectionFailure(ArithmeticError):
     """A vector expected to lie in a subspace does not (internal error)."""
 
 
-class NonIntegralConjugate(ArithmeticError):
-    """A conjugate expected to be integral is not (internal error)."""
-
-
 class PermutationFailure(ArithmeticError):
     """Hecke coset permutation was not well defined (internal error)."""
 

@@ -40,7 +40,9 @@ cohom.letter_table_operator pushes the table along the Schreier tree
 per Schreier generator.  Each call certifies that every quotient walk
 closes, which puts the quotient in Gamma_0(n); that sigma is a
 bijection; and that every image projects back onto the basis
-(ProjectionFailure otherwise).
+(ProjectionFailure otherwise).  The twisted degeneracy map
+(degmaps.twisted_map) reads the same table for l = p, following only
+its last representative diag(lambda, 1).
 
 The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
 stable subspace for ray-trivial l, which is the finite-level meaning of
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cohom import CohomSubspace, letter_table_operator
+from .cohom import CohomSubspace, LinMap, letter_table_operator
 from .errors import (
     ConstructionFailure,
     ExhaustedSearch,
@@ -63,7 +65,6 @@ from .errors import (
     PermutationFailure,
     ShapeMismatch,
 )
-from .degmaps import LinMap
 from .fpres import builtin_presentation
 from .ideals import (
     PIdeal,
@@ -369,7 +370,8 @@ def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
     q = space.q.q
     if space.dim == 0:
         return LinMap(space, space, MatQ(q, np.zeros((0, 0), dtype=np.int64)))
-    coords = letter_table_operator(space, hecke_letter_table(l), "Hecke image")
+    coords = letter_table_operator(space, space, hecke_letter_table(l),
+                                   "Hecke image")
     return LinMap(space, space, MatQ(q, coords))
 
 

@@ -213,9 +213,6 @@ class ResidueSystem:
     def index(self, x: QuadInt) -> int:
         return self._index[(x.a, x.b)]
 
-    def contains_rep(self, x: QuadInt) -> bool:
-        return (x.a, x.b) in self._index
-
     def invertible_reps(self) -> list[QuadInt]:
         """Representatives of (O/modulus)^* in enumeration order (cached)."""
         cached = getattr(self, "_invertible", None)

@@ -449,12 +449,6 @@ class Mat2:
         return Mat2(ctx.one, ctx.zero, ctx.zero, ctx.one)
 
     @staticmethod
-    def from_ints(ctx: FieldCtx, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        mk = lambda v: v if isinstance(v, QuadInt) else QuadInt(ctx, v, 0)
-        return Mat2(mk(a), mk(b), mk(c), mk(d))
-
-    @staticmethod
     def from_coords(ctx: FieldCtx, t: tuple) -> "Mat2":
         """The matrix of an 8-int coordinate tuple (see mat_mul_coords)."""
         a0, a1, b0, b1, c0, c1, d0, d1 = t
@@ -510,11 +504,6 @@ class Mat2:
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
-
-    def is_identity(self) -> bool:
-        return (
-            self.a.is_one() and self.b.is_zero() and self.c.is_zero() and self.d.is_one()
-        )
 
     def __eq__(self, other):
         return (

@@ -15,9 +15,10 @@ tuple (Mat2.coords), multiplied along the tree by qfield.mat_mul_coords,
 and every Schreier generator is formed on tuples at construction and
 certified there: determinant 1 and lower-left entry in the level
 lattice, NotInSubgroup otherwise.  The objects are built on first use
-only, from tree_edge and the tuples: transversal (Words), tmats (Mat2)
-and sgens ((Word, Mat2) pairs, for restriction_map, twisted_map and the
-tests).  Counting generators needs none of them: len(sgen_edges).
+only, from tree_edge and the tuples: transversal (Words) and sgens
+((Word, Mat2) pairs).  No package code reads them; they are built only
+for the tests and for bench/tracing.py.  Counting generators needs
+none of them: len(sgen_edges).
 
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
@@ -55,6 +56,12 @@ quotient walks W(pi_x(i), g) from e_{i,x} and must end at
 e_{sigma(i),y}; that closure certifies the quotient lies in Gamma_0(n).
 The value is the walk plus S_x - S_y, with S_x the sum over i of the
 walks of A_{i,x}, which the caller sums along the tree from the steps.
+
+Two optional arguments serve the degeneracy maps, which follow the
+level-n*p tree: src, the CongCtx whose coset table the quotients are
+walked in (the level-n one; default: the tree's own), and track, the
+representatives followed from the base (default: all).  "Permute" then
+means mapping the followed indices onto those of the end coset.
 """
 
 from __future__ import annotations
@@ -205,11 +212,6 @@ class CongCtx:
         return words
 
     @cached_property
-    def tmats(self) -> list[Mat2]:
-        """The matrix of T_x for every coset x."""
-        return [Mat2.from_coords(self.ctx, t) for t in self._tcoords]
-
-    @cached_property
     def sgens(self) -> list[tuple[Word, Mat2]]:
         """(word, matrix) of every Schreier generator T_x g T_y^{-1}."""
         words = self.transversal
@@ -315,36 +317,39 @@ class CongCtx:
             raise NotInSubgroup(f"{m} is not in Gamma_0({self.level})")
         return self.rewrite(matrix_to_word(m, self.pres))
 
-    def push_letter_table(self, table):
+    def push_letter_table(self, table, src=None, track=None):
         """Walk a level-one letter table along the tree (module docstring).
 
         table[j][letter] = (k, letters) with reps[j] * letter = W * reps[k]
-        and W the value of letters.  Returns (rows, steps): rows[s] sums
-        the walks of the quotients of Schreier generator s, one per
-        representative, and
-        steps[y] sums the walks of the tree step into coset y ({} at the
-        base), both as {sgen index: exponent} dicts.  Raises
-        NotInSubgroup when a quotient walk does not close and
+        and W the value of letters.  The quotients are walked in the coset
+        table of src (default: this CongCtx), following the representatives
+        in track (default: all).  Returns (rows, steps): rows[s] sums the
+        quotient walks of Schreier generator s, one per followed
+        representative, and steps[y] sums the walks of the tree step into
+        coset y ({} at the base), both as {src sgen index: exponent} dicts.
+        Raises NotInSubgroup when a quotient walk does not close and
         PermutationFailure when a step or a generator does not permute
-        the representatives.
+        the followed representatives.
         """
-        nreps = len(table)
+        src = self if src is None else src
         ncos = len(self.cosets)
-        walk = self._walk
-        # start[y][j]: the coset where the walk of A_{i,y} ends, for the i
-        # with reps[i] * T_y = A_{i,y} * reps[j]
+        walk = src._walk
+        if track is None:
+            track = range(len(table))
+        # start[y][j]: the src coset where the walk of A_{i,y} ends, for
+        # the followed i with reps[i] * T_y = A_{i,y} * reps[j]
         start: list = [None] * ncos
-        start[self.base] = [self.base] * nreps
+        start[self.base] = dict.fromkeys(track, src.base)
         steps: list = [{} for _ in range(ncos)]
         for y in self.tree_order[1:]:
             x, letter = self.tree_edge[y]
             sx = start[x]
-            sy = [None] * nreps
+            sy = {}
             vec = steps[y]
-            for j in range(nreps):
+            for j, s in sx.items():
                 k, letters = table[j][letter]
-                sy[k] = walk(letters, sx[j], vec)[0]
-            if None in sy:
+                sy[k] = walk(letters, s, vec)[0]
+            if len(sy) != len(sx):
                 raise PermutationFailure(
                     f"tree step into coset {y} does not permute the representatives"
                 )
@@ -356,16 +361,18 @@ class CongCtx:
             sy = start[act[gid][0][x]]
             letter = (gid, 1)
             vec = {}
-            seen = set()
-            for j in range(nreps):
+            ends = {}
+            for j, s in sx.items():
                 k, letters = table[j][letter]
-                if walk(letters, sx[j], vec)[0] != sy[k]:
-                    raise NotInSubgroup(
-                        f"quotient walk of generator ({x}, {gid}) did not close"
-                    )
-                seen.add(k)
-            if len(seen) != nreps:
-                raise PermutationFailure("coset permutation is not a bijection")
+                ends[k] = walk(letters, s, vec)[0]
+            if ends.keys() != sy.keys():
+                raise PermutationFailure(
+                    f"generator ({x}, {gid}) does not permute the representatives"
+                )
+            if ends != sy:
+                raise NotInSubgroup(
+                    f"quotient walk of generator ({x}, {gid}) did not close"
+                )
             rows.append(vec)
         return rows, steps
 

@@ -13,9 +13,12 @@ with its letter-by-letter check (euclid_word) and its rounding rule
 (euclid_divmod_box), a coset walk through P1Table.apply (rewrite), the
 four-entry Hecke quotient (quotient_full), the all-pairs check that no
 two Hecke representatives share a right coset (shared_right_cosets),
-and T_l and the unit conjugation operator by one located and expressed
+T_l and the unit conjugation operator by one located and expressed
 quotient per Schreier generator and representative (hecke_matrix,
-unit_conjugation_operator).
+unit_conjugation_operator), the transversal matrices (tmats), and the
+two degeneracy maps by rewriting the word of every Schreier generator
+and expressing its conjugate by diag(pi, 1) (degeneracy_maps,
+conjugate_by_pgen).
 """
 
 from __future__ import annotations
@@ -617,17 +620,19 @@ def hecke_rows(l, cc):
     return ev_rows
 
 
-def project_values(space, ev_rows):
+def project_values(space, ev_rows, onto=None):
     """Coordinate matrix of the classes f -> (s_k -> f(ev_rows[k])).
 
-    Pairs the basis with the rows and projects every image back onto
-    the basis; ProjectionFailure when one escapes.
+    Pairs the basis of space with the rows and projects every image onto
+    the basis of onto (default: space); ProjectionFailure when one
+    escapes.
     """
     from bianchicoh.errors import ProjectionFailure
     from bianchicoh.modlinalg import MatQ, project_rows, sparse_values
 
     images = sparse_values(space.basis, ev_rows)
-    coords, bad = project_rows(space.basis, images.arr)
+    onto = space if onto is None else onto
+    coords, bad = project_rows(onto.basis, images.arr)
     if bad is not None:
         raise ProjectionFailure("image escapes the subspace")
     return MatQ(space.q.q, coords)
@@ -653,6 +658,40 @@ def unit_conjugation_operator(space):
     return project_values(space, [
         cc.express(Mat2(m.a, u0 * m.b, u0i * m.c, m.d)) for _, m in cc.sgens
     ])
+
+
+def tmats(cc):
+    """The matrix of T_x for every coset x of cc, from its coordinates."""
+    from bianchicoh.qfield import Mat2
+
+    return [Mat2.from_coords(cc.ctx, t) for t in cc._tcoords]
+
+
+def conjugate_by_pgen(m, pi):
+    """diag(pi,1) * m * diag(pi,1)^{-1}; ArithmeticError unless pi | m.c."""
+    from bianchicoh.qfield import Mat2, exact_div
+
+    return Mat2(m.a, m.b * pi, exact_div(m.c, pi), m.d)
+
+
+def degeneracy_maps(src, dst):
+    """(restriction, twisted) coordinate matrices, one generator at a time.
+
+    The restriction rewrites the word of every Schreier generator of dst
+    through the coset table of src (the walk must close); the twisted
+    map expresses at the level of src the conjugate of every generator
+    of dst by diag(pi, 1), pi the canonical generator of the prime
+    quotient of the levels.
+    """
+    from bianchicoh.ideals import PIdeal
+    from bianchicoh.qfield import exact_div
+
+    pi = PIdeal(exact_div(dst.cc.level.gen, src.cc.level.gen)).gen
+    sgens = dst.cc.sgens
+    restriction = [src.cc.rewrite(w.letters) for w, _ in sgens]
+    twisted = [src.cc.express(conjugate_by_pgen(m, pi)) for _, m in sgens]
+    return (project_values(src, restriction, dst),
+            project_values(src, twisted, dst))
 
 
 def congruence_objects(level, move_order="default"):

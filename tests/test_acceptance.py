@@ -228,7 +228,7 @@ def test_acceptance_4_kernel_is_eisenstein():
         _, _, dst_par, dst = _layers(ctx, n * p, q)
         assert dst_par.dim >= 1  # parabolic classes exist at the deep level
         rmap = restriction_map(src, dst)
-        tmap = twisted_map(src, dst, p.gen)
+        tmap = twisted_map(src, dst)
         ker = kernel(alpha(rmap, tmap))
         assert ker.nrows == 1, d
         primes = ray_trivial_primes(n, 5, avoid=(p,), max_norm=600)
@@ -249,7 +249,7 @@ def test_acceptance_4_kernel_is_eisenstein():
         _, dst_full, _, dst = _layers(ctx, n * p, q)
         assert dst_full.dim >= 1, (d, n_text)
         ker = kernel(alpha(restriction_map(src, dst),
-                           twisted_map(src, dst, p.gen)))
+                           twisted_map(src, dst)))
         assert ker.nrows == 0
         for l in ray_trivial_primes(n, 5, avoid=(p,), max_norm=600):
             report = eisenstein_check(hecke_matrix(l, src), ker, l)
@@ -274,7 +274,7 @@ def test_acceptance_5_commutativity_equivariance():
         t1d = hecke_matrix(l1, dst)
         t2d = hecke_matrix(l2, dst)
         assert t1d.mat @ t2d.mat == t2d.mat @ t1d.mat, d
-        amap = alpha(restriction_map(src, dst), twisted_map(src, dst, p.gen))
+        amap = alpha(restriction_map(src, dst), twisted_map(src, dst))
         for ts, td in ((t1s, t1d), (t2s, t2d)):
             lhs = _double_block(ts.mat) @ amap.mat
             rhs = amap.mat @ td.mat

@@ -127,6 +127,29 @@ def test_zero_test_primes_rejected_before_any_space():
     assert "timing" not in r.stderr  # no level was built
 
 
+def test_zero_conductor_rejected_before_any_space():
+    r = run_cli(
+        "verify", "--field-d", "2", "--level", "(3+1*w)",
+        "--prime", "(0+1*w)", "--modulus", "5", "--conductor", "(0)",
+    )
+    assert r.returncode == 2
+    assert ('violates the hypothesis "the conductor is a nonzero ideal"'
+            in r.stderr)
+    assert "# timing" not in r.stderr  # no level was built
+    r = run_cli("findprimes", "--field-d", "2", "--level", "(3+1*w)",
+                "--conductor", "(0)")
+    assert r.returncode == 2
+    assert ('violates the hypothesis "the conductor is a nonzero ideal"'
+            in r.stderr)
+
+
+def test_findprimes_rejects_a_zero_level_before_any_search():
+    r = run_cli("findprimes", "--field-d", "2", "--level", "(0)")
+    assert r.returncode == 2
+    assert 'violates the hypothesis "the level is a nonzero ideal"' in r.stderr
+    assert "search exhausted" not in r.stderr
+
+
 def test_max_norm_below_two_rejected_before_any_space():
     r = run_cli(
         "verify", "--field-d", "2", "--level", "(3+1*w)",

@@ -299,7 +299,7 @@ def test_eisenstein_check_on_alpha_kernel():
     prod = parse_element(ctx, "3+1*w") * parse_element(ctx, "0+1*w")
     _, dst = _unit_space(d, f"({prod})", q)
     rmap = restriction_map(src, dst)
-    tmap = twisted_map(src, dst, parse_element(ctx, "0+1*w"))
+    tmap = twisted_map(src, dst)
     ker = kernel(alpha(rmap, tmap))
     assert ker.nrows == 1
     for l in ray_trivial_primes(parse_ideal(ctx, n_text), 2,
@@ -509,7 +509,7 @@ def test_wrong_table_index_is_caught():
     l = parse_ideal(ctx, "(1+1*w)")
     table = hecke.hecke_letter_table(l)
     want = oracles.hecke_matrix(l, full)
-    assert MatQ(5, letter_table_operator(full, table, "Hecke image")) == want
+    assert MatQ(5, letter_table_operator(full, full, table, "Hecke image")) == want
     read = {cc.tree_edge[y][1] for y in cc.tree_order[1:]}
     read |= {(gid, 1) for gid in range(cc.pres.gen_count)}
     nreps = len(table)
@@ -521,10 +521,10 @@ def test_wrong_table_index_is_caught():
             if letter in read:
                 with pytest.raises((NotInSubgroup, PermutationFailure,
                                     ProjectionFailure)):
-                    letter_table_operator(full, bad, "Hecke image")
+                    letter_table_operator(full, full, bad, "Hecke image")
                 caught += 1
             else:
-                got = letter_table_operator(full, bad, "Hecke image")
+                got = letter_table_operator(full, full, bad, "Hecke image")
                 assert MatQ(5, got) == want
     assert caught >= nreps * len(read) > 0
 
@@ -540,7 +540,7 @@ def test_corrupted_table_word_fails_the_closure():
         k, letters = bad[j][t]
         bad[j][t] = (k, letters + (t,))
         with pytest.raises(NotInSubgroup):
-            letter_table_operator(full, bad, "Hecke image")
+            letter_table_operator(full, full, bad, "Hecke image")
 
 
 def test_colliding_table_index_fails_the_bijection_at_level_one():
@@ -553,7 +553,7 @@ def test_colliding_table_index_fails_the_bijection_at_level_one():
     t = (schreier.builtin_presentation(ctx).t_id, 1)
     bad[0][t] = (bad[1][t][0], bad[0][t][1])
     with pytest.raises(PermutationFailure):
-        letter_table_operator(full, bad, "Hecke image")
+        letter_table_operator(full, full, bad, "Hecke image")
 
 
 def test_letter_table_rejects_representatives_sharing_a_coset():

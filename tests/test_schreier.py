@@ -20,6 +20,7 @@ from oracles import (
     euclid_word,
     rewrite,
     tc_subgroup_abelianization,
+    tmats,
 )
 
 # (d, level, expected abelianization of Gamma_0(level))
@@ -78,7 +79,7 @@ def test_transversal_carries_base_to_each_coset():
     cc = CongCtx(parse_ideal(ctx, "(2+1*w)"), ctx)
     base = cc.cosets.base_point()
     for x in range(len(cc.cosets)):
-        assert cc.cosets.apply(cc.tmats[x], base).index == x
+        assert cc.cosets.apply(tmats(cc)[x], base).index == x
 
 
 def test_schreier_generators_lie_in_subgroup_and_match_words():
@@ -317,7 +318,7 @@ def test_express_rejects_non_members_and_bad_determinants():
 
 
 ORACLE_KEYS = ("act", "base", "tree_order", "tree_edge", "transversal",
-               "tmats", "sgen_edges", "sgens", "relmat")
+               "sgen_edges", "sgens", "relmat")
 
 
 def _assert_matches_objects(level, move_order="default"):
@@ -325,6 +326,7 @@ def _assert_matches_objects(level, move_order="default"):
     want = congruence_objects(level, move_order)
     for key in ORACLE_KEYS:
         assert getattr(cc, key) == want[key], (str(level), move_order, key)
+    assert tmats(cc) == want["tmats"], (str(level), move_order)
 
 
 def test_coordinate_build_matches_the_object_construction():
@@ -347,7 +349,7 @@ def test_objects_are_built_on_first_use_only():
     ctx = field(2)
     cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
     h1(cc, 5)
-    lazy = ("transversal", "tmats", "sgens")
+    lazy = ("transversal", "sgens")
     assert not any(name in vars(cc) for name in lazy)
     assert "points" not in vars(cc.cosets)
     assert len(cc.sgens) == len(cc.sgen_edges)
