@@ -145,6 +145,11 @@ def _check_theorem_hypotheses(cfg):
             f'violates the hypothesis "p does not divide N"'
         )
     CoefficientModulus(cfg.modulus)  # raises BadModulus with the reason
+    return n, p
+
+
+def _check_search_bounds(cfg):
+    """The bounds of the prime searches: a test prime, and norm 2 reached."""
     if cfg.test_primes < 1:
         raise ConfigError(
             f'rejected: --test-primes {cfg.test_primes}; violates the '
@@ -155,7 +160,6 @@ def _check_theorem_hypotheses(cfg):
             f'rejected: --max-norm {cfg.max_norm}; violates the hypothesis '
             f'"the search reaches norm 2, the least norm of a prime"'
         )
-    return n, p
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +174,30 @@ _CONFIG_KEYS = {
 
 
 def _read_config_file(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read config file {path}: {exc.strerror or exc}"
+        ) from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
             out[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
@@ -254,6 +267,7 @@ def _spaces(level, ctx, q):
 
 def cmd_verify(cfg: RunConfig) -> int:
     n, p = _check_theorem_hypotheses(cfg)
+    _check_search_bounds(cfg)
     q = cfg.modulus
     timer = _Timer()
     full_n, par_n, us = _spaces(n, cfg.ctx, q)
@@ -384,6 +398,7 @@ def cmd_inspect(sub: str, cfg: RunConfig) -> int:
         return 0
     if sub == "degeneracy":
         n, p = _check_theorem_hypotheses(cfg)
+        _check_search_bounds(cfg)
         _, _, us = _spaces(n, cfg.ctx, cfg.modulus)
         _, _, ud = _spaces(n * p, cfg.ctx, cfg.modulus)
         rmap = restriction_map(us, ud)
@@ -406,6 +421,7 @@ def cmd_inspect(sub: str, cfg: RunConfig) -> int:
 
 def cmd_findprimes(cfg: RunConfig) -> int:
     n = _require_level(cfg)
+    _check_search_bounds(cfg)
     if cfg.exponent < 3 or cfg.exponent % 2 == 0:
         raise ConfigError(
             f"rejected: exponent must be odd and >= 3, got {cfg.exponent}"

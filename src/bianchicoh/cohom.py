@@ -6,15 +6,12 @@ relator; the full space is therefore the right kernel of the relator
 matrix mod q.  That matrix is sparse, so the kernel comes from
 structured Gaussian elimination (modlinalg.sparse_kernel_basis), with
 dense RREF only on what the sparse pass leaves, and every relator row is
-checked to vanish on the basis.  A class is evaluated on a matrix by
-pairing the sparse exponents that CongCtx.express returns with the
-basis (modlinalg.sparse_values); no dense exponent vector is formed.
-The parabolic subspace imposes vanishing on the unipotent stabilizer of
-every cusp (two conditions per cusp, one for each Z-basis vector of the
-width ideal); torsion parts of the stabilizers contribute nothing since
-q is coprime to their order.  The unit-invariant subspace is the fixed
-space of conjugation by delta = diag(u0, 1) for a generator u0 of the
-unit group, which descends the computation from SL_2 to GL_2 level.
+checked to vanish on the basis.  The parabolic subspace imposes
+vanishing on the unipotent stabilizer of every cusp (see below);
+torsion parts of the stabilizers contribute nothing since q is coprime
+to their order.  The unit-invariant subspace is the fixed space of
+conjugation by delta = diag(u0, 1) for a generator u0 of the unit
+group, which descends the computation from SL_2 to GL_2 level.
 
 letter_table_operator(src, dst, ...) evaluates every operator given by
 a level-one letter table (see schreier): the table is pushed along the
@@ -28,10 +25,13 @@ and checked with word_to_matrix, so no Schreier generator is expressed.
 The degeneracy maps (degmaps) go from level n to level n*p; LinMap
 lives here so that degmaps can import the T_p table from hecke.
 
-Cusps are enumerated exactly: candidates a/c with c running over the
-divisors of the level generator and a over lifted invertible residues,
-deduplicated with a certificate-producing equivalence test that solves
-the stabilizer congruence over units.
+The cusps are read off the coset table (cusps): one per orbit of the
+Borel letters t, u (and e) on the cosets.  At the first coset x of an
+orbit, the translations T_v with x * T_v = x form a lattice whose
+Hermite basis comes from the t-cycle through x and the first return of
+u to it; the two basis loops, walked from x, must close and are the two
+conditions of that cusp.  The stabilizer lemma in the docstring of
+cusps shows that these conditions are all of them.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ import numpy as np
 
 from .errors import (
     BadModulus,
-    ConstructionFailure,
+    NotInSubgroup,
     ProjectionFailure,
     ShapeMismatch,
 )
-from .ideals import PIdeal, ResidueSystem, divisors
 from .modlinalg import (
     MatQ,
     fixed_space,
@@ -58,15 +57,7 @@ from .modlinalg import (
     sparse_kernel_basis,
     sparse_values,
 )
-from .qfield import (
-    Mat2,
-    QuadInt,
-    divides,
-    exact_div,
-    gcd,
-    mat_mul_coords,
-    xgcd,
-)
+from .qfield import QuadInt, mat_mul_coords
 from .fpres import builtin_presentation
 from .schreier import CongCtx, letter_table
 
@@ -198,21 +189,6 @@ class LinMap:
         )
 
 
-class Cusp:
-    """A cusp a/c with an SL_2 matrix sending infinity to it."""
-
-    __slots__ = ("a", "c", "gmat", "width_gen")
-
-    def __init__(self, a: QuadInt, c: QuadInt, gmat: Mat2, width_gen: QuadInt):
-        self.a = a
-        self.c = c
-        self.gmat = gmat
-        self.width_gen = width_gen
-
-    def __repr__(self):
-        return f"Cusp({self.a}/{self.c})"
-
-
 def h1(cc: CongCtx, q) -> CohomSubspace:
     """Full H^1(Gamma_0(level), Z/q) as kernel of the relator matrix."""
     qm = _as_modulus(q)
@@ -224,82 +200,59 @@ def h1(cc: CongCtx, q) -> CohomSubspace:
 # cusps
 
 
-def _cusp_gmat(ctx, a: QuadInt, c: QuadInt) -> Mat2:
-    g, s, t = xgcd(a, c)
-    if not g.is_unit():
-        raise ConstructionFailure(f"cusp {a}/{c} is not in lowest terms")
-    # rescale so that s*a + t*c = 1 exactly
-    gi = g.conjugate()  # g is a unit of norm 1
-    s, t = s * gi, t * gi
-    return Mat2(a, -t, c, s)
+def cusps(cc: CongCtx) -> list[tuple[int, list, list]]:
+    """One (x, loop_t, loop_u) per cusp of Gamma_0(level).
 
+    The cusps are the orbits of the Borel letters t, u (and e for
+    d = 1, 3; S^2 = -I acts trivially) on the cosets, and x is the first
+    coset of its orbit.  The v with x * T_v = x form a lattice; in the
+    coordinates of v = m + k*w its Hermite basis is (p, 0), (-a, r): p is
+    the length of the t-cycle through x, r the least r > 0 with x * u^r
+    on that cycle, and that point is x * t^a.  The two loops are the letters of t^p and of
+    u^r t^-a; parabolic walks them from x.
 
-def _lift_coprime(abar: QuadInt, h: PIdeal, c: QuadInt) -> QuadInt:
-    """Element congruent to abar mod h and coprime to c."""
-    if gcd(abar, c).is_unit():
-        return abar
-    for k in ResidueSystem(PIdeal(c)).reps:
-        cand = abar + k * h.gen
-        if gcd(cand, c).is_unit():
-            return cand
-    raise ConstructionFailure(f"no coprime lift of {abar} mod {h} for {c}")
-
-
-def cusp_equivalent(cc: CongCtx, a1, c1, a2, c2):
-    """Exact equivalence test for two cusps under Gamma_0(level).
-
-    Returns (True, gamma) with a membership-checked certificate mapping
-    a1/c1 to a2/c2, or (False, None).  Solves the congruence
-    c2*d1*t - c1*d2*t^{-1} = c1*c2*x (mod level) over units t, with x
-    recovered by an extended-gcd division.
+    Stabilizer lemma.  T_x T_v T_x^-1 lies in Gamma_0(n) iff x * T_v = x.
+    SL_2(O) moves infinity to every cusp (class number one), so every
+    cusp of Gamma_0(n) is T_x infinity for some coset x, and T_x infinity,
+    T_y infinity are equivalent iff x and y share a Borel orbit.  For
+    y = x * b in the orbit of x, b = diag(eps, eps^-1) T_w with eps a unit,
+    T_y = gamma T_x b with gamma in Gamma_0(n), so the loop at y on v is
+    Gamma_0(n)-conjugate to the loop at x on eps^2 v, and eps^2 v lies in
+    the lattice of x.  So a class in H^1, which is a homomorphism,
+    vanishes on every unipotent cusp stabilizer iff it vanishes on the
+    two loops at one coset per orbit.
     """
-    ctx = cc.ctx
-    gen = cc.level.gen
-    zero = ctx.zero
-    g1 = _cusp_gmat(ctx, a1, c1)
-    g2 = _cusp_gmat(ctx, a2, c2)
-    c1c2 = c1 * c2
-    for t in ctx.units:
-        ti = t.conjugate()  # = t^{-1}, units have norm 1
-        lhs = c2 * g1.d * t - c1 * g2.d * ti
-        g = gcd(c1c2, gen) if not c1c2.is_zero() else gcd(zero, gen)
-        if not divides(g, lhs):
+    pres = cc.pres
+    act = cc.act
+    t, u = act[pres.t_id][0], act[pres.u_id][0]
+    borel = [t, u]
+    if pres.e_id is not None:
+        borel.append(act[pres.e_id][0])
+    seen = bytearray(len(t))
+    out = []
+    for x in range(len(t)):
+        if seen[x]:
             continue
-        big_g = exact_div(gen, g)
-        if big_g.is_unit():
-            x = zero
-        else:
-            cq = exact_div(c1c2, g)
-            _, s, _ = xgcd(cq, big_g)
-            x = s * exact_div(lhs, g)
-        b = Mat2(t, x, zero, ti)
-        gamma = g2 * b * g1.inv_det_one()
-        if not cc.membership(gamma):
-            raise ConstructionFailure("cusp certificate escaped the level")
-        va = gamma.a * a1 + gamma.b * c1
-        vc = gamma.c * a1 + gamma.d * c1
-        if va != a2 * t or vc != c2 * t:
-            raise ConstructionFailure("cusp certificate moves the wrong cusp")
-        return True, gamma
-    return False, None
-
-
-def cusps(cc: CongCtx) -> list[Cusp]:
-    """Pairwise inequivalent, exhaustive cusp representatives."""
-    ctx = cc.ctx
-    n = cc.level
-    candidates = [(ctx.one, ctx.zero)]  # infinity
-    for div in divisors(n):
-        c = div.gen
-        h = div.add(PIdeal(exact_div(n.gen, c)))
-        for abar in ResidueSystem(h).invertible_reps():
-            a = _lift_coprime(abar, h, c)
-            candidates.append((a, c))
-    out: list[Cusp] = []
-    for a, c in candidates:
-        if any(cusp_equivalent(cc, a, c, x.a, x.c)[0] for x in out):
-            continue
-        out.append(Cusp(a, c, _cusp_gmat(ctx, a, c), n.colon_square(c)))
+        seen[x] = 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for table in borel:
+                z = table[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    stack.append(z)
+        # exponent k of every point x * t^k of the t-cycle through x
+        cycle = {x: 0}
+        y = t[x]
+        while y != x:
+            cycle[y] = len(cycle)
+            y = t[y]
+        r, y = 1, u[x]
+        while y not in cycle:
+            r, y = r + 1, u[y]
+        out.append((x, [(pres.t_id, 1)] * len(cycle),
+                    [(pres.u_id, 1)] * r + [(pres.t_id, -1)] * cycle[y]))
     return out
 
 
@@ -317,19 +270,25 @@ def _restrict_rows(space: CohomSubspace, cond_rows, kind) -> CohomSubspace:
     return CohomSubspace(space.cc, space.q, newbasis, kind)
 
 
-def parabolic(space: CohomSubspace, cusp_list=None) -> CohomSubspace:
-    """Classes vanishing on the unipotent stabilizer of every cusp."""
+def parabolic(space: CohomSubspace) -> CohomSubspace:
+    """Classes vanishing on the unipotent stabilizer of every cusp.
+
+    Each loop of cusps(cc) is walked from its coset x and must close
+    (NotInSubgroup otherwise), which certifies that T_x loop T_x^-1 lies
+    in Gamma_0(n).  The word of T_x runs along the tree, which crosses
+    no Schreier generator, so the walk's exponents are those of
+    T_x loop T_x^-1: one condition row.
+    """
     if space.kind != FULL:
         raise ValueError(f"parabolic expects a full space, got {space.kind}")
     cc = space.cc
-    ctx = cc.ctx
     conds = []
-    for cusp in cusp_list if cusp_list is not None else cusps(cc):
-        gi = cusp.gmat.inv_det_one()
-        for mult in (ctx.one, ctx.omega):
-            xi = cusp.width_gen * mult
-            m = cusp.gmat * Mat2(ctx.one, xi, ctx.zero, ctx.one) * gi
-            conds.append(cc.express(m))
+    for x, *loops in cusps(cc):
+        for letters in loops:
+            end, vec = cc._walk(letters, x)
+            if end != x:
+                raise NotInSubgroup(f"cusp loop at coset {x} did not close")
+            conds.append(vec)
     return _restrict_rows(space, conds, PARABOLIC)
 
 
@@ -413,13 +372,3 @@ def unit_invariants(space: CohomSubspace) -> CohomSubspace:
     fixed = fixed_space(op.transpose())
     newbasis = rref(fixed @ space.basis)[0]
     return CohomSubspace(space.cc, space.q, newbasis, PARABOLIC_UNIT)
-
-
-def evaluate(space: CohomSubspace, coeffs, m: Mat2) -> int:
-    """Value of the class with given basis coordinates on a matrix."""
-    q = space.q.q
-    vec = np.mod(np.asarray(coeffs, dtype=np.int64), q)
-    if vec.shape != (space.dim,):
-        raise ValueError(f"expected {space.dim} coordinates")
-    values = sparse_values(space.basis, [space.cc.express(m)])
-    return int(mulmod(vec, values.arr[:, 0], q))

@@ -40,7 +40,6 @@ from .qfield import (
     Mat2,
     QuadInt,
     divmod_coords,
-    format_element,
     mat_mul_coords,
     mat_pow_coords,
 )
@@ -149,16 +148,6 @@ class AmbientPresentation:
                 raise BadGeneratorId(f"unknown generator letter {ch!r}")
             letters.append((self.name_to_id[low], 1 if ch == low else -1))
         return Word(letters)
-
-    def abelianized_relators(self) -> list[list[int]]:
-        """Exponent-sum rows of the relators (columns = generators)."""
-        rows = []
-        for r in self.relators:
-            row = [0] * self.gen_count
-            for g, e in r:
-                row[g] += e
-            rows.append(row)
-        return rows
 
 
 def _gen_matrices(ctx: FieldCtx) -> list[tuple[str, Mat2]]:
@@ -359,16 +348,3 @@ def matrix_to_word(m: Mat2, p: AmbientPresentation) -> list:
         raise ConstructionFailure(f"step product differs from {m}")
     return letters
 
-
-def serialize_presentation(p: AmbientPresentation) -> str:
-    """Plain-text audit table: generator matrices and relator words."""
-    lines = [f"field d={p.ctx.d}"]
-    for name, m in p.generators:
-        a, b, c, d = (format_element(x) for x in m.entries())
-        lines.append(f"gen {name} = [{a}, {b}; {c}, {d}]")
-    for r in p.relators:
-        toks = [
-            p.names[g] if e == 1 else f"{p.names[g]}^-1" for g, e in r
-        ]
-        lines.append("rel " + " ".join(toks))
-    return "\n".join(lines) + "\n"

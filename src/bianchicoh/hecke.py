@@ -17,13 +17,12 @@ to be killed by its representative, and the N(l)+1 lines to be
 pairwise distinct.  So no two representatives share a right coset of
 GL_2(O), nor of any level group inside it, in O(N(l)) steps.
 
-locate_right_coset reads the coset of x off x mod lambda (k = b/a, or
-d/c, or diag(lambda, 1)), with inverses mod lambda from a table built
-on first use by one batch inversion (ideals.inverses_mod), and
-certifies the one candidate by an exact division that lands in the
-level group (_quotient_in_gamma0).  Both run on 8-int coordinate tuples
-(Mat2.coords); locate_right_coset takes and returns Mat2 objects at the
-edge.
+_locate reads the coset of x off x mod lambda (k = b/a, or d/c, or
+diag(lambda, 1)), with inverses mod lambda from a table built on first
+use by one batch inversion (ideals.inverses_mod), and certifies the one
+candidate by an exact division that lands in the level group
+(_quotient_in_gamma0).  Both run on 8-int coordinate tuples
+(Mat2.coords).
 
 The representatives and the coset read off x mod lambda do not depend
 on the level, so T_l is driven by a level-one letter table, built
@@ -258,7 +257,17 @@ def hecke_cosets(l: PIdeal, level: PIdeal) -> HeckeCosets:
 
 
 def _locate(hc: HeckeCosets, x: tuple) -> tuple[int, tuple]:
-    """locate_right_coset on coordinate tuples: (j, quotient coordinates)."""
+    """(j, gamma) with x = gamma * reps[j] and gamma in the level group.
+
+    x and gamma are coordinate tuples.  x = [[a, b], [c, d]] lies in the
+    coset of [1, k; 0, lambda] exactly when (b, d) = k * (a, c) mod
+    lambda, and in that of diag(lambda, 1) exactly when lambda divides a
+    and c.  So k = b / a when lambda does not divide a, and k = d / c
+    when it divides a but not c; the inverse mod the prime lambda comes
+    from the table hc.inverse.  The single candidate is certified by
+    exact division; PermutationFailure means x is not in the double
+    coset.
+    """
     ctx = hc.l.ctx
     nw = ctx.norm_w
     sh = 1 if ctx.shifted else 0
@@ -289,21 +298,6 @@ def _locate(hc: HeckeCosets, x: tuple) -> tuple[int, tuple]:
             f"{Mat2.from_coords(ctx, x)} lies in no right coset of T_{hc.l}"
         )
     return j, quot
-
-
-def locate_right_coset(hc: HeckeCosets, x: Mat2) -> tuple[int, Mat2]:
-    """Index j and gamma in the level group with x = gamma * reps[j].
-
-    x = [[a, b], [c, d]] lies in the coset of [1, k; 0, lambda] exactly
-    when (b, d) = k * (a, c) mod lambda, and in that of diag(lambda, 1)
-    exactly when lambda divides a and c.  So k = b / a when lambda does
-    not divide a, and k = d / c when it divides a but not c; the inverse
-    mod the prime lambda comes from the table hc.inverse.  The single
-    candidate is certified by exact division; PermutationFailure means x
-    is not in the double coset.  The work runs on coordinates (_locate).
-    """
-    j, quot = _locate(hc, x.coords())
-    return j, Mat2.from_coords(hc.l.ctx, quot)
 
 
 def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
@@ -350,7 +344,7 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
 def hecke_letter_table(l: PIdeal):
     """Level-one letter table of T_l, built once per prime and field.
 
-    reps[j] * g^{+-1} = W * reps[k] is located by locate_right_coset on
+    reps[j] * g^{+-1} = W * reps[k] is located by _locate on
     hecke_cosets(l, (1)): the representatives and the index read off x
     mod lambda do not depend on the level.
     """

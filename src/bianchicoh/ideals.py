@@ -100,17 +100,6 @@ class PIdeal:
     def is_coprime(self, other: "PIdeal") -> bool:
         return self.add(other).is_unit_ideal()
 
-    def colon_square(self, c: QuadInt) -> QuadInt:
-        """Generator of the ideal quotient (self : c^2) inside O.
-
-        This is the cusp-width ideal; for c = 0 it is all of O.
-        """
-        if c.is_zero():
-            return self.ctx.one
-        c2 = c * c
-        g = gcd(self.gen, c2)
-        return normalize_associate(exact_div(self.gen, g))
-
     def smallest_rational(self) -> int:
         """Positive generator of the ideal (self intersect Z) of Z.
 
@@ -212,18 +201,6 @@ class ResidueSystem:
 
     def index(self, x: QuadInt) -> int:
         return self._index[(x.a, x.b)]
-
-    def invertible_reps(self) -> list[QuadInt]:
-        """Representatives of (O/modulus)^* in enumeration order (cached)."""
-        cached = getattr(self, "_invertible", None)
-        if cached is None:
-            if self.modulus.is_unit_ideal():
-                cached = [self.reduce(self.ctx.one)]
-            else:
-                g = self.modulus.gen
-                cached = [x for x in self.reps if gcd(x, g).is_unit()]
-            self._invertible = cached
-        return cached
 
 
 def inverses_mod(modulus: PIdeal, xs) -> list[tuple[int, int]]:
@@ -338,22 +315,6 @@ def factor(n: PIdeal) -> list[tuple[PIdeal, int]]:
     if not m.is_unit():
         raise ArithmeticError(f"factorization of {n} left non-unit cofactor {m}")
     return sorted(out, key=lambda t: (t[0].norm(), t[0].gen.key()))
-
-
-def divisors(n: PIdeal) -> list[PIdeal]:
-    """All ideal divisors of n (unit ideal included), by (norm, generator)."""
-    fac = factor(n)
-    out = [PIdeal(n.ctx.one)]
-    for p, e in fac:
-        nxt = []
-        for d in out:
-            cur = d
-            nxt.append(cur)
-            for _ in range(e):
-                cur = cur * p
-                nxt.append(cur)
-        out = nxt
-    return sorted(out, key=lambda d: (d.norm(), d.gen.key()))
 
 
 def primes_by_norm(ctx: FieldCtx, max_norm: int) -> Iterator[PIdeal]:

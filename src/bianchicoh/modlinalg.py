@@ -63,10 +63,6 @@ class MatQ:
     def identity(q: int, n: int) -> "MatQ":
         return MatQ(q, np.eye(n, dtype=np.int64))
 
-    @staticmethod
-    def zeros(q: int, r: int, c: int) -> "MatQ":
-        return MatQ(q, np.zeros((r, c), dtype=np.int64))
-
     @property
     def nrows(self) -> int:
         return self.arr.shape[0]
@@ -314,19 +310,6 @@ def fixed_space(op: MatQ) -> MatQ:
     if op.nrows != op.ncols:
         raise ShapeMismatch(f"fixed_space needs a square matrix, got {op!r}")
     return kernel_basis(op - MatQ.identity(op.q, op.nrows))
-
-
-def matpow(m: MatQ, k: int) -> MatQ:
-    if m.nrows != m.ncols:
-        raise ShapeMismatch("matrix power needs a square matrix")
-    out = MatQ.identity(m.q, m.nrows)
-    base = m
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
-    return out
 
 
 def project_rows(basis: MatQ, images) -> tuple[np.ndarray, int | None]:

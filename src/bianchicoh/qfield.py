@@ -347,10 +347,6 @@ def gcd(a: QuadInt, b: QuadInt) -> QuadInt:
     return xgcd(a, b)[0]
 
 
-def are_coprime(a: QuadInt, b: QuadInt) -> bool:
-    return gcd(a, b).is_unit()
-
-
 # ---------------------------------------------------------------------------
 # element literals ("a+b*w")
 
@@ -491,16 +487,6 @@ class Mat2:
         if not det.is_one():
             raise BadDeterminant(f"matrix has det {det}, expected 1")
         return self.adjugate()
-
-    def inv_unit_det(self) -> "Mat2":
-        """Inverse of a unit-determinant matrix."""
-        det = self.det()
-        if not det.is_unit():
-            raise BadDeterminant(f"matrix has non-unit det {det}")
-        # 1/det = conj(det) for a unit (norm 1)
-        dinv = det.conjugate()
-        adj = self.adjugate()
-        return Mat2(dinv * adj.a, dinv * adj.b, dinv * adj.c, dinv * adj.d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

@@ -40,7 +40,8 @@ letters of fpres.matrix_to_word and walks them from the base coset; the
 walk must close.  The letters are not freely reduced, but a letter next
 to its inverse visits one edge with opposite signs, so nothing changes.
 rewrite and express return the same sparse {index: exponent} dicts as
-the relator rows, and consumers pair them with a basis directly.
+the relator rows.  No package code calls them; like transversal and
+sgens they serve the tests and bench/tracing.py.
 
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
@@ -296,9 +297,6 @@ class CongCtx:
                 for b0, b1 in zip(bounds, bounds[1:])]
 
     # -- queries ------------------------------------------------------
-
-    def membership(self, m: Mat2) -> bool:
-        return m.det().is_one() and self.level.contains(m.c)
 
     def rewrite(self, letters) -> dict[int, int]:
         """Sparse exponents {sgen index: exponent} of a word in Gamma_0(n)."""

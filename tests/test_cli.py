@@ -161,6 +161,33 @@ def test_max_norm_below_two_rejected_before_any_space():
     assert "timing" not in r.stderr  # no level was built
 
 
+_TEST_PRIMES_HYPOTHESIS = 'violates the hypothesis "at least one test prime"'
+_MAX_NORM_HYPOTHESIS = ('violates the hypothesis "the search reaches norm 2, '
+                        'the least norm of a prime"')
+
+
+def test_findprimes_rejects_search_bounds_with_named_hypotheses():
+    base = ("findprimes", "--field-d", "2", "--level", "(3+1*w)")
+    r = run_cli(*base, "--test-primes", "0")
+    assert r.returncode == 2
+    assert _TEST_PRIMES_HYPOTHESIS in r.stderr
+    r = run_cli(*base, "--max-norm", "1")
+    assert r.returncode == 2
+    assert _MAX_NORM_HYPOTHESIS in r.stderr
+    assert "search exhausted" not in r.stderr
+
+
+def test_inspect_degeneracy_rejects_search_bounds_with_named_hypotheses():
+    base = ("inspect", "degeneracy", "--field-d", "2", "--level", "(3+1*w)",
+            "--prime", "(0+1*w)")
+    r = run_cli(*base, "--test-primes", "0")
+    assert r.returncode == 2
+    assert _TEST_PRIMES_HYPOTHESIS in r.stderr
+    r = run_cli(*base, "--max-norm", "1")
+    assert r.returncode == 2
+    assert _MAX_NORM_HYPOTHESIS in r.stderr
+
+
 def test_inspect_p1_unit_level():
     r = run_cli("inspect", "p1", "--field-d", "3", "--level", "(1)")
     assert r.returncode == 0, r.stderr
@@ -248,6 +275,23 @@ def test_config_file_with_flag_precedence(tmp_path):
     r = run_cli("inspect", "dims", "--config", str(bad))
     assert r.returncode == 2
     assert "fieldd" in r.stderr
+
+
+def test_unreadable_config_file_rejected(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    r = run_cli("verify", "--config", str(missing), "--field-d", "2")
+    assert r.returncode == 2
+    assert str(missing) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_bad_config_literal_names_line_and_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field_d = 2\ntest_primes = x\n")
+    r = run_cli("verify", "--config", str(cfg))
+    assert r.returncode == 2
+    assert f"{cfg}:2" in r.stderr
+    assert "test_primes" in r.stderr
 
 
 def test_table_format():

@@ -6,26 +6,34 @@ import random
 
 import pytest
 
+from bianchicoh import cohom
 from bianchicoh.cohom import (
-    Cusp,
     CoefficientModulus,
-    cusp_equivalent,
     cusps,
-    evaluate,
     h1,
     parabolic,
     unit_conjugation_operator,
     unit_invariants,
     unit_letter_table,
 )
-from bianchicoh.errors import BadModulus, ConstructionFailure
-from bianchicoh.ideals import parse_ideal
+from bianchicoh.errors import BadModulus, ConstructionFailure, NotInSubgroup
+from bianchicoh.ideals import enumerate_ideals, parse_ideal
 from bianchicoh.modlinalg import coordinates_in_rowspace
 from bianchicoh.qfield import Mat2, field
 import bianchicoh.schreier as schreier
 from bianchicoh.schreier import CongCtx
 import oracles
-from oracles import abelian_invariants, dense_rows
+from oracles import (
+    Cusp,
+    abelian_invariants,
+    colon_square,
+    cusp_equivalent,
+    cusps_by_divisors,
+    dense_rows,
+    evaluate,
+    membership,
+    parabolic_by_cusps,
+)
 
 # (d, level, q) -> (dim H^1, dim parabolic, dim parabolic-unit)
 FROZEN_DIMS = [
@@ -94,7 +102,8 @@ def test_prime_levels_have_two_cusps():
     for d, text in [(1, "(2+1*w)"), (1, "(3)"), (2, "(3+1*w)"),
                     (3, "(2)"), (7, "(1+2*w)"), (11, "(0+1*w)")]:
         cc = _build(d, text)
-        cl = cusps(cc)
+        assert len(cusps(cc)) == 2
+        cl = cusps_by_divisors(cc)
         assert len(cl) == 2
         (a1, c1), (a2, c2) = (cl[0].a, cl[0].c), (cl[1].a, cl[1].c)
         ok, gamma = cusp_equivalent(cc, a1, c1, a2, c2)
@@ -105,19 +114,19 @@ def test_cusp_equivalence_certificate():
     """Moving a cusp by a group element keeps it equivalent, with witness."""
     rng = random.Random(3)
     cc = _build(2, "(3+1*w)")
-    for cusp in cusps(cc):
+    for cusp in cusps_by_divisors(cc):
         for _ in range(5):
             g = _random_member(cc, rng)
             a2 = g.a * cusp.a + g.b * cusp.c
             c2 = g.c * cusp.a + g.d * cusp.c
             ok, gamma = cusp_equivalent(cc, cusp.a, cusp.c, a2, c2)
             assert ok
-            assert cc.membership(gamma)
+            assert membership(cc, gamma)
 
 
 def test_cusp_gmat_carries_infinity_to_the_cusp():
     cc = _build(1, "(2+2*w)")
-    for cusp in cusps(cc):
+    for cusp in cusps_by_divisors(cc):
         g = cusp.gmat
         assert g.det().is_one()
         assert g.a == cusp.a and g.c == cusp.c
@@ -132,7 +141,7 @@ def test_parabolic_subspace_is_contained_and_vanishes_on_widths():
         for row in par.basis.arr:
             assert coordinates_in_rowspace(full.basis, row) is not None
         ctx = cc.ctx
-        for cusp in cusps(cc):
+        for cusp in cusps_by_divisors(cc):
             gi = cusp.gmat.inv_det_one()
             for mult in (ctx.one, ctx.omega):
                 xi = cusp.width_gen * mult
@@ -158,7 +167,7 @@ def test_unit_invariant_classes_are_conjugation_invariant():
             for _ in range(10):
                 m = _random_member(cc, rng)
                 conj = Mat2(m.a, u0 * m.b, u0i * m.c, m.d)
-                assert cc.membership(conj)
+                assert membership(cc, conj)
                 assert evaluate(uni, coeffs, conj) == evaluate(uni, coeffs, m)
 
 
@@ -183,7 +192,8 @@ def test_kind_guards():
 
 def test_unit_operator_is_an_involution_power():
     """Conjugation by diag(u0, 1) has finite order on the parabolic space."""
-    from bianchicoh.modlinalg import MatQ, matpow
+    from bianchicoh.modlinalg import MatQ
+    from oracles import matpow
 
     for d, text, q in [(2, "(3+1*w)", 5), (11, "(1-2*w)", 5)]:
         cc = _build(d, text)
@@ -257,16 +267,16 @@ def test_dimensions_stable_under_tree_permutation_and_cusp_substitution():
         par2 = parabolic(full2)
         uni2 = unit_invariants(par2)
         assert (full2.dim, par2.dim, uni2.dim) == dims, (d, text, "reversed")
-        # replace each cusp representative by a translate: same subspace
+        # the cusp oracle on translated representatives: same subspace
         cc = CongCtx(n, ctx)
         full = h1(cc, q)
         moved = []
-        for cusp in cusps(cc):
+        for cusp in cusps_by_divisors(cc):
             g = _random_member(cc, rng)
             a2 = g.a * cusp.a + g.b * cusp.c
             c2 = g.c * cusp.a + g.d * cusp.c
-            moved.append(Cusp(a2, c2, g * cusp.gmat, n.colon_square(c2)))
-        assert parabolic(full, cusp_list=moved).basis == parabolic(full).basis
+            moved.append(Cusp(a2, c2, g * cusp.gmat, colon_square(n, c2)))
+        assert parabolic_by_cusps(full, moved).basis == parabolic(full).basis
 
 
 def test_unit_conjugation_on_a_zero_space_evaluates_nothing(monkeypatch):
@@ -280,3 +290,50 @@ def test_unit_conjugation_on_a_zero_space_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(schreier.CongCtx, "express", no_express)
     op = unit_conjugation_operator(par)
     assert op.nrows == 0 and op.ncols == 0
+
+
+def test_parabolic_equals_the_cusp_oracle():
+    """Translation orbits match the subspace and count of cusps_by_divisors."""
+    cases = [(d, n, 5) for d in (1, 2, 3, 7, 11)
+             for n in enumerate_ideals(field(d), 60)]
+    cases += [(d, parse_ideal(field(d), text), q)
+              for d, text, q, _ in FROZEN_DIMS if q != 5]
+    for d, n, q in cases:
+        cc = CongCtx(n, field(d))
+        full = h1(cc, q)
+        assert parabolic(full).basis == parabolic_by_cusps(full).basis, (
+            d, str(n), q)
+        assert len(cusps(cc)) == len(cusps_by_divisors(cc)), (d, str(n))
+    assert len(cases) > 250
+
+
+def _level_5_orbits():
+    cc = _build(2, "(5)")
+    orbits = cusps(cc)
+    # the second orbit's loops are t^5 and u^5; the first's have length 1
+    assert [(len(a), len(b)) for _, a, b in orbits] == [(1, 1), (5, 5)]
+    return cc, orbits
+
+
+def test_mutated_cusp_loops_do_not_close(monkeypatch):
+    """A loop one letter short or one t too long is caught by its walk."""
+    cc, orbits = _level_5_orbits()
+    full = h1(cc, 5)
+    t = (cc.pres.t_id, 1)
+    x, loop_t, loop_u = orbits[1]
+    mutants = [(loop_t[1:], loop_u), (loop_t, loop_u[:-1]),
+               (loop_t + [t], loop_u), (loop_t, loop_u + [t])]
+    for a, b in mutants:
+        monkeypatch.setattr(cohom, "cusps", lambda cc: [orbits[0], (x, a, b)])
+        with pytest.raises(NotInSubgroup):
+            parabolic(full)
+
+
+def test_skipping_an_orbit_changes_the_basis(monkeypatch):
+    cc, orbits = _level_5_orbits()
+    full = h1(cc, 5)
+    basis = parabolic(full).basis
+    for skip in range(len(orbits)):
+        kept = [o for i, o in enumerate(orbits) if i != skip]
+        monkeypatch.setattr(cohom, "cusps", lambda cc: kept)
+        assert parabolic(full).basis != basis, skip

@@ -12,7 +12,6 @@ from bianchicoh.cohom import (
     FULL,
     CohomSubspace,
     LinMap,
-    evaluate,
     h1,
     parabolic,
     unit_invariants,
@@ -38,7 +37,7 @@ from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, parse_element
 from bianchicoh.schreier import CongCtx
 
-from oracles import conjugate_by_pgen, degeneracy_maps
+from oracles import conjugate_by_pgen, degeneracy_maps, evaluate
 
 # the acceptance A-configurations: level, auxiliary prime, modulus
 A_CONFIGS = {

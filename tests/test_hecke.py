@@ -32,7 +32,6 @@ from bianchicoh.hecke import (
     gamma01_cosets,
     hecke_cosets,
     hecke_matrix,
-    locate_right_coset,
     ray_trivial_primes,
     ray_trivial_unit,
 )
@@ -42,7 +41,7 @@ from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element, xgcd
 from bianchicoh.schreier import CongCtx
 import oracles
-from oracles import quotient_full, scan_right_cosets
+from oracles import locate_right_coset, quotient_full, scan_right_cosets
 
 # the acceptance A-configuration level of each field
 A_LEVELS = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
@@ -349,10 +348,10 @@ def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
         return check(*args)
 
     def no_locate(*args):
-        raise AssertionError("locate_right_coset ran on a zero space")
+        raise AssertionError("_locate ran on a zero space")
 
     monkeypatch.setattr(hecke, "_quotient_in_gamma0", counted)
-    monkeypatch.setattr(hecke, "locate_right_coset", no_locate)
+    monkeypatch.setattr(hecke, "_locate", no_locate)
     l = parse_ideal(ctx, "(3+1*w)")
     t = hecke_matrix(l, space)
     assert t.mat.nrows == 0 and t.mat.ncols == 0

@@ -9,7 +9,6 @@ import pytest
 from bianchicoh.errors import FieldMismatch, ParseError, UnsupportedField
 from bianchicoh.qfield import (
     Mat2,
-    are_coprime,
     divides,
     divmod_coords,
     euclid_divmod,
@@ -120,13 +119,6 @@ def test_exact_div_and_divides():
         exact_div(parse_element(ctx, "3"), parse_element(ctx, "0+1*w"))
 
 
-def test_are_coprime():
-    ctx = field(1)
-    assert are_coprime(parse_element(ctx, "2+1*w"), parse_element(ctx, "3"))
-    assert not are_coprime(parse_element(ctx, "2+2*w"),
-                           parse_element(ctx, "1+1*w"))
-
-
 def test_parse_format_round_trip():
     rng = random.Random(5)
     for d in FIELDS:
@@ -192,8 +184,6 @@ def test_mat2_inverse_requires_unit_determinant():
     m = Mat2(two, ctx.zero, ctx.zero, ctx.one)
     with pytest.raises(ValueError):
         m.inv_det_one()
-    with pytest.raises(ValueError):
-        m.inv_unit_det()
 
 
 def test_divmod_coords_is_the_box_rounding_rule():
