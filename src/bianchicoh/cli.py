@@ -50,7 +50,7 @@ from .ideals import (
 )
 from .modlinalg import block_diag2
 from .projline import p1_table
-from .qfield import field
+from .qfield import Mat2, field
 from .schreier import CongCtx
 
 _FORMATS = ("json", "table")
@@ -354,13 +354,14 @@ def cmd_inspect(sub: str, cfg: RunConfig) -> int:
     if sub == "cosets":
         n = _require_level(cfg)
         l = _require_prime(cfg)
-        hc = hecke_cosets(l, n)
+        reps = hecke_cosets(l, n)
         out = {
             "schema": 1,
             "config": cfg.to_json_dict(),
             "hecke": {
-                "count": len(hc.reps),
-                "reps": [_mat_entries(m) for m in hc.reps],
+                "count": len(reps),
+                "reps": [_mat_entries(Mat2.from_coords(cfg.ctx, t))
+                         for t in reps],
             },
         }
         g01 = gamma01_cosets(n, l)
@@ -422,10 +423,6 @@ def cmd_inspect(sub: str, cfg: RunConfig) -> int:
 def cmd_findprimes(cfg: RunConfig) -> int:
     n = _require_level(cfg)
     _check_search_bounds(cfg)
-    if cfg.exponent < 3 or cfg.exponent % 2 == 0:
-        raise ConfigError(
-            f"rejected: exponent must be odd and >= 3, got {cfg.exponent}"
-        )
     from math import gcd as igcd
 
     coprime = search_prime_coprime_normminus1(

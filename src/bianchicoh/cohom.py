@@ -13,17 +13,24 @@ to their order.  The unit-invariant subspace is the fixed space of
 conjugation by delta = diag(u0, 1) for a generator u0 of the unit
 group, which descends the computation from SL_2 to GL_2 level.
 
-letter_table_operator(src, dst, ...) evaluates every operator given by
-a level-one letter table (see schreier): the table is pushed along the
+letter_table_operator(src, dst, ...) is the one path from a level-one
+letter table (see schreier) to a LinMap: the table is pushed along the
 dst tree with its quotients walked in the src coset table, the walks
 are paired with the src basis and the steps summed along the tree in
 one batch, and the images are projected onto the dst basis in one batch
-(modlinalg.project_rows).  T_l (hecke) and the unit operator map a
-space to itself; the unit table holds the letters of
+(modlinalg.project_rows).  The table comes from a callable that is
+called only when src is nonzero, so a zero-dimensional source gives the
+empty map without building a table.  T_l (hecke) and the unit operator
+map a space to itself; the unit table holds the letters of
 delta g^{+-1} delta^{-1} for every ambient letter, built once per field
 and checked with word_to_matrix, so no Schreier generator is expressed.
 The degeneracy maps (degmaps) go from level n to level n*p; LinMap
 lives here so that degmaps can import the T_p table from hecke.
+
+The parabolic and unit-invariant subspaces are both cut by one helper
+(_cut): the classes a @ basis with a @ M = 0, where M holds the values
+of the basis on the cusp conditions, or is U - I for the unit operator
+U.
 
 The cusps are read off the coset table (cusps): one per orbit of the
 Borel letters t, u (and e) on the cosets.  At the first coset x of an
@@ -42,14 +49,13 @@ import numpy as np
 
 from .errors import (
     BadModulus,
-    NotInSubgroup,
+    ConstructionFailure,
     ProjectionFailure,
     ShapeMismatch,
 )
 from .modlinalg import (
     MatQ,
-    fixed_space,
-    kernel_basis,
+    left_kernel,
     mulmod,
     project_rows,
     rank,
@@ -260,13 +266,9 @@ def cusps(cc: CongCtx) -> list[tuple[int, list, list]]:
 # subspaces
 
 
-def _restrict_rows(space: CohomSubspace, cond_rows, kind) -> CohomSubspace:
-    """Subspace of space killing the given sparse condition rows."""
-    if not cond_rows:
-        return CohomSubspace(space.cc, space.q, space.basis, kind)
-    prod = sparse_values(space.basis, cond_rows)
-    coords = kernel_basis(prod.transpose())
-    newbasis = rref(coords @ space.basis)[0]
+def _cut(space: CohomSubspace, m: MatQ, kind) -> CohomSubspace:
+    """The classes a @ space.basis with a @ m = 0, as a subspace."""
+    newbasis = rref(left_kernel(m) @ space.basis)[0]
     return CohomSubspace(space.cc, space.q, newbasis, kind)
 
 
@@ -274,10 +276,11 @@ def parabolic(space: CohomSubspace) -> CohomSubspace:
     """Classes vanishing on the unipotent stabilizer of every cusp.
 
     Each loop of cusps(cc) is walked from its coset x and must close
-    (NotInSubgroup otherwise), which certifies that T_x loop T_x^-1 lies
-    in Gamma_0(n).  The word of T_x runs along the tree, which crosses
-    no Schreier generator, so the walk's exponents are those of
-    T_x loop T_x^-1: one condition row.
+    (ConstructionFailure otherwise), which certifies that T_x loop
+    T_x^-1 lies in Gamma_0(n).  The word of T_x runs along the tree,
+    which crosses no Schreier generator, so the walk's exponents are
+    those of T_x loop T_x^-1: one condition row, and the subspace is cut
+    by the values of the basis on the rows.
     """
     if space.kind != FULL:
         raise ValueError(f"parabolic expects a full space, got {space.kind}")
@@ -287,9 +290,10 @@ def parabolic(space: CohomSubspace) -> CohomSubspace:
         for letters in loops:
             end, vec = cc._walk(letters, x)
             if end != x:
-                raise NotInSubgroup(f"cusp loop at coset {x} did not close")
+                raise ConstructionFailure(
+                    f"cusp loop at coset {x} did not close")
             conds.append(vec)
-    return _restrict_rows(space, conds, PARABOLIC)
+    return _cut(space, sparse_values(space.basis, conds), PARABOLIC)
 
 
 def _unit_conj_generator(ctx) -> QuadInt:
@@ -300,20 +304,24 @@ def _unit_conj_generator(ctx) -> QuadInt:
 
 
 def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
-                          what: str, track=None) -> np.ndarray:
-    """Coordinates of f -> (g -> sum_i f(reps[i] g reps[sigma(i)]^{-1})).
+                          what: str, track=None) -> LinMap:
+    """The map f -> (g -> sum_i f(reps[i] g reps[sigma(i)]^{-1})).
 
     f runs over the src basis, g over the Schreier generators of dst
     and i over track (default: every representative of the table).  Row
     i holds the dst coordinates of the image of src basis class i.  The
     image on T_x g T_y^{-1} is its quotient walks plus S_x - S_y, with
     S_x summed along the dst tree from the step walks
-    (dst.cc.push_letter_table).  ProjectionFailure names `what` when an
-    image escapes dst.
+    (dst.cc.push_letter_table).  table is called for the letter table
+    only when src is nonzero; a zero-dimensional src gives the empty map
+    at once.  ProjectionFailure names `what` when an image escapes dst.
     """
-    cc = dst.cc
     q = src.q.q
-    rows, steps = cc.push_letter_table(table, src.cc, track)
+    if src.dim == 0:
+        empty = np.zeros((0, dst.dim), dtype=np.int64)
+        return LinMap(src, dst, MatQ(q, empty))
+    cc = dst.cc
+    rows, steps = cc.push_letter_table(table(), src.cc, track)
     vals = sparse_values(src.basis, rows + steps).arr
     nsg = len(rows)
     # tree[y] = values of S_y, summed from the base in BFS order
@@ -328,7 +336,7 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
         raise ProjectionFailure(
             f"{what} escapes the subspace; this indicates a bug"
         )
-    return coords
+    return LinMap(src, dst, MatQ(q, coords))
 
 
 @lru_cache(maxsize=None)
@@ -348,27 +356,20 @@ def unit_letter_table(ctx):
 
 def unit_conjugation_operator(space: CohomSubspace) -> MatQ:
     """Matrix of f -> (g -> f(diag(u0,1) g diag(u0,1)^{-1})) on space."""
-    q = space.q.q
-    if space.dim == 0:
-        return MatQ(q, np.zeros((0, 0), dtype=np.int64))
-    coords = letter_table_operator(
-        space, space, unit_letter_table(space.cc.ctx), "unit conjugation"
-    )
-    return MatQ(q, coords)
+    ctx = space.cc.ctx
+    return letter_table_operator(space, space, lambda: unit_letter_table(ctx),
+                                 "unit conjugation").mat
 
 
 def unit_invariants(space: CohomSubspace) -> CohomSubspace:
-    """Fixed space of the unit conjugation operator (GL_2 descent)."""
+    """Fixed space of the unit conjugation operator (GL_2 descent).
+
+    op[i] holds the coordinates of U(f_i), so a class a @ basis is fixed
+    exactly when a @ (op - I) = 0.
+    """
     if space.kind not in (PARABOLIC, PARABOLIC_UNIT):
         raise ValueError(
             f"unit_invariants expects a parabolic space, got {space.kind}"
         )
-    if space.dim == 0:
-        return CohomSubspace(space.cc, space.q, space.basis, PARABOLIC_UNIT)
     op = unit_conjugation_operator(space)
-    # op[i] holds the coordinates of U(f_i), so a class a @ basis is fixed
-    # exactly when a @ op = a: the left fixed space, i.e. the right fixed
-    # space of the transpose.
-    fixed = fixed_space(op.transpose())
-    newbasis = rref(fixed @ space.basis)[0]
-    return CohomSubspace(space.cc, space.q, newbasis, PARABOLIC_UNIT)
+    return _cut(space, op - MatQ.identity(op.q, op.nrows), PARABOLIC_UNIT)

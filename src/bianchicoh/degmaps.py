@@ -1,16 +1,17 @@
 """Degeneracy maps between cohomology at level n and level n*p.
 
-Both maps take the path of T_l (cohom.letter_table_operator): a
-level-one letter table is pushed along the level-n*p tree, its
-quotients are walked in the level-n coset table (every walk must
-close), and the images are projected onto the destination basis.  The
+Both maps take the path of T_l: each is one validation of the level
+pair plus one call of cohom.letter_table_operator, which pushes a
+level-one letter table along the level-n*p tree, walks its quotients
+in the level-n coset table (every walk must close), projects the
+images onto the destination basis and returns the LinMap (the empty
+one on a zero-dimensional source, without building the table).  The
 plain restriction is the one-representative identity table; the
 twisted map follows the last representative diag(pi, 1) of the T_p
 table (the twist-chain lemma in twisted_map).  The combined map alpha
 stacks the two; its kernel is the object the Hecke checks constrain.
 All maps act on coordinate row vectors: a class with coordinates x in
-the domain basis maps to x @ mat in the codomain basis.
-"""
+the domain basis maps to x @ mat in the codomain basis."""
 
 from __future__ import annotations
 
@@ -49,29 +50,19 @@ def _check_pair(src: CohomSubspace, dst: CohomSubspace) -> QuadInt:
     return pi
 
 
-def _pushed_map(src: CohomSubspace, dst: CohomSubspace, table, what: str,
-                track=None) -> LinMap:
-    """LinMap of a letter table pushed along the dst tree; none at dim 0."""
-    if src.dim == 0:
-        coords = np.zeros((0, dst.dim), dtype=np.int64)
-    else:
-        coords = letter_table_operator(src, dst, table, what, track)
-    return LinMap(src, dst, MatQ(src.q.q, coords))
-
-
 def restriction_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
     """Plain restriction from level n to level n*p.
 
     Gamma_0(n*p) lies in Gamma_0(n), so the identity table walks each
     dst generator as its own word through the src coset table; the walk
-    must close (NotInSubgroup) and the image must lie in dst
+    must close (ConstructionFailure) and the image must lie in dst
     (ProjectionFailure).
     """
     _check_pair(src, dst)
-    pres = src.cc.pres
-    identity = [{(gid, e): (0, ((gid, e),))
-                 for gid in range(pres.gen_count) for e in (1, -1)}]
-    return _pushed_map(src, dst, identity, "restriction image")
+    gens = range(src.cc.pres.gen_count)
+    identity = [{(g, e): (0, ((g, e),)) for g in gens for e in (1, -1)}]
+    return letter_table_operator(src, dst, lambda: identity,
+                                 "restriction image")
 
 
 def twisted_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
@@ -94,13 +85,13 @@ def twisted_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
     delta_k and delta_{pi_y} share a right coset of SL_2(O), which the
     certified representatives allow only for k = pi_y; and the
     conjugate lies in Gamma_0(n).  So a wrong index (PermutationFailure)
-    or an open walk (NotInSubgroup) is a bug, and passing both proves,
+    or an open walk (ConstructionFailure) is a bug, and passing both proves,
     for every generator at once, what dividing its lower-left entry by
     pi and expressing the conjugate at level n proved one at a time.
     """
-    pi = _check_pair(src, dst)
-    table = hecke_letter_table(PIdeal(pi))
-    return _pushed_map(src, dst, table, "twisted image", [len(table) - 1])
+    p = PIdeal(_check_pair(src, dst))
+    return letter_table_operator(src, dst, lambda: hecke_letter_table(p),
+                                 "twisted image", [p.norm()])
 
 
 def alpha(r: LinMap, t: LinMap) -> LinMap:

@@ -6,39 +6,40 @@ lambda]] over a residue system mod l, plus diag(lambda, 1).  Applying a
 class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
 the operator on functionals.
 
-The representatives are built and certified once per prime
-(_prime_cosets), and hecke_cosets(l, level) only checks that l is prime
-and coprime to the level.  The certificate is the kernel-line lemma
-(_check_kernel_lines): if delta_i = gamma * delta_j with gamma in
-GL_2(O), then gamma is invertible mod lambda, so delta_i and delta_j
-kill the same line of (O/lambda)^2.  The lines are (-k : 1) for
-[[1, k], [0, lambda]] and (1 : 0) for diag(lambda, 1); each is checked
-to be killed by its representative, and the N(l)+1 lines to be
-pairwise distinct.  So no two representatives share a right coset of
-GL_2(O), nor of any level group inside it, in O(N(l)) steps.
+The representatives do not depend on the level.  _prime_cosets builds
+them once per prime as one tuple of 8-int coordinate tuples
+(Mat2.coords), k running over the box of l.hnf(), and certifies them by
+the kernel-line lemma (_check_kernel_lines): if delta_i = gamma *
+delta_j with gamma in GL_2(O), then gamma is invertible mod lambda, so
+delta_i and delta_j kill the same line of (O/lambda)^2.  The lines are
+(-k : 1) for [[1, k], [0, lambda]] and (1 : 0) for diag(lambda, 1);
+each is checked to be killed by its representative, and the N(l)+1
+lines to be pairwise distinct.  So no two representatives share a right
+coset of GL_2(O), nor of any level group inside it, in O(N(l)) steps.
+hecke_cosets(l, level) only checks that l is prime and coprime to the
+level and returns those coordinates.
 
 _locate reads the coset of x off x mod lambda (k = b/a, or d/c, or
-diag(lambda, 1)), with inverses mod lambda from a table built on first
-use by one batch inversion (ideals.inverses_mod), and certifies the one
-candidate by an exact division that lands in the level group
-(_quotient_in_gamma0).  Both run on 8-int coordinate tuples
-(Mat2.coords).
+diag(lambda, 1)), with inverses mod lambda from the table that
+_prime_cosets builds by one batch inversion (ideals.inverses_mod), and
+certifies the one candidate by an exact division whose quotient must
+have a unit determinant (_quotient_in_gamma0).
 
-The representatives and the coset read off x mod lambda do not depend
-on the level, so T_l is driven by a level-one letter table, built
-lazily and kept once per prime: for each representative delta_j and
-each ambient letter g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W
-located on coordinates and W kept as the letters of
-fpres.matrix_to_word (schreier.letter_table).  Each entry is certified
-once: the exact-division locator, the step-product check of the
-descent, word_to_matrix of the letters equals W, W delta_k equals
-delta_j g^{+-1}, and each letter permutes the indices j.
+T_l is driven by a level-one letter table, built lazily and kept once
+per prime: for each representative delta_j and each ambient letter
+g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W located on
+coordinates and W kept as the letters of fpres.matrix_to_word
+(schreier.letter_table).  Each entry is certified once: the
+exact-division locator, the step-product check of the descent,
+word_to_matrix of the letters equals W, W delta_k equals delta_j
+g^{+-1}, and each letter permutes the indices j.
 
 cohom.letter_table_operator pushes the table along the Schreier tree
 (CongCtx.push_letter_table) and evaluates T_l with no matrix arithmetic
-per Schreier generator.  Each call certifies that every quotient walk
-closes, which puts the quotient in Gamma_0(n); that sigma is a
-bijection; and that every image projects back onto the basis
+per Schreier generator; on a zero-dimensional space it returns the
+empty map without building the table.  Each call certifies that every
+quotient walk closes, which puts the quotient in Gamma_0(n); that sigma
+is a bijection; and that every image projects back onto the basis
 (ProjectionFailure otherwise).  The twisted degeneracy map
 (degmaps.twisted_map) reads the same table for l = p, following only
 its last representative diag(lambda, 1).
@@ -67,7 +68,6 @@ from .errors import (
 from .fpres import builtin_presentation
 from .ideals import (
     PIdeal,
-    ResidueSystem,
     format_ideal,
     inverses_mod,
     prime_residue_reps_in_ideal,
@@ -78,57 +78,18 @@ from .qfield import Mat2, QuadInt, divmod_coords, xgcd
 from .schreier import letter_table
 
 
-class HeckeCosets:
-    """Right-coset representatives for the double coset of diag(1, l).
-
-    reps[k] = [1, k-th residue; 0, lambda] in the order of `residues`,
-    and reps[-1] = diag(lambda, 1); coords holds their coordinate tuples
-    (Mat2.coords), which the locator reads.  inverse[i] is the index of
-    the inverse mod lambda of the i-th residue (None for 0); it is built
-    on first use, by one batch inversion (ideals.inverses_mod).
-    """
-
-    __slots__ = ("l", "level", "reps", "coords", "lam", "residues",
-                 "_inverse")
-
-    def __init__(self, l: PIdeal, level: PIdeal, reps: list[Mat2],
-                 residues: ResidueSystem):
-        self.l = l
-        self.level = level
-        self.reps = reps
-        self.coords = [m.coords() for m in reps]
-        self.lam = l.gen
-        self.residues = residues
-        self._inverse = None
-
-    @property
-    def inverse(self) -> list:
-        if self._inverse is None:
-            res = self.residues
-            units = [x for x in res.reps if not x.is_zero()]
-            pairs = inverses_mod(self.l, [(x.a, x.b) for x in units])
-            inverse = [None] * len(res)
-            for x, (a, b) in zip(units, pairs):
-                inverse[res.index(x)] = res.index(QuadInt(self.l.ctx, a, b))
-            self._inverse = inverse
-        return self._inverse
-
-    def __len__(self):
-        return len(self.reps)
-
-    def __repr__(self):
-        return f"HeckeCosets(l={self.l}, {len(self.reps)} reps)"
-
-
-def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt, level: PIdeal):
-    """x * delta^{-1} when it lands in the unit-det level group, else None.
+def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt):
+    """x * delta^{-1} when it lies in GL_2(O), else None.
 
     x and delta are coordinate tuples (Mat2.coords), and so is the
     result; delta is a representative of hecke_cosets.  For
     [[1, k], [0, lambda]] the quotient is [[a, (b - a*k)/lambda],
     [c, (d - c*k)/lambda]], and for diag(lambda, 1) it is
     [[a/lambda, b], [c/lambda, d]], so only two entries are divided
-    (divmod_coords); both divisions must be exact.
+    (divmod_coords); both divisions must be exact and the determinant
+    must be a unit.  Only the level-one letter tables locate cosets, so
+    no level lattice is tested; the name is kept because
+    bench/tracing.py counts the calls under it.
     """
     ctx = lam.ctx
     nw = ctx.norm_w
@@ -158,10 +119,6 @@ def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt, level: PIdeal):
     e0 = a0 * d0 - b0 * c0 - nw * (ad - bc)
     e1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
     if e0 * e0 + sh * e0 * e1 + nw * e1 * e1 != 1:
-        return None
-    lp, lq, lr = level.hnf()
-    k, rem = divmod(c1, lr)
-    if rem or (c0 - k * lq) % lp:
         return None
     return (a0, a1, b0, b1, c0, c1, d0, d1)
 
@@ -228,60 +185,66 @@ def _check_kernel_lines(l: PIdeal, coords: list[tuple]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _prime_cosets(l: PIdeal) -> tuple[ResidueSystem, list[Mat2]]:
-    """Residues and certified representatives of T_l, once per prime.
+def _prime_cosets(l: PIdeal) -> tuple[tuple, tuple]:
+    """Certified representatives of T_l and inverses mod l, once per prime.
 
-    The representatives are certified by _check_kernel_lines, which
-    proves at every level what a pairwise coset check would.
+    With l.hnf() = (p, q, r), coords[i] = [[1, k], [0, lambda]] for the
+    residue k = (i % p) + (i // p)*w of the box, i < N(l) = p*r, and
+    coords[-1] = diag(lambda, 1); _check_kernel_lines proves at every
+    level what a pairwise coset check would.  inverse[i] is the box
+    index of the inverse mod lambda of residue i (None for 0), all from
+    one batch inversion.  Both are tuples, since every caller shares
+    them.
     """
-    residues = ResidueSystem(l)
+    p, _, r = l.hnf()
     l0, l1 = l.gen.a, l.gen.b
-    coords = [(1, 0, k.a, k.b, 0, 0, l0, l1) for k in residues.reps]
-    coords.append((l0, l1, 0, 0, 0, 0, 1, 0))
+    coords = tuple((1, 0, i % p, i // p, 0, 0, l0, l1) for i in range(p * r))
+    coords += ((l0, l1, 0, 0, 0, 0, 1, 0),)
     _check_kernel_lines(l, coords)
-    return residues, [Mat2.from_coords(l.ctx, t) for t in coords]
+    inverses = inverses_mod(l, [(i % p, i // p) for i in range(1, p * r)])
+    return coords, (None, *(a + b * p for a, b in inverses))
 
 
-def hecke_cosets(l: PIdeal, level: PIdeal) -> HeckeCosets:
-    """The N(l)+1 certified coset representatives for T_l at this level.
+def hecke_cosets(l: PIdeal, level: PIdeal) -> tuple:
+    """The N(l)+1 certified representatives of T_l, as coordinate tuples.
 
     Rejects l when it is not prime or not coprime to the level; the
-    representatives themselves are shared by every level (_prime_cosets).
+    tuple itself is shared by every level (_prime_cosets).
     """
     if not l.is_prime():
         raise NotPrime(f"{l} is not a prime ideal")
     if not l.is_coprime(level):
         raise NotCoprimeToLevel(f"{l} shares a factor with the level {level}")
-    residues, reps = _prime_cosets(l)
-    return HeckeCosets(l, level, reps, residues)
+    return _prime_cosets(l)[0]
 
 
-def _locate(hc: HeckeCosets, x: tuple) -> tuple[int, tuple]:
-    """(j, gamma) with x = gamma * reps[j] and gamma in the level group.
+def _locate(l: PIdeal, x: tuple) -> tuple[int, tuple]:
+    """(j, gamma) with x = gamma * hecke_cosets(l)[j] and gamma in GL_2(O).
 
     x and gamma are coordinate tuples.  x = [[a, b], [c, d]] lies in the
     coset of [1, k; 0, lambda] exactly when (b, d) = k * (a, c) mod
     lambda, and in that of diag(lambda, 1) exactly when lambda divides a
     and c.  So k = b / a when lambda does not divide a, and k = d / c
     when it divides a but not c; the inverse mod the prime lambda comes
-    from the table hc.inverse.  The single candidate is certified by
-    exact division; PermutationFailure means x is not in the double
+    from the table of _prime_cosets.  The single candidate is certified
+    by exact division; PermutationFailure means x is not in the double
     coset.
     """
-    ctx = hc.l.ctx
+    coords, inverse = _prime_cosets(l)
+    ctx = l.ctx
     nw = ctx.norm_w
     sh = 1 if ctx.shifted else 0
-    p, q, r = hc.l.hnf()
+    p, q, r = l.hnf()
     a0, a1, b0, b1, c0, c1, d0, d1 = x
 
     def index(y0, y1):
-        """Residue index of y0 + y1*w in the order of ResidueSystem."""
+        """Box index of the residue of y0 + y1*w."""
         k = y1 // r
         return (y1 - k * r) * p + (y0 - k * q) % p
 
     def ratio(y0, y1, i):
-        """Residue index of y / z, with z the residue of index i != 0."""
-        zi = hc.inverse[i]
+        """Box index of y / z, with z the residue of index i != 0."""
+        zi = inverse[i]
         z0, z1 = zi % p, zi // p
         be = y1 * z1
         return index(y0 * z0 - nw * be, y0 * z1 + y1 * z0 + sh * be)
@@ -291,11 +254,11 @@ def _locate(hc: HeckeCosets, x: tuple) -> tuple[int, tuple]:
         j = ratio(b0, b1, i)
     else:
         i = index(c0, c1)
-        j = ratio(d0, d1, i) if i else len(hc.coords) - 1
-    quot = _quotient_in_gamma0(x, hc.coords[j], hc.lam, hc.level)
+        j = ratio(d0, d1, i) if i else len(coords) - 1
+    quot = _quotient_in_gamma0(x, coords[j], l.gen)
     if quot is None:
         raise PermutationFailure(
-            f"{Mat2.from_coords(ctx, x)} lies in no right coset of T_{hc.l}"
+            f"{Mat2.from_coords(ctx, x)} lies in no right coset of T_{l}"
         )
     return j, quot
 
@@ -344,29 +307,23 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
 def hecke_letter_table(l: PIdeal):
     """Level-one letter table of T_l, built once per prime and field.
 
-    reps[j] * g^{+-1} = W * reps[k] is located by _locate on
-    hecke_cosets(l, (1)): the representatives and the index read off x
-    mod lambda do not depend on the level.
+    reps[j] * g^{+-1} = W * reps[k] is located by _locate: the
+    representatives and the index read off x mod lambda do not depend
+    on the level.
     """
-    hc = hecke_cosets(l, PIdeal(l.ctx.one))
-    return letter_table(hc.coords, builtin_presentation(l.ctx),
-                        lambda x: _locate(hc, x))
+    return letter_table(_prime_cosets(l)[0], builtin_presentation(l.ctx),
+                        lambda x: _locate(l, x))
 
 
 def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:
     """Matrix of T_l on the given subspace, rows = images of basis.
 
-    The cosets are built and checked at the level of space first, so a
-    bad l is rejected; on a zero-dimensional space nothing else runs and
-    no letter table is built.
+    l is checked against the level of space first; on a
+    zero-dimensional space no letter table is built.
     """
     hecke_cosets(l, space.cc.level)
-    q = space.q.q
-    if space.dim == 0:
-        return LinMap(space, space, MatQ(q, np.zeros((0, 0), dtype=np.int64)))
-    coords = letter_table_operator(space, space, hecke_letter_table(l),
-                                   "Hecke image")
-    return LinMap(space, space, MatQ(q, coords))
+    return letter_table_operator(space, space, lambda: hecke_letter_table(l),
+                                 "Hecke image")
 
 
 def ray_trivial_unit(l: PIdeal, conductor: PIdeal) -> QuadInt | None:

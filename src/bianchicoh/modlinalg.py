@@ -305,13 +305,6 @@ def left_kernel(m: MatQ) -> MatQ:
     return kernel_basis(m.transpose())
 
 
-def fixed_space(op: MatQ) -> MatQ:
-    """Canonical basis of the fixed space ker(op - 1) of a square matrix."""
-    if op.nrows != op.ncols:
-        raise ShapeMismatch(f"fixed_space needs a square matrix, got {op!r}")
-    return kernel_basis(op - MatQ.identity(op.q, op.nrows))
-
-
 def project_rows(basis: MatQ, images) -> tuple[np.ndarray, int | None]:
     """Coordinates in an RREF basis of every row of images.
 
@@ -335,16 +328,7 @@ def project_rows(basis: MatQ, images) -> tuple[np.ndarray, int | None]:
 def coordinates_in_rowspace(basis: MatQ, v) -> np.ndarray | None:
     """Coordinates of the row vector v in an RREF basis, or None.
 
-    Reads coefficients off the pivot columns; returns None when v is
-    not in the row space.
+    project_rows on the one row v; None when v is not in the row space.
     """
-    q = basis.q
-    vv = np.mod(np.asarray(v, dtype=np.int64), q)
-    red, pivots = rref(basis)
-    if red.nrows != basis.nrows or not (red == basis):
-        raise ValueError("basis must be in reduced row-echelon form")
-    coords = vv[list(pivots)] if pivots else np.zeros(0, dtype=np.int64)
-    recon = mulmod(coords, basis.arr, q) if basis.nrows else np.zeros_like(vv)
-    if not np.array_equal(recon, vv):
-        return None
-    return coords
+    coords, bad = project_rows(basis, [v])
+    return None if bad is not None else coords[0]

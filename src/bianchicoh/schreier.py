@@ -14,7 +14,7 @@ The construction runs on integer coordinates: each T_x is an 8-int
 tuple (Mat2.coords), multiplied along the tree by qfield.mat_mul_coords,
 and every Schreier generator is formed on tuples at construction and
 certified there: determinant 1 and lower-left entry in the level
-lattice, NotInSubgroup otherwise.  The objects are built on first use
+lattice, ConstructionFailure otherwise.  The objects are built on first use
 only, from tree_edge and the tuples: transversal (Words) and sgens
 ((Word, Mat2) pairs).  No package code reads them; they are built only
 for the tests and for bench/tracing.py.  Counting generators needs
@@ -151,7 +151,7 @@ class CongCtx:
 
         Each T_x g T_y^{-1} is formed on coordinate tuples and must have
         determinant 1 and lower-left entry in the level lattice
-        (NotInSubgroup otherwise).
+        (ConstructionFailure otherwise).
         """
         p = self.pres
         ctx = self.ctx
@@ -181,7 +181,7 @@ class CongCtx:
                 det1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
                 k, rem = divmod(c1, lr)
                 if det0 != 1 or det1 or rem or (c0 - k * lq) % lp:
-                    raise NotInSubgroup(
+                    raise ConstructionFailure(
                         f"Schreier generator {Mat2.from_coords(ctx, m)} "
                         f"escapes the level"
                     )
@@ -274,7 +274,7 @@ class CongCtx:
             visits[t] = crossed[codes[t], pos]
             pos = nxt[codes[t], pos]
         if not np.array_equal(pos, start):
-            raise NotInSubgroup("relator walk did not close")
+            raise ConstructionFailure("relator walk did not close")
         # visits by row, and each row's in walk order
         row, step = np.nonzero(visits.T >= 0)
         col = visits[step, row]
@@ -325,7 +325,7 @@ class CongCtx:
         quotient walks of Schreier generator s, one per followed
         representative, and steps[y] sums the walks of the tree step into
         coset y ({} at the base), both as {src sgen index: exponent} dicts.
-        Raises NotInSubgroup when a quotient walk does not close and
+        Raises ConstructionFailure when a quotient walk does not close and
         PermutationFailure when a step or a generator does not permute
         the followed representatives.
         """
@@ -368,7 +368,7 @@ class CongCtx:
                     f"generator ({x}, {gid}) does not permute the representatives"
                 )
             if ends != sy:
-                raise NotInSubgroup(
+                raise ConstructionFailure(
                     f"quotient walk of generator ({x}, {gid}) did not close"
                 )
             rows.append(vec)

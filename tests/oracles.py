@@ -15,7 +15,9 @@ four-entry Hecke quotient (quotient_full), the all-pairs check that no
 two Hecke representatives share a right coset (shared_right_cosets),
 T_l and the unit conjugation operator by one located and expressed
 quotient per Schreier generator and representative (hecke_matrix,
-unit_conjugation_operator), the transversal matrices (tmats), and the
+unit_conjugation_operator; for T_l the representatives come from
+hecke_reps and each coset is found by the scan over all of them at the
+level, locate_right_coset), the transversal matrices (tmats), and the
 two degeneracy maps by rewriting the word of every Schreier generator
 and expressing its conjugate by diag(pi, 1) (degeneracy_maps,
 conjugate_by_pgen), and the parabolic subspace from cusps a/c
@@ -24,8 +26,7 @@ congruence, with their width translations expressed
 (cusps_by_divisors, cusp_equivalent, parabolic_by_cusps; divisors,
 invertible_reps and colon_square serve them).  Last come small helpers
 that the tests use as judges and the package no longer needs:
-evaluate, membership, matpow, abelianized_relators and
-locate_right_coset.
+evaluate, membership, matpow and abelianized_relators.
 """
 
 from __future__ import annotations
@@ -599,29 +600,39 @@ def euclid_divmod_box(a, b):
     return q, a - q * b, True
 
 
+def hecke_reps(l):
+    """[[1, k], [0, lambda]] over ResidueSystem(l), then diag(lambda, 1)."""
+    from bianchicoh.ideals import ResidueSystem
+    from bianchicoh.qfield import Mat2
+
+    ctx = l.ctx
+    lam = l.gen
+    reps = [Mat2(ctx.one, k, ctx.zero, lam) for k in ResidueSystem(l).reps]
+    return reps + [Mat2(lam, ctx.zero, ctx.zero, ctx.one)]
+
+
 def hecke_rows(l, cc):
     """Summed exponents of the T_l quotients of every Schreier generator.
 
-    For each Schreier generator gamma and representative delta_i, the
-    coset of delta_i * gamma is located at the level of cc and the
-    quotient in the level group is expressed by the Euclidean descent;
-    the permutation of the representatives must be a bijection.
+    For each Schreier generator gamma and representative delta_i of
+    hecke_reps, the coset of delta_i * gamma is located at the level of
+    cc by the scan over all representatives (locate_right_coset), and
+    the quotient in the level group is expressed by the Euclidean
+    descent; the permutation of the representatives must be a bijection.
     """
     from bianchicoh.errors import PermutationFailure
-    from bianchicoh.hecke import hecke_cosets
 
-    hc = hecke_cosets(l, cc.level)
-    nreps = len(hc.reps)
+    reps = hecke_reps(l)
     ev_rows = []
     for _, gamma in cc.sgens:
         row = {}
         sigma = []
-        for di in hc.reps:
-            j, quot = locate_right_coset(hc, di * gamma)
+        for di in reps:
+            j, quot = locate_right_coset(reps, l.gen, cc.level, di * gamma)
             sigma.append(j)
             for k, v in cc.express(quot).items():
                 row[k] = row.get(k, 0) + v
-        if sorted(sigma) != list(range(nreps)):
+        if sorted(sigma) != list(range(len(reps))):
             raise PermutationFailure("coset permutation is not a bijection")
         ev_rows.append(row)
     return ev_rows
@@ -899,13 +910,19 @@ def abelianized_relators(p):
     return rows
 
 
-def locate_right_coset(hc, x):
-    """hecke._locate on a Mat2: (j, gamma) with x = gamma * reps[j]."""
-    from bianchicoh.hecke import _locate
-    from bianchicoh.qfield import Mat2
+def locate_right_coset(reps, lam, level, x):
+    """(j, gamma) with x = gamma * reps[j] and gamma in Gamma_0(level).
 
-    j, quot = _locate(hc, x.coords())
-    return j, Mat2.from_coords(hc.l.ctx, quot)
+    The one index of scan_right_cosets, with its quotient from
+    quotient_full; PermutationFailure unless exactly one representative
+    is hit.
+    """
+    from bianchicoh.errors import PermutationFailure
+
+    hits = scan_right_cosets(reps, lam, level, x)
+    if len(hits) != 1:
+        raise PermutationFailure(f"{x} lies in {len(hits)} right cosets")
+    return hits[0], quotient_full(x, reps[hits[0]], lam, level)
 
 
 class Cusp:
@@ -1016,9 +1033,11 @@ def parabolic_by_cusps(space, cusp_list=None):
     For every cusp g infinity (default: cusps_by_divisors) and both
     Z-basis vectors xi of its width ideal, g T_xi g^-1 is expressed in
     the Schreier generators, and the classes killing all of them are
-    kept.
+    kept: the right kernel of the transposed values of the basis on the
+    conditions, carried back to H^1 and reduced.
     """
-    from bianchicoh.cohom import PARABOLIC, _restrict_rows
+    from bianchicoh.cohom import PARABOLIC, CohomSubspace
+    from bianchicoh.modlinalg import kernel_basis, rref, sparse_values
     from bianchicoh.qfield import Mat2
 
     cc = space.cc
@@ -1030,4 +1049,6 @@ def parabolic_by_cusps(space, cusp_list=None):
             xi = cusp.width_gen * mult
             m = cusp.gmat * Mat2(ctx.one, xi, ctx.zero, ctx.one) * gi
             conds.append(cc.express(m))
-    return _restrict_rows(space, conds, PARABOLIC)
+    coords = kernel_basis(sparse_values(space.basis, conds).transpose())
+    return CohomSubspace(cc, space.q, rref(coords @ space.basis)[0],
+                         PARABOLIC)

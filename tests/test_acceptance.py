@@ -18,6 +18,7 @@ import numpy as np
 from bianchicoh.cohom import h1, parabolic, unit_invariants
 from bianchicoh.degmaps import alpha, kernel, restriction_map, twisted_map
 from bianchicoh.hecke import (
+    _locate,
     eisenstein_check,
     gamma01_cosets,
     hecke_cosets,
@@ -147,18 +148,19 @@ def test_acceptance_1_hecke_partition():
         ctx = field(d)
         n = parse_ideal(ctx, n_text)
         l = parse_ideal(ctx, l_text)
-        hc = hecke_cosets(l, n)
-        assert len(hc) == l.norm() + 1, (d, l_text)
+        reps = [Mat2.from_coords(ctx, t) for t in hecke_cosets(l, n)]
+        assert len(reps) == l.norm() + 1, (d, l_text)
         # each representative locates itself, so the cosets are disjoint
-        for j, rep in enumerate(hc.reps):
-            assert locate_right_coset(hc, rep)[0] == j
+        for j, rep in enumerate(reps):
+            assert locate_right_coset(reps, l.gen, n, rep)[0] == j
         cc = CongCtx(n, ctx)
         mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
         for _ in range(500):
             x = _random_member(cc, rng, 4) * mid * _random_member(cc, rng, 4)
-            j, quot = locate_right_coset(hc, x)  # raises unless in a coset
-            assert 0 <= j < len(hc)
-            assert quot * hc.reps[j] == x
+            # the scan raises unless x lies in exactly one coset
+            j, quot = locate_right_coset(reps, l.gen, n, x)
+            assert quot * reps[j] == x
+            assert _locate(l, x.coords())[0] == j
 
 
 @criterion(2, "injectivity of the level-raising restriction")

@@ -6,6 +6,9 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 BASE = [sys.executable, "-m", "bianchicoh.cli"]
 
@@ -386,6 +389,14 @@ FROZEN_INSPECT_SHA256 = {
         7: "a89073738f6d9d64046276152a2115d2f4cf61abe6520b2c2090ae8f88b056fa",
         11: "89318ef9c24e55c140a4676ef2b38994f50e2d0fbf83c79259773a60f1a30f9c",
     },
+    # recorded while the representatives were still Mat2 objects
+    "cosets": {
+        1: "5406cf7669fca59931bbd7c28dcf2363be7b7a38047aca7947e1976691c6a7cb",
+        2: "ea8ab6e2f5bc314f3adf8212e33f77bc8ec26cd12c8e36817ce5321f3327b7c0",
+        3: "eb268800bfa05f6cf80cbd656d27a5c4a178018162cbb8f9751c6f0f8cd8099b",
+        7: "5fc309b43a8ef932dd95575255439e77e2a64383639869001c9ce2c993323563",
+        11: "1c7e7e1c5aecb3e1b97b8b989aac8cf920c19efbf30c80a681efeaca23324178",
+    },
 }
 
 
@@ -413,3 +424,62 @@ def test_inspect_dims_frozen_at_norm_5041():
         "h1": 22, "h1_parabolic": 20, "h1_parabolic_unit": 8,
     }
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == DIMS_71_SHA256
+
+
+def test_failed_cusp_certificate_is_not_a_rejected_input(monkeypatch):
+    """An open cusp loop is an internal failure, not exit code 2.
+
+    Exit 2 means the input violates a named hypothesis; a walk-closure
+    certificate that fails raises ConstructionFailure, which cli.main
+    does not turn into an exit code.
+    """
+    from bianchicoh import cli, cohom
+    from bianchicoh.errors import ConstructionFailure
+
+    real = cohom.cusps
+
+    def lengthened(cc):
+        out = real(cc)
+        x, loop_t, loop_u = out[1]
+        out[1] = (x, loop_t + [(cc.pres.t_id, 1)], loop_u)
+        return out
+
+    monkeypatch.setattr(cohom, "cusps", lengthened)
+    with pytest.raises(ConstructionFailure,
+                       match="cusp loop at coset 1 did not close"):
+        cli.main(["inspect", "dims", "--field-d", "2",
+                  "--level", "(19+7*w)"])
+
+
+# Installs the benchmark tracer, which wraps package names where the
+# calling module binds them, and runs one traced inspect dims call.
+_TRACED_DIMS = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+from tracing import Tracer
+from bianchicoh import cli
+tracer = Tracer()
+tracer.install()
+argv = ["inspect", "dims", "--field-d", "2", "--level", "(3+1*w)"]
+tracer.begin_call(argv)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(argv)
+tracer.end_call(0.0)
+print(json.dumps({"rc": rc, "missing": tracer.summary()["missing"]}))
+"""
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """The tracer finds every package name that bench/tracing.py reads.
+
+    A missing name leaves its per-layer metrics out of a traced run;
+    this catches a rename or deletion in the Tier-1 run.
+    """
+    root = Path(__file__).resolve().parent.parent
+    r = subprocess.run(
+        [sys.executable, "-c", _TRACED_DIMS, str(root / "bench"),
+         str(root / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == {"rc": 0, "missing": []}

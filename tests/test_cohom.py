@@ -16,7 +16,7 @@ from bianchicoh.cohom import (
     unit_invariants,
     unit_letter_table,
 )
-from bianchicoh.errors import BadModulus, ConstructionFailure, NotInSubgroup
+from bianchicoh.errors import BadModulus, ConstructionFailure
 from bianchicoh.ideals import enumerate_ideals, parse_ideal
 from bianchicoh.modlinalg import coordinates_in_rowspace
 from bianchicoh.qfield import Mat2, field
@@ -325,7 +325,7 @@ def test_mutated_cusp_loops_do_not_close(monkeypatch):
                (loop_t + [t], loop_u), (loop_t, loop_u + [t])]
     for a, b in mutants:
         monkeypatch.setattr(cohom, "cusps", lambda cc: [orbits[0], (x, a, b)])
-        with pytest.raises(NotInSubgroup):
+        with pytest.raises(ConstructionFailure):
             parabolic(full)
 
 

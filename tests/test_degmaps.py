@@ -24,9 +24,9 @@ from bianchicoh.degmaps import (
 )
 from bianchicoh.errors import (
     BadModulus,
+    ConstructionFailure,
     FieldMismatch,
     LevelMismatch,
-    NotInSubgroup,
     PermutationFailure,
     ProjectionFailure,
     ShapeMismatch,
@@ -100,7 +100,7 @@ def test_twisted_map_checks_the_prime_generator():
         _, _, _, src = _layers(d, n_text, q)
         _, _, _, dst = _layers(d, _product_level(d, n_text, p_text), q)
         pi = p.gen
-        delta = hecke_cosets(p, PIdeal(ctx.one)).coords[-1]
+        delta = hecke_cosets(p, PIdeal(ctx.one))[-1]
         assert delta == (pi.a, pi.b, 0, 0, 0, 0, 1, 0)
         assert len(hecke_letter_table(p)) == p.norm() + 1
         tm = twisted_map(src, dst)
@@ -282,7 +282,8 @@ def test_wrong_twist_table_entry_is_caught(monkeypatch):
                     monkeypatch.setattr(degmaps, "hecke_letter_table",
                                         lambda _: bad)
                     if (j, letter) in read:
-                        with pytest.raises((NotInSubgroup, PermutationFailure)):
+                        with pytest.raises((ConstructionFailure,
+                                            PermutationFailure)):
                             twisted_map(src, dst)
                         caught += 1
                     else:
@@ -299,7 +300,7 @@ def test_corrupted_level_n_walk_table_fails_the_restriction():
         restriction_map(src, dst)
         nxt, _ = src.cc._moves[src.cc.pres.t_id][1]
         nxt[0], nxt[1] = nxt[1], nxt[0]
-        with pytest.raises(NotInSubgroup):
+        with pytest.raises(ConstructionFailure):
             restriction_map(src, dst)
 
 

@@ -27,7 +27,6 @@ from bianchicoh.errors import (
     ShapeMismatch,
 )
 from bianchicoh.hecke import (
-    HeckeCosets,
     eisenstein_check,
     gamma01_cosets,
     hecke_cosets,
@@ -41,7 +40,7 @@ from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element, xgcd
 from bianchicoh.schreier import CongCtx
 import oracles
-from oracles import locate_right_coset, quotient_full, scan_right_cosets
+from oracles import quotient_full, scan_right_cosets
 
 # the acceptance A-configuration level of each field
 A_LEVELS = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
@@ -54,6 +53,18 @@ def _random_member(cc, rng, nsteps=5):
         _, g = cc.sgens[rng.randrange(len(cc.sgens))]
         m = m * (g if rng.random() < 0.5 else g.inv_det_one())
     return m
+
+
+def _reps(l):
+    """The representatives of hecke_cosets(l) as Mat2 objects."""
+    return [Mat2.from_coords(l.ctx, t)
+            for t in hecke_cosets(l, PIdeal(l.ctx.one))]
+
+
+def _locate(l, x):
+    """hecke._locate on a Mat2: (j, gamma) with x = gamma * reps[j]."""
+    j, quot = hecke._locate(l, x.coords())
+    return j, Mat2.from_coords(l.ctx, quot)
 
 
 def _unit_space(d, level_text, q):
@@ -85,15 +96,15 @@ def test_kernel_line_certificate_agrees_with_the_pairwise_judge():
         ctx = field(d)
         unit = PIdeal(ctx.one)
         for l in primes_by_norm(ctx, 50):
-            hc = hecke_cosets(l, unit)
-            assert len(hc) == l.norm() + 1
-            assert oracles.shared_right_cosets(hc.reps, l.gen, unit) == []
-            hecke._check_kernel_lines(l, hc.coords)
+            coords = hecke_cosets(l, unit)
+            assert len(coords) == l.norm() + 1
+            assert oracles.shared_right_cosets(_reps(l), l.gen, unit) == []
+            hecke._check_kernel_lines(l, coords)
 
 
 def _coset_mutants(l):
     """(name, coords) of representative lists that share a right coset."""
-    coords = list(hecke_cosets(l, PIdeal(l.ctx.one)).coords)
+    coords = list(hecke_cosets(l, PIdeal(l.ctx.one)))
     l0, l1 = l.gen.a, l.gen.b
     out = []
     # [[1, k'], [0, lambda]] with k' = k + lambda, next to k itself
@@ -126,7 +137,7 @@ def test_kernel_line_certificate_catches_shared_cosets():
             # I and [[1, 1], [0, 1]] share a right coset of GL_2(O) but
             # their top rows give distinct lines; neither kills its line
             # mod lambda, which is what rejects them
-            coords = hecke_cosets(l, unit).coords
+            coords = list(hecke_cosets(l, unit))
             with pytest.raises(ConstructionFailure, match="does not kill"):
                 hecke._check_kernel_lines(
                     l, [(1, 0, 0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 0, 0, 1, 0)]
@@ -140,13 +151,13 @@ def test_double_coset_elements_land_in_one_right_coset():
     level = parse_ideal(ctx, "(2+1*w)")
     cc = CongCtx(level, ctx)
     l = parse_ideal(ctx, "(1+1*w)")
-    hc = hecke_cosets(l, level)
+    reps = _reps(l)
     mid = Mat2(ctx.one, ctx.zero, ctx.zero, l.gen)
     for _ in range(50):
         x = _random_member(cc, rng) * mid * _random_member(cc, rng)
-        j, quot = locate_right_coset(hc, x)
-        assert 0 <= j < len(hc)
-        assert quot * hc.reps[j] == x
+        j, quot = _locate(l, x)
+        assert 0 <= j < len(reps)
+        assert quot * reps[j] == x
 
 
 def _random_gamma0(ctx, level, rng, nsteps=4):
@@ -167,11 +178,11 @@ def test_locator_agrees_with_scan_in_all_fields():
         level = parse_ideal(ctx, level_text)
         for l in [l for l in primes_by_norm(ctx, 30)
                   if l.is_coprime(level)][:2]:
-            hc = hecke_cosets(l, level)
+            reps = _reps(l)
             lam = l.gen
             branches = set()
             for _ in range(60):
-                delta = hc.reps[rng.randrange(len(hc))]
+                delta = reps[rng.randrange(len(reps))]
                 x = (_random_gamma0(ctx, level, rng) * delta
                      * _random_gamma0(ctx, level, rng))
                 if not l.contains(x.a):
@@ -180,25 +191,39 @@ def test_locator_agrees_with_scan_in_all_fields():
                     branches.add("k = d/c")
                 else:
                     branches.add("diag(lambda, 1)")
-                j, quot = locate_right_coset(hc, x)
-                assert scan_right_cosets(hc.reps, lam, level, x) == [j]
-                assert quot * hc.reps[j] == x
+                j, quot = _locate(l, x)
+                assert scan_right_cosets(reps, lam, level, x) == [j]
+                assert quot * reps[j] == x
                 assert quot.det().is_one() and level.contains(quot.c)
             assert branches == {"k = b/a", "k = d/c", "diag(lambda, 1)"}, (
                 d, str(l), branches)
 
 
-def test_locator_rejects_determinant_lambda_outside_double_coset():
+def test_locator_rejects_matrices_outside_the_double_coset():
+    """_locate raises off the double coset of diag(1, lambda) in SL_2(O).
+
+    It tests no level: a matrix of determinant lambda whose lower-left
+    entry escapes the level lies in no level-N coset but in one
+    level-one coset, and only off the level-one double coset (here
+    determinant lambda^2) does _locate raise.
+    """
     for d, level_text in A_LEVELS.items():
         ctx = field(d)
+        one, zero = ctx.one, ctx.zero
         level = parse_ideal(ctx, level_text)
         l = next(l for l in primes_by_norm(ctx, 30) if l.is_coprime(level))
-        hc = hecke_cosets(l, level)
-        # determinant lambda, but the lower-left entry 1 is not in the level
-        x = Mat2(ctx.one, ctx.zero, ctx.one, l.gen)
-        assert scan_right_cosets(hc.reps, l.gen, level, x) == []
-        with pytest.raises(PermutationFailure):
-            locate_right_coset(hc, x)
+        lam = l.gen
+        reps = _reps(l)
+        x = Mat2(one, zero, one, lam)
+        assert scan_right_cosets(reps, lam, level, x) == []
+        j, quot = _locate(l, x)
+        assert scan_right_cosets(reps, lam, PIdeal(one), x) == [j]
+        assert quot * reps[j] == x
+        for y in (Mat2(lam, zero, zero, lam),
+                  Mat2(one, zero, zero, lam * lam)):
+            assert scan_right_cosets(reps, lam, PIdeal(one), y) == []
+            with pytest.raises(PermutationFailure):
+                _locate(l, y)
 
 
 def test_gamma01_cosets_count_and_level():
@@ -367,41 +392,42 @@ def test_inverse_table_agrees_with_xgcd():
         ctx = field(d)
         for l in primes_by_norm(ctx, 50):
             res = ResidueSystem(l)
-            hc = HeckeCosets(l, PIdeal(ctx.one), [], res)
-            assert hc.inverse[0] is None and res.reps[0].is_zero()
+            inverse = hecke._prime_cosets(l)[1]
+            assert inverse[0] is None and res.reps[0].is_zero()
             for i, x in enumerate(res.reps[1:], start=1):
-                y = res.reps[hc.inverse[i]]
+                y = res.reps[inverse[i]]
                 assert y == res.reduce(xgcd(x, l.gen)[1]), (d, str(l), x)
                 assert res.reduce(x * y).is_one()
 
 
 def test_narrowed_quotient_agrees_with_the_full_division():
+    """At level one, the two-entry quotient equals quotient_full."""
     rng = random.Random(53)
     for d, level_text in A_LEVELS.items():
         ctx = field(d)
         level = parse_ideal(ctx, level_text)
+        unit = PIdeal(ctx.one)
         for l in [l for l in primes_by_norm(ctx, 30)
                   if l.is_coprime(level)][:2]:
-            hc = hecke_cosets(l, level)
+            reps = _reps(l)
             lam = l.gen
 
             def narrowed(x, dj):
-                got = hecke._quotient_in_gamma0(x.coords(), dj.coords(),
-                                                lam, level)
+                got = hecke._quotient_in_gamma0(x.coords(), dj.coords(), lam)
                 return None if got is None else Mat2.from_coords(ctx, got)
 
-            for di in hc.reps:
-                for dj in hc.reps:
+            for di in reps:
+                for dj in reps:
                     assert (narrowed(di, dj)
-                            == quotient_full(di, dj, lam, level))
+                            == quotient_full(di, dj, lam, unit))
             hits = 0
             for _ in range(40):
-                delta = hc.reps[rng.randrange(len(hc))]
+                delta = reps[rng.randrange(len(reps))]
                 x = (_random_gamma0(ctx, level, rng) * delta
                      * _random_gamma0(ctx, level, rng))
-                for dj in hc.reps:
+                for dj in reps:
                     got = narrowed(x, dj)
-                    assert got == quotient_full(x, dj, lam, level)
+                    assert got == quotient_full(x, dj, lam, unit)
                     hits += got is not None
             assert hits == 40  # each x lies in exactly one right coset
 
@@ -484,15 +510,15 @@ def test_table_word_must_give_its_quotient(monkeypatch):
 def test_table_quotient_must_carry_its_representative():
     ctx = field(7)
     l = parse_ideal(ctx, "(1-1*w)")
-    hc = hecke_cosets(l, PIdeal(ctx.one))
+    coords = hecke_cosets(l, PIdeal(ctx.one))
     p = schreier.builtin_presentation(ctx)
 
     def wrong_index(x):
-        k, w = hecke._locate(hc, x)
-        return (k + 1) % len(hc.reps), w
+        k, w = hecke._locate(l, x)
+        return (k + 1) % len(coords), w
 
     with pytest.raises(ConstructionFailure):
-        schreier.letter_table(hc.coords, p, wrong_index)
+        schreier.letter_table(coords, p, wrong_index)
 
 
 def test_wrong_table_index_is_caught():
@@ -508,7 +534,8 @@ def test_wrong_table_index_is_caught():
     l = parse_ideal(ctx, "(1+1*w)")
     table = hecke.hecke_letter_table(l)
     want = oracles.hecke_matrix(l, full)
-    assert MatQ(5, letter_table_operator(full, full, table, "Hecke image")) == want
+    assert letter_table_operator(full, full, lambda: table,
+                                 "Hecke image").mat == want
     read = {cc.tree_edge[y][1] for y in cc.tree_order[1:]}
     read |= {(gid, 1) for gid in range(cc.pres.gen_count)}
     nreps = len(table)
@@ -518,13 +545,15 @@ def test_wrong_table_index_is_caught():
             bad = _copy_table(table)
             bad[j][letter] = ((k + 1) % nreps, letters)
             if letter in read:
-                with pytest.raises((NotInSubgroup, PermutationFailure,
+                with pytest.raises((ConstructionFailure, PermutationFailure,
                                     ProjectionFailure)):
-                    letter_table_operator(full, full, bad, "Hecke image")
+                    letter_table_operator(full, full, lambda: bad,
+                                          "Hecke image")
                 caught += 1
             else:
-                got = letter_table_operator(full, full, bad, "Hecke image")
-                assert MatQ(5, got) == want
+                got = letter_table_operator(full, full, lambda: bad,
+                                            "Hecke image")
+                assert got.mat == want
     assert caught >= nreps * len(read) > 0
 
 
@@ -538,8 +567,8 @@ def test_corrupted_table_word_fails_the_closure():
         bad = _copy_table(table)
         k, letters = bad[j][t]
         bad[j][t] = (k, letters + (t,))
-        with pytest.raises(NotInSubgroup):
-            letter_table_operator(full, full, bad, "Hecke image")
+        with pytest.raises(ConstructionFailure):
+            letter_table_operator(full, full, lambda: bad, "Hecke image")
 
 
 def test_colliding_table_index_fails_the_bijection_at_level_one():
@@ -552,7 +581,7 @@ def test_colliding_table_index_fails_the_bijection_at_level_one():
     t = (schreier.builtin_presentation(ctx).t_id, 1)
     bad[0][t] = (bad[1][t][0], bad[0][t][1])
     with pytest.raises(PermutationFailure):
-        letter_table_operator(full, full, bad, "Hecke image")
+        letter_table_operator(full, full, lambda: bad, "Hecke image")
 
 
 def test_letter_table_rejects_representatives_sharing_a_coset():
@@ -577,7 +606,7 @@ def test_letter_table_permutes_the_representatives_and_is_memoized():
             table = hecke.hecke_letter_table(l)
             assert hecke.hecke_letter_table(parse_ideal(ctx, str(l))) is table
             assert len(table) == l.norm() + 1
-            reps = hecke_cosets(l, PIdeal(ctx.one)).reps
+            reps = _reps(l)
             for j, entries in enumerate(table):
                 assert len(entries) == 2 * p.gen_count
                 for (gid, e), (k, letters) in entries.items():

@@ -14,7 +14,6 @@ from bianchicoh.modlinalg import (
     SPARSE_WEIGHT_CAP,
     MatQ,
     coordinates_in_rowspace,
-    fixed_space,
     kernel_basis,
     left_kernel,
     mulmod,
@@ -100,22 +99,27 @@ def test_kernel_of_full_rank_matrix_is_empty():
     assert kernel_basis(m).nrows == 0
 
 
-def test_fixed_space_convention_is_right_eigenvectors():
-    """fixed_space(op) solves op v = v for column vectors v."""
+def test_left_kernel_of_op_minus_identity_is_the_left_fixed_space():
+    """left_kernel(op - I) solves v op = v for row vectors v.
+
+    That is how unit_invariants reads its operator, whose rows are the
+    images of the basis; kernel_basis(op - I) gives the right fixed line.
+    """
     q = 5
     # op maps e1 -> e1 + e2, e2 -> e2 (columns act on the right of op)
     op = MatQ(q, [[1, 0], [1, 1]])
-    fs = fixed_space(op)
+    minus = op - MatQ.identity(q, 2)
+    fs = left_kernel(minus)
     assert fs.nrows == 1
     v = fs.arr[0]
-    assert np.array_equal((op.arr @ v) % q, v)
-    # the transpose has a different fixed line
-    ft = fixed_space(op.transpose())
-    w = ft.arr[0]
-    assert np.array_equal((op.arr.T @ w) % q, w)
+    assert np.array_equal((v @ op.arr) % q, v)
+    right = kernel_basis(minus)
+    assert right.nrows == 1
+    w = right.arr[0]
+    assert np.array_equal((op.arr @ w) % q, w)
     assert not np.array_equal(v, w)
     with pytest.raises(ShapeMismatch):
-        fixed_space(MatQ(q, [[1, 2, 3]]))
+        MatQ(q, [[1, 2, 3]]) - MatQ.identity(q, 1)
 
 
 def test_matpow_matches_repeated_multiplication():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bianchicoh.cohom import h1
-from bianchicoh.errors import NotInSubgroup, NotUnimodular
+from bianchicoh.errors import ConstructionFailure, NotInSubgroup, NotUnimodular
 from bianchicoh.fpres import Word, word_to_matrix
 from bianchicoh.ideals import enumerate_ideals, parse_ideal
 from bianchicoh.projline import P1Table
@@ -368,7 +368,7 @@ def test_corrupted_action_entry_fails_the_generator_certificate(monkeypatch):
         return out
 
     monkeypatch.setattr(P1Table, "action", swapped)
-    with pytest.raises(NotInSubgroup):
+    with pytest.raises(ConstructionFailure):
         CongCtx(level, ctx)
 
 
@@ -379,7 +379,7 @@ def test_corrupted_walk_table_fails_the_relator_closure():
         cc = CongCtx(parse_ideal(ctx, text), ctx)
         nxt, _ = cc._moves[cc.pres.t_id][1]
         nxt[0], nxt[1] = nxt[1], nxt[0]
-        with pytest.raises(NotInSubgroup):
+        with pytest.raises(ConstructionFailure):
             cc._build_relmat()
 
 
@@ -391,12 +391,12 @@ def test_corrupted_tree_tuple_fails_the_generator_certificate():
         good = cc._tcoords[y]
         # an element of SL_2(O) in the wrong coset
         cc._tcoords[y] = cc._tcoords[z]
-        with pytest.raises(NotInSubgroup):
+        with pytest.raises(ConstructionFailure):
             cc._build_sgens()
         # a matrix of determinant 2
         cc._tcoords[y] = tuple(2 * v if k < 4 else v
                                for k, v in enumerate(good))
-        with pytest.raises(NotInSubgroup):
+        with pytest.raises(ConstructionFailure):
             cc._build_sgens()
         cc._tcoords[y] = good
         cc._build_sgens()
