@@ -260,6 +260,7 @@ class _Timer:
 
 
 def _spaces(level, ctx, q):
+    q = CoefficientModulus(q)  # rejects a bad modulus before the build
     full = h1(CongCtx(level, ctx), q)
     par = parabolic(full)
     return full, par, unit_invariants(par)

@@ -6,24 +6,27 @@ lambda]] over a residue system mod l, plus diag(lambda, 1).  Applying a
 class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
 the operator on functionals.
 
-The representatives do not depend on the level.  _prime_cosets builds
-them once per prime as one tuple of 8-int coordinate tuples
-(Mat2.coords), k running over the box of l.hnf(), and certifies them by
-the kernel-line lemma (_check_kernel_lines): if delta_i = gamma *
-delta_j with gamma in GL_2(O), then gamma is invertible mod lambda, so
-delta_i and delta_j kill the same line of (O/lambda)^2.  The lines are
-(-k : 1) for [[1, k], [0, lambda]] and (1 : 0) for diag(lambda, 1);
-each is checked to be killed by its representative, and the N(l)+1
-lines to be pairwise distinct.  So no two representatives share a right
-coset of GL_2(O), nor of any level group inside it, in O(N(l)) steps.
-hecke_cosets(l, level) only checks that l is prime and coprime to the
-level and returns those coordinates.
+Every coset certificate and lookup here runs through one rule, the
+normalization of P^1(O/l) (projline.p1_table(l).index_of): _coset_points
+maps one pair (c : d) per representative to its point, rejects a
+repeated point and a wrong count (N(l)+1 for a prime l), and returns
+by_point, point index -> representative index.  It has three callers.
 
-_locate reads the coset of x off x mod lambda (k = b/a, or d/c, or
-diag(lambda, 1)), with inverses mod lambda from the table that
-_prime_cosets builds by one batch inversion (ideals.inverses_mod), and
-certifies the one candidate by an exact division whose quotient must
-have a unit determinant (_quotient_in_gamma0).
+The T_l representatives, [[1, k], [0, lambda]] for k over the box of
+l.hnf() and diag(lambda, 1), are built as coordinate tuples
+(Mat2.coords) and certified once per prime (_prime_cosets) by the
+kernel-line lemma (_check_kernel_lines): if delta_i = gamma * delta_j
+with gamma in GL_2(O), both kill one line of (O/lambda)^2, which is
+(-b : a), or (-d : c) for a top row 0 mod lambda, once delta is nonzero
+and singular mod lambda.  So distinct lines give distinct right cosets
+at every level, in O(N(l)) steps; hecke_cosets(l, level) only validates
+l.  _locate reads the one candidate j = by_point[line of x] by the same
+lemma and certifies it by an exact division with a unit determinant
+(_quotient_in_gamma0); a matrix 0 mod lambda raises PermutationFailure.
+
+gamma01_cosets uses the bottom-row lemma (_check_bottom_rows): for
+determinant-1 elements of the level N group, gamma_i * gamma_j^{-1}
+lies at level N*p iff their bottom rows are one point of P^1(O/p).
 
 T_l is driven by a level-one letter table, built lazily and kept once
 per prime: for each representative delta_j and each ambient letter
@@ -61,6 +64,7 @@ from .errors import (
     ExhaustedSearch,
     NotCoprimeToLevel,
     NotPrime,
+    NotProjectivePoint,
     NotStable,
     PermutationFailure,
     ShapeMismatch,
@@ -69,11 +73,11 @@ from .fpres import builtin_presentation
 from .ideals import (
     PIdeal,
     format_ideal,
-    inverses_mod,
     prime_residue_reps_in_ideal,
     primes_by_norm,
 )
 from .modlinalg import MatQ, block_diag2, project_rows, rref
+from .projline import p1_table
 from .qfield import Mat2, QuadInt, divmod_coords, xgcd
 from .schreier import letter_table
 
@@ -123,7 +127,48 @@ def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt):
     return (a0, a1, b0, b1, c0, c1, d0, d1)
 
 
-def _check_kernel_lines(l: PIdeal, coords: list[tuple]) -> None:
+def _coset_points(l: PIdeal, reps, point_of) -> list[int]:
+    """by_point[i] = the index of the representative at point i of P^1(O/l).
+
+    point_of(rep) gives the coordinates (c0, c1, d0, d1) of its pair
+    (c : d).  The points must be pairwise distinct and as many as
+    P^1(O/l) has; a pair 0 mod l is no point.  ConstructionFailure
+    otherwise.
+    """
+    table = p1_table(l)
+    if len(reps) != len(table):
+        raise ConstructionFailure(
+            f"expected {len(table)} representatives, built {len(reps)}"
+        )
+    by_point = [None] * len(table)
+    for j, rep in enumerate(reps):
+        try:
+            i = table.index_of(*point_of(rep))
+        except NotProjectivePoint:
+            raise ConstructionFailure(
+                f"representative {j} is 0 mod {l}") from None
+        if by_point[i] is not None:
+            raise ConstructionFailure(
+                f"representatives {by_point[i]} and {j} share a point of "
+                f"P^1(O/{l}), and so a right coset"
+            )
+        by_point[i] = j
+    return by_point
+
+
+def _kernel_line(l: PIdeal, x: tuple) -> tuple:
+    """(-b : a) for x = [[a, b], [c, d]], or (-d : c) when l divides a and b.
+
+    It spans the kernel of x mod lambda when x is nonzero and singular.
+    """
+    ctx = l.ctx
+    a0, a1, b0, b1, c0, c1, d0, d1 = x
+    if l.contains(QuadInt(ctx, a0, a1)) and l.contains(QuadInt(ctx, b0, b1)):
+        return -d0, -d1, c0, c1
+    return -b0, -b1, a0, a1
+
+
+def _check_kernel_lines(l: PIdeal, coords) -> list[int]:
     """Certify that the representatives lie in distinct right cosets.
 
     Kernel-line lemma: take delta_i = gamma * delta_j with gamma in
@@ -133,76 +178,35 @@ def _check_kernel_lines(l: PIdeal, coords: list[tuple]) -> None:
     right cosets of GL_2(O), and hence of every level group contained
     in it, at every level at once.
 
-    The line of each representative comes from its first row that is
-    nonzero mod lambda, (x, y) -> (-y : x), normalized to (-y/x : 1) or
-    (1 : 0).  It is certified by delta != 0 and delta * v = 0 (mod
-    lambda): over the field O/lambda that makes v span the kernel.  The
-    lines must be pairwise distinct (a set) and N(l) + 1 in number.
-    ConstructionFailure otherwise.
+    The lemma needs each representative nonzero and singular mod lambda,
+    so that its kernel is a line.  det in (lambda) says that delta kills
+    (-b : a), and a zero top row leaves (-d : c) killed; a P^1 index
+    alone would accept I and [[1, 1], [0, 1]].  _coset_points rejects a
+    representative 0 mod lambda, a repeated line and a wrong count.
     """
     ctx = l.ctx
-    nw = ctx.norm_w
-    sh = 1 if ctx.shifted else 0
-    p, q, r = l.hnf()
-    zero = (0, 0)
-
-    def red(x0, x1):
-        """x0 + x1*w reduced into the box of ResidueSystem(l)."""
-        k = x1 // r
-        return (x0 - k * q) % p, x1 - k * r
-
-    def mul(x, y):
-        be = x[1] * y[1]
-        return red(x[0] * y[0] - nw * be, x[0] * y[1] + x[1] * y[0] + sh * be)
-
-    if len(coords) != l.norm() + 1:
-        raise ConstructionFailure(
-            f"expected {l.norm() + 1} representatives, built {len(coords)}"
-        )
-    lines = set()
-    for j, (a0, a1, b0, b1, c0, c1, d0, d1) in enumerate(coords):
-        a, b, c, d = red(a0, a1), red(b0, b1), red(c0, c1), red(d0, d1)
-        x, y = (a, b) if a != zero or b != zero else (c, d)
-        if x != zero:
-            xi = (1, 0) if x == (1, 0) else inverses_mod(l, [x])[0]
-            v = (mul((-y[0], -y[1]), xi), (1, 0))
-        elif y != zero:
-            v = ((1, 0), zero)
-        else:
-            raise ConstructionFailure(f"representative {j} is 0 mod {l}")
-        for e, f in ((a, b), (c, d)):
-            s, t = mul(e, v[0]), mul(f, v[1])
-            if red(s[0] + t[0], s[1] + t[1]) != zero:
-                raise ConstructionFailure(
-                    f"representative {j} does not kill its line mod {l}"
-                )
-        if v in lines:
+    for j, x in enumerate(coords):
+        if not l.contains(Mat2.from_coords(ctx, x).det()):
             raise ConstructionFailure(
-                f"representative {j} shares its kernel line mod {l}, "
-                f"and so its right coset, with an earlier one"
+                f"representative {j} does not kill its line mod {l}"
             )
-        lines.add(v)
+    return _coset_points(l, coords, lambda x: _kernel_line(l, x))
 
 
 @lru_cache(maxsize=None)
-def _prime_cosets(l: PIdeal) -> tuple[tuple, tuple]:
-    """Certified representatives of T_l and inverses mod l, once per prime.
+def _prime_cosets(l: PIdeal) -> tuple[tuple, list[int]]:
+    """Certified representatives of T_l and their by_point, once per prime.
 
     With l.hnf() = (p, q, r), coords[i] = [[1, k], [0, lambda]] for the
     residue k = (i % p) + (i // p)*w of the box, i < N(l) = p*r, and
-    coords[-1] = diag(lambda, 1); _check_kernel_lines proves at every
-    level what a pairwise coset check would.  inverse[i] is the box
-    index of the inverse mod lambda of residue i (None for 0), all from
-    one batch inversion.  Both are tuples, since every caller shares
-    them.
+    coords[-1] = diag(lambda, 1); by_point[i] is the representative
+    whose kernel line is point i of P^1(O/l).  Every caller shares both.
     """
     p, _, r = l.hnf()
     l0, l1 = l.gen.a, l.gen.b
     coords = tuple((1, 0, i % p, i // p, 0, 0, l0, l1) for i in range(p * r))
     coords += ((l0, l1, 0, 0, 0, 0, 1, 0),)
-    _check_kernel_lines(l, coords)
-    inverses = inverses_mod(l, [(i % p, i // p) for i in range(1, p * r)])
-    return coords, (None, *(a + b * p for a, b in inverses))
+    return coords, _check_kernel_lines(l, coords)
 
 
 def hecke_cosets(l: PIdeal, level: PIdeal) -> tuple:
@@ -221,46 +225,39 @@ def hecke_cosets(l: PIdeal, level: PIdeal) -> tuple:
 def _locate(l: PIdeal, x: tuple) -> tuple[int, tuple]:
     """(j, gamma) with x = gamma * hecke_cosets(l)[j] and gamma in GL_2(O).
 
-    x and gamma are coordinate tuples.  x = [[a, b], [c, d]] lies in the
-    coset of [1, k; 0, lambda] exactly when (b, d) = k * (a, c) mod
-    lambda, and in that of diag(lambda, 1) exactly when lambda divides a
-    and c.  So k = b / a when lambda does not divide a, and k = d / c
-    when it divides a but not c; the inverse mod the prime lambda comes
-    from the table of _prime_cosets.  The single candidate is certified
-    by exact division; PermutationFailure means x is not in the double
-    coset.
+    x and gamma are coordinate tuples.  The one candidate j is by_point
+    at the kernel line of x (kernel-line lemma), certified by exact
+    division (_quotient_in_gamma0); PermutationFailure means x is not in
+    the double coset, as when x is 0 mod lambda.
     """
-    coords, inverse = _prime_cosets(l)
-    ctx = l.ctx
-    nw = ctx.norm_w
-    sh = 1 if ctx.shifted else 0
-    p, q, r = l.hnf()
-    a0, a1, b0, b1, c0, c1, d0, d1 = x
-
-    def index(y0, y1):
-        """Box index of the residue of y0 + y1*w."""
-        k = y1 // r
-        return (y1 - k * r) * p + (y0 - k * q) % p
-
-    def ratio(y0, y1, i):
-        """Box index of y / z, with z the residue of index i != 0."""
-        zi = inverse[i]
-        z0, z1 = zi % p, zi // p
-        be = y1 * z1
-        return index(y0 * z0 - nw * be, y0 * z1 + y1 * z0 + sh * be)
-
-    i = index(a0, a1)
-    if i:
-        j = ratio(b0, b1, i)
+    coords, by_point = _prime_cosets(l)
+    try:
+        j = by_point[p1_table(l).index_of(*_kernel_line(l, x))]
+    except NotProjectivePoint:
+        quot = None
     else:
-        i = index(c0, c1)
-        j = ratio(d0, d1, i) if i else len(coords) - 1
-    quot = _quotient_in_gamma0(x, coords[j], l.gen)
+        quot = _quotient_in_gamma0(x, coords[j], l.gen)
     if quot is None:
         raise PermutationFailure(
-            f"{Mat2.from_coords(ctx, x)} lies in no right coset of T_{l}"
+            f"{Mat2.from_coords(l.ctx, x)} lies in no right coset of T_{l}"
         )
     return j, quot
+
+
+def _check_bottom_rows(levelN: PIdeal, p: PIdeal, reps: list[Mat2]) -> None:
+    """Certify reps as the right cosets of the level N*p group in level N.
+
+    Bottom-row lemma: for gamma_i, gamma_j of determinant 1 in the level
+    N group, the lower-left entry of gamma_i * gamma_j^{-1} is
+    c_i*d_j - d_i*c_j.  It lies in N already, so it lies in N*p iff it
+    lies in p (N and p are coprime), iff (c_i : d_i) = (c_j : d_j) in
+    P^1(O/p).  So with det = 1 and c in N checked, N(p)+1 distinct
+    bottom-row points give all N(p)+1 right cosets.
+    """
+    for i, g in enumerate(reps):
+        if not (g.det().is_one() and levelN.contains(g.c)):
+            raise ConstructionFailure(f"representative {i} escapes level {levelN}")
+    _coset_points(p, reps, lambda g: (g.c.a, g.c.b, g.d.a, g.d.b))
 
 
 def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
@@ -268,7 +265,8 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
 
     The N(p) unipotents [1,0;k,1] with k running over a residue system
     of O/p lying inside N, plus one matrix [s,-t;C,D] with C generating
-    N, D generating p, and s*D + t*C = 1.
+    N, D generating p, and s*D + t*C = 1; certified by their bottom rows
+    (_check_bottom_rows), in O(N(p)) steps.
     """
     if not p.is_prime():
         raise NotPrime(f"{p} is not a prime ideal")
@@ -287,19 +285,7 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
             f"generators of {levelN} and {p} are not coprime"
         )
     reps.append(Mat2(s, -t, big_c, big_d))
-    levelNp = levelN * p
-    for i, gi in enumerate(reps):
-        if not (gi.det().is_one() and levelN.contains(gi.c)):
-            raise ConstructionFailure(f"representative {i} escapes level {levelN}")
-        for j, gj in enumerate(reps):
-            if i != j and levelNp.contains((gi * gj.inv_det_one()).c):
-                raise ConstructionFailure(
-                    f"representatives {i} and {j} share a coset at level {levelNp}"
-                )
-    if len(reps) != p.norm() + 1:
-        raise ConstructionFailure(
-            f"expected {p.norm() + 1} representatives, built {len(reps)}"
-        )
+    _check_bottom_rows(levelN, p, reps)
     return reps
 
 

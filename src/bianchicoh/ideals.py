@@ -12,6 +12,7 @@ polynomial of w mod p.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterator
 
 from .errors import (
@@ -175,15 +176,19 @@ class ResidueSystem:
         self.modulus = modulus
         self.ctx = modulus.ctx
         self._p, self._q, self._r = modulus.hnf()
-        self.reps = [
-            QuadInt(self.ctx, i, j)
-            for j in range(self._r)
-            for i in range(self._p)
-        ]
-        self._index = {(x.a, x.b): k for k, x in enumerate(self.reps)}
 
     def __len__(self):
-        return len(self.reps)
+        return self._p * self._r
+
+    @cached_property
+    def reps(self) -> list[QuadInt]:
+        """The box, built on first use: reduce needs only (p, q, r)."""
+        return [QuadInt(self.ctx, i, j)
+                for j in range(self._r) for i in range(self._p)]
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {(x.a, x.b): k for k, x in enumerate(self.reps)}
 
     def reduce(self, x: QuadInt) -> QuadInt:
         """Canonical representative of x mod the ideal lattice.

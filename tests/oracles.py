@@ -510,6 +510,18 @@ def shared_right_cosets(reps, lam, level):
             if i != j and quotient_full(di, dj, lam, level) is not None]
 
 
+def gamma01_shared_cosets(reps, levelN, p):
+    """Pairs (i, j), i != j, with reps[i] * reps[j]^-1 at level N*p.
+
+    The all-pairs check that gamma01_cosets ran before the bottom-row
+    certificate replaced it: (N(p)+1) * N(p) products of Mat2 objects.
+    Representatives of distinct right cosets give [].
+    """
+    levelNp = levelN * p
+    return [(i, j) for i, gi in enumerate(reps) for j, gj in enumerate(reps)
+            if i != j and levelNp.contains((gi * gj.inv_det_one()).c)]
+
+
 def euclid_word(m, p):
     """Word for m in SL_2(O) by the Euclidean descent on QuadInt objects.
 

@@ -426,6 +426,49 @@ def test_inspect_dims_frozen_at_norm_5041():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == DIMS_71_SHA256
 
 
+# stdout sha256 of inspect cosets and hecke at sizes the A-configurations
+# miss: the d=1 gamma01 cosets at p = (19), residues of O/(l*N) at level
+# norm 5041 and 4225, and T_l with N(l) = 211 on a 1-dimensional space.
+FROZEN_LARGE_SHA256 = [
+    (("cosets", "--field-d", "1", "--level", "(2+1*w)", "--prime", "(19)"),
+     "1e99428924d2b7f993b78e20fb2c0d9ae284d582dd019f1f6c5a57f8d1adf9d5"),
+    (("cosets", "--field-d", "2", "--level", "(71)", "--prime", "(3+7*w)"),
+     "df93f3f1d9fecfa5e3421725859fe579076795cb2e8d2b8b000a78a2def43042"),
+    (("cosets", "--field-d", "2", "--level", "(50+35*w)",
+      "--prime", "(9+4*w)"),
+     "fdcf7b39327cfca6e13a43f496f8fc411ecf416e30ca55e1730c216d70ecfa9a"),
+    (("hecke", "--field-d", "2", "--level", "(3+1*w)", "--prime", "(7+9*w)",
+      "--modulus", "5"),
+     "d9c429d44ffb9cc7310fef158180a28942618b6d50792cc257aceaf715ddaa92"),
+    (("hecke", "--field-d", "7", "--level", "(1+2*w)", "--prime", "(1+10*w)",
+      "--modulus", "5"),
+     "bdbe30105b21b3d2b7b18b088668a624587ba88629270d3fe2a6e96f5468db99"),
+]
+
+
+def test_inspect_reports_frozen_at_large_primes_and_levels():
+    for args, expected in FROZEN_LARGE_SHA256:
+        r = run_cli("inspect", *args)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == expected, args
+
+
+def test_bad_modulus_is_rejected_before_the_level_group_is_built(
+        monkeypatch, capsys):
+    from bianchicoh import cli
+
+    def no_build(*args):
+        raise AssertionError("CongCtx built before the modulus was checked")
+
+    monkeypatch.setattr(cli, "CongCtx", no_build)
+    for what in (["dims"], ["hecke", "--prime", "(1+1*w)"]):
+        for q in ("4", "2147483648"):
+            rc = cli.main(["inspect", *what, "--field-d", "2",
+                           "--level", "(3+1*w)", "--modulus", q])
+            assert rc == 2, (what, q)
+            assert "modulus" in capsys.readouterr().err
+
+
 def test_failed_cusp_certificate_is_not_a_rejected_input(monkeypatch):
     """An open cusp loop is an internal failure, not exit code 2.
 

@@ -35,9 +35,14 @@ from bianchicoh.hecke import (
     ray_trivial_unit,
 )
 from bianchicoh.fpres import Word, word_to_matrix
-from bianchicoh.ideals import PIdeal, ResidueSystem, parse_ideal, primes_by_norm
+from bianchicoh.ideals import (
+    PIdeal,
+    enumerate_ideals,
+    parse_ideal,
+    primes_by_norm,
+)
 from bianchicoh.modlinalg import MatQ
-from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element, xgcd
+from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element
 from bianchicoh.schreier import CongCtx
 import oracles
 from oracles import quotient_full, scan_right_cosets
@@ -142,6 +147,11 @@ def test_kernel_line_certificate_catches_shared_cosets():
                 hecke._check_kernel_lines(
                     l, [(1, 0, 0, 0, 0, 0, 1, 0), (1, 0, 1, 0, 0, 0, 1, 0)]
                     + coords[2:])
+            # lambda * I is singular mod lambda but spans no line there
+            l0, l1 = l.gen.a, l.gen.b
+            with pytest.raises(ConstructionFailure, match="is 0 mod"):
+                hecke._check_kernel_lines(
+                    l, [(l0, l1, 0, 0, 0, 0, l0, l1)] + coords[1:])
     assert checked > 20
 
 
@@ -248,6 +258,45 @@ def test_gamma01_cosets_validation():
         gamma01_cosets(parse_ideal(ctx, "(3)"), parse_ideal(ctx, "(5)"))
     with pytest.raises(NotCoprimeToLevel):
         gamma01_cosets(parse_ideal(ctx, "(3)"), parse_ideal(ctx, "(3)"))
+
+
+def _gamma01_pairs(d):
+    """Every coprime (level, prime) with N(level) <= 30 and N(prime) <= 20."""
+    ctx = field(d)
+    primes = list(primes_by_norm(ctx, 20))
+    return [(n, p) for n in enumerate_ideals(ctx, 30) for p in primes
+            if p.is_coprime(n)]
+
+
+def test_bottom_row_certificate_agrees_with_the_pairwise_judge():
+    for d in (1, 2, 3, 7, 11):
+        for n, p in _gamma01_pairs(d):
+            reps = gamma01_cosets(n, p)
+            assert oracles.gamma01_shared_cosets(reps, n, p) == [], (
+                d, str(n), str(p))
+            hecke._check_bottom_rows(n, p, reps)
+
+
+def test_bottom_row_certificate_catches_shared_cosets():
+    """Rep 0 in slot 1, as itself or as [1, 0; k + g*s, 1] with g
+    generating N*p and s a unit: the same coset, so both the
+    certificate and the judge reject it."""
+    checked = 0
+    for d in (1, 2, 3, 7, 11):
+        ctx = field(d)
+        for n, p in _gamma01_pairs(d):
+            reps = gamma01_cosets(n, p)
+            g, k = (n * p).gen, reps[0].c
+            mutants = [reps[0]] + [
+                Mat2(ctx.one, ctx.zero, k + g * s, ctx.one)
+                for s in ctx.units]
+            for mutant in mutants:
+                bad = [reps[0], mutant] + reps[2:]
+                assert (0, 1) in oracles.gamma01_shared_cosets(bad, n, p)
+                with pytest.raises(ConstructionFailure, match="share"):
+                    hecke._check_bottom_rows(n, p, bad)
+                checked += 1
+    assert checked > 100
 
 
 def test_hecke_matrix_commutes_for_two_primes():
@@ -385,19 +434,6 @@ def test_hecke_matrix_on_zero_space_skips_the_coset_loop(monkeypatch):
         hecke_matrix(parse_ideal(ctx, "(3)"), space)
     with pytest.raises(NotCoprimeToLevel):
         hecke_matrix(parse_ideal(ctx, "(0+1*w)"), space)
-
-
-def test_inverse_table_agrees_with_xgcd():
-    for d in (1, 2, 3, 7, 11):
-        ctx = field(d)
-        for l in primes_by_norm(ctx, 50):
-            res = ResidueSystem(l)
-            inverse = hecke._prime_cosets(l)[1]
-            assert inverse[0] is None and res.reps[0].is_zero()
-            for i, x in enumerate(res.reps[1:], start=1):
-                y = res.reps[inverse[i]]
-                assert y == res.reduce(xgcd(x, l.gen)[1]), (d, str(l), x)
-                assert res.reduce(x * y).is_one()
 
 
 def test_narrowed_quotient_agrees_with_the_full_division():

@@ -116,6 +116,19 @@ def test_residue_system_sizes():
             assert rs.reduce(x + n.gen) == x
 
 
+def test_residue_system_reduces_without_building_its_box():
+    """len and reduce read only the lattice basis; the box is built on use."""
+    ctx = field(2)
+    n = parse_ideal(ctx, "(3+1*w)")
+    rs = ResidueSystem(n)
+    assert len(rs) == n.norm()
+    x = ctx.element(123456, -98765)
+    assert n.contains(x - rs.reduce(x))
+    assert "reps" not in rs.__dict__ and "_index" not in rs.__dict__
+    assert len(rs.reps) == len(rs)
+    assert [rs.index(y) for y in rs.reps] == list(range(len(rs)))
+
+
 def test_invertible_reps_have_euler_phi_size():
     # phi is multiplicative; at a prime power p^k it is N(p)^k - N(p)^(k-1)
     cases = [
