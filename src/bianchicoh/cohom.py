@@ -14,16 +14,21 @@ conjugation by delta = diag(u0, 1) for a generator u0 of the unit
 group, which descends the computation from SL_2 to GL_2 level.
 
 letter_table_operator(src, dst, ...) is the one path from a level-one
-letter table (see schreier) to a LinMap: the table is pushed along the
-dst tree with its quotients walked in the src coset table, the walks
-are paired with the src basis and the steps summed along the tree in
-one batch, and the images are projected onto the dst basis in one batch
-(modlinalg.project_rows).  The table comes from a callable that is
-called only when src is nonzero, so a zero-dimensional source gives the
-empty map without building a table.  T_l (hecke) and the unit operator
-map a space to itself; the unit table holds the letters of
-delta g^{+-1} delta^{-1} for every ambient letter, built once per field
-and checked with word_to_matrix, so no Schreier generator is expressed.
+letter table (see schreier) to a LinMap.  A class is a homomorphism, so
+the image is evaluated only on the set S of Schreier generators that
+fixes a class of the full dst space (CohomSubspace.gens, the pivot
+columns of its RREF basis; h1 reads them off and _cut passes them on).
+The word of each s in S is read through the table from every followed
+representative and walked in the src coset table; the walks are paired
+with the src basis and projected onto dst.basis[:, S] in one batch
+(modlinalg.project_rows).  The lemma in its docstring shows that this
+check on S proves the image lies in dst.  The table comes from a
+callable that is called only when src is nonzero, so a
+zero-dimensional source gives the empty map without building a table.
+T_l (hecke) and the unit operator map a space to itself; the unit table
+holds the letters of delta g^{+-1} delta^{-1} for every ambient letter,
+built once per field and checked with word_to_matrix, so no Schreier
+generator is expressed.
 The degeneracy maps (degmaps) go from level n to level n*p; LinMap
 lives here so that degmaps can import the T_p table from hecke.
 
@@ -50,6 +55,7 @@ import numpy as np
 from .errors import (
     BadModulus,
     ConstructionFailure,
+    PermutationFailure,
     ProjectionFailure,
     ShapeMismatch,
 )
@@ -64,7 +70,7 @@ from .modlinalg import (
     sparse_values,
 )
 from .qfield import QuadInt, mat_mul_coords
-from .fpres import builtin_presentation
+from .fpres import Word, builtin_presentation
 from .schreier import CongCtx, letter_table
 
 FULL = "full"
@@ -104,15 +110,22 @@ def _as_modulus(q) -> CoefficientModulus:
 
 
 class CohomSubspace:
-    """A subspace of H^1 as an RREF row basis of functionals on sgens."""
+    """A subspace of H^1 as an RREF row basis of functionals on sgens.
 
-    __slots__ = ("cc", "q", "basis", "kind")
+    gens is S, the pivot columns of the RREF basis of the full H^1 at
+    this level: a class of the full space is fixed by its values on S,
+    and every subspace has its pivots in S.
+    """
 
-    def __init__(self, cc: CongCtx, q: CoefficientModulus, basis: MatQ, kind):
+    __slots__ = ("cc", "q", "basis", "kind", "gens")
+
+    def __init__(self, cc: CongCtx, q: CoefficientModulus, basis: MatQ, kind,
+                 gens: tuple[int, ...]):
         self.cc = cc
         self.q = q
         self.basis = basis
         self.kind = kind
+        self.gens = gens
 
     @property
     def dim(self) -> int:
@@ -196,10 +209,14 @@ class LinMap:
 
 
 def h1(cc: CongCtx, q) -> CohomSubspace:
-    """Full H^1(Gamma_0(level), Z/q) as kernel of the relator matrix."""
+    """Full H^1(Gamma_0(level), Z/q) as kernel of the relator matrix.
+
+    Its gens are the first nonzero column of each row of the RREF basis.
+    """
     qm = _as_modulus(q)
     basis = sparse_kernel_basis(cc.relmat, len(cc.sgen_edges), qm.q)
-    return CohomSubspace(cc, qm, basis, FULL)
+    gens = tuple(np.argmax(basis.arr != 0, axis=1).tolist())
+    return CohomSubspace(cc, qm, basis, FULL, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +286,7 @@ def cusps(cc: CongCtx) -> list[tuple[int, list, list]]:
 def _cut(space: CohomSubspace, m: MatQ, kind) -> CohomSubspace:
     """The classes a @ space.basis with a @ m = 0, as a subspace."""
     newbasis = rref(left_kernel(m) @ space.basis)[0]
-    return CohomSubspace(space.cc, space.q, newbasis, kind)
+    return CohomSubspace(space.cc, space.q, newbasis, kind, space.gens)
 
 
 def parabolic(space: CohomSubspace) -> CohomSubspace:
@@ -307,31 +324,68 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
                           what: str, track=None) -> LinMap:
     """The map f -> (g -> sum_i f(reps[i] g reps[sigma(i)]^{-1})).
 
-    f runs over the src basis, g over the Schreier generators of dst
-    and i over track (default: every representative of the table).  Row
-    i holds the dst coordinates of the image of src basis class i.  The
-    image on T_x g T_y^{-1} is its quotient walks plus S_x - S_y, with
-    S_x summed along the dst tree from the step walks
-    (dst.cc.push_letter_table).  table is called for the letter table
-    only when src is nonzero; a zero-dimensional src gives the empty map
-    at once.  ProjectionFailure names `what` when an image escapes dst.
+    f runs over the src basis and i over track (default: every
+    representative of the table); row k holds the dst coordinates of the
+    image of src basis class k.  The image is evaluated on S = dst.gens
+    only.  The word of s = T_x g T_y^{-1} in S comes from
+    dst.cc.transversal.  From each followed i its letters are read
+    through the table, (j, W) = table[j][letter], so that
+    reps[i] s = W_1 ... W_m reps[j_m], and each W is walked on in the src
+    coset table from its base, adding into the row of s.  Each walk must
+    end at the src base (ConstructionFailure), and the end indices j_m
+    must be the followed set (PermutationFailure).  The values on S are
+    projected onto dst.basis[:, S] (ProjectionFailure, naming `what`).
+    table is called for the letter table only when src is nonzero; a
+    zero-dimensional src gives the empty map at once.
+
+    Lemma: the check on S proves that the image lies in dst.  The
+    kernel-line certificate of the representatives, the letter_table
+    certificate of every entry and the closure of each walk show that
+    each walked value is f(reps[i] s reps[sigma(i)]^{-1}), with that
+    quotient in Gamma_0(n) at the src level.  So the image is the
+    standard Hecke sum, a homomorphism on the dst group, and lies in
+    the full H^1 of dst.  Restriction to S is injective on that space,
+    because its RREF basis is the identity on S.  So an image lies in
+    the span of dst.basis iff its values on S lie in the span of
+    dst.basis[:, S], which is again in RREF because the pivots of dst
+    lie in S.  The check on S thus proves what projecting the values on
+    every Schreier generator proves.
     """
     q = src.q.q
     if src.dim == 0:
         empty = np.zeros((0, dst.dim), dtype=np.int64)
         return LinMap(src, dst, MatQ(q, empty))
     cc = dst.cc
-    rows, steps = cc.push_letter_table(table(), src.cc, track)
-    vals = sparse_values(src.basis, rows + steps).arr
-    nsg = len(rows)
-    # tree[y] = values of S_y, summed from the base in BFS order
-    tree = vals[:, nsg:].T.copy()
-    for y in cc.tree_order[1:]:
-        tree[y] = (tree[y] + tree[cc.tree_edge[y][0]]) % q
-    xs = [x for x, _ in cc.sgen_edges]
-    ys = [cc.act[gid][0][x] for x, gid in cc.sgen_edges]
-    images = (vals[:, :nsg] + tree[xs].T - tree[ys].T) % q
-    coords, bad = project_rows(dst.basis, images)
+    tab = table()
+    if track is None:
+        track = range(len(tab))
+    followed = sorted(track)
+    walk = src.cc._walk
+    base = src.cc.base
+    words = cc.transversal
+    rows = []
+    for s in dst.gens:
+        x, gid = cc.sgen_edges[s]
+        word = (words[x] * Word([(gid, 1)])
+                * words[cc.act[gid][0][x]].inverse()).letters
+        vec = {}
+        ends = []
+        for i in track:
+            j, pos = i, base
+            for letter in word:
+                j, w = tab[j][letter]
+                pos = walk(w, pos, vec)[0]
+            if pos != base:
+                raise ConstructionFailure(
+                    f"quotient walk of generator {s} did not close")
+            ends.append(j)
+        if sorted(ends) != followed:
+            raise PermutationFailure(
+                f"generator {s} does not permute the representatives")
+        rows.append(vec)
+    images = sparse_values(src.basis, rows).arr
+    onto = MatQ(q, dst.basis.arr[:, list(dst.gens)])
+    coords, bad = project_rows(onto, images)
     if bad is not None:
         raise ProjectionFailure(
             f"{what} escapes the subspace; this indicates a bug"

@@ -1,15 +1,16 @@
 """Degeneracy maps between cohomology at level n and level n*p.
 
 Both maps take the path of T_l: each is one validation of the level
-pair plus one call of cohom.letter_table_operator, which pushes a
-level-one letter table along the level-n*p tree, walks its quotients
-in the level-n coset table (every walk must close), projects the
-images onto the destination basis and returns the LinMap (the empty
-one on a zero-dimensional source, without building the table).  The
-plain restriction is the one-representative identity table; the
-twisted map follows the last representative diag(pi, 1) of the T_p
-table (the twist-chain lemma in twisted_map).  The combined map alpha
-stacks the two; its kernel is the object the Hecke checks constrain.
+pair plus one call of cohom.letter_table_operator, which reads the
+words of the generating set S of the level-n*p space through a
+level-one letter table, walks the quotients in the level-n coset table
+(every walk must close), projects the images onto the destination basis
+on S and returns the LinMap (the empty one on a zero-dimensional
+source, without building the table).  The plain restriction is the
+one-representative identity table; the twisted map follows the last
+representative diag(pi, 1) of the T_p table (the twist-chain lemma in
+twisted_map).  The combined map alpha stacks the two; its kernel is the
+object the Hecke checks constrain.
 All maps act on coordinate row vectors: a class with coordinates x in
 the domain basis maps to x @ mat in the codomain basis."""
 
@@ -53,9 +54,9 @@ def _check_pair(src: CohomSubspace, dst: CohomSubspace) -> QuadInt:
 def restriction_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
     """Plain restriction from level n to level n*p.
 
-    Gamma_0(n*p) lies in Gamma_0(n), so the identity table walks each
-    dst generator as its own word through the src coset table; the walk
-    must close (ConstructionFailure) and the image must lie in dst
+    Gamma_0(n*p) lies in Gamma_0(n), so the identity table walks the
+    word of each generator in S of dst through the src coset table; the
+    walk must close (ConstructionFailure) and the image must lie in dst
     (ProjectionFailure).
     """
     _check_pair(src, dst)
@@ -70,24 +71,22 @@ def twisted_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
 
     pi is the canonical generator of the prime quotient of the levels;
     delta is the last representative of the level-one T_p table and the
-    only one followed.  Twist-chain lemma: write
-    delta T_x = A_x delta_{pi_x} along the dst tree, A_x in SL_2(O).
-    For the Schreier generator T_x g T_y^{-1}, with
-    delta_{pi_x} g = W delta_k from the table,
+    only one followed.  Twist-chain lemma: for a generator gamma in S,
+    reading its letters through the table from delta gives
+    delta gamma = W_1 ... W_m delta_k.  When k is the index of delta,
 
-        delta T_x g T_y^{-1} delta^{-1}
-            = A_x W delta_k delta_{pi_y}^{-1} A_y^{-1}.
+        delta gamma delta^{-1} = W_1 ... W_m,
 
-    When k = pi_y this is A_x W A_y^{-1}, and its walk from the level-n
-    base (A_x ends at e_x, W goes on from there and must end at e_y)
-    closes exactly when it lies in Gamma_0(n).  Every generator of
-    Gamma_0(n*p) passes both checks: its conjugate is integral, so
-    delta_k and delta_{pi_y} share a right coset of SL_2(O), which the
-    certified representatives allow only for k = pi_y; and the
-    conjugate lies in Gamma_0(n).  So a wrong index (PermutationFailure)
-    or an open walk (ConstructionFailure) is a bug, and passing both proves,
-    for every generator at once, what dividing its lower-left entry by
-    pi and expressing the conjugate at level n proved one at a time.
+    and its walk from the level-n base closes exactly when it lies in
+    Gamma_0(n).  So walking gamma from delta must end at delta, and the
+    walk must close.  Every element of Gamma_0(n*p) passes both checks:
+    its conjugate M is integral, so delta_k = (W_1 ... W_m)^{-1} M delta
+    shares a right coset of SL_2(O) with delta, which the certified
+    representatives allow only for delta_k = delta; and M lies in
+    Gamma_0(n).  So a wrong index (PermutationFailure) or an open walk
+    (ConstructionFailure) is a bug, and passing both proves, for every
+    generator at once, what dividing its lower-left entry by pi and
+    expressing the conjugate at level n proved one at a time.
     """
     p = PIdeal(_check_pair(src, dst))
     return letter_table_operator(src, dst, lambda: hecke_letter_table(p),

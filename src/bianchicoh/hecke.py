@@ -37,15 +37,16 @@ exact-division locator, the step-product check of the descent,
 word_to_matrix of the letters equals W, W delta_k equals delta_j
 g^{+-1}, and each letter permutes the indices j.
 
-cohom.letter_table_operator pushes the table along the Schreier tree
-(CongCtx.push_letter_table) and evaluates T_l with no matrix arithmetic
-per Schreier generator; on a zero-dimensional space it returns the
-empty map without building the table.  Each call certifies that every
-quotient walk closes, which puts the quotient in Gamma_0(n); that sigma
-is a bijection; and that every image projects back onto the basis
-(ProjectionFailure otherwise).  The twisted degeneracy map
-(degmaps.twisted_map) reads the same table for l = p, following only
-its last representative diag(lambda, 1).
+cohom.letter_table_operator evaluates T_l on the generating set S of
+the space (CohomSubspace.gens) only, reading the word of each s in S
+through the table, with no matrix arithmetic per generator; on a
+zero-dimensional space it returns the empty map without building the
+table.  Each call certifies that every quotient walk closes, which puts
+the quotient in Gamma_0(n); that sigma is a bijection; and that every
+image projects back onto the basis on S, which by the lemma in its
+docstring proves it lies in the space (ProjectionFailure otherwise).
+The twisted degeneracy map (degmaps.twisted_map) reads the same table
+for l = p, following only its last representative diag(lambda, 1).
 
 The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
 stable subspace for ray-trivial l, which is the finite-level meaning of

@@ -16,9 +16,10 @@ and every Schreier generator is formed on tuples at construction and
 certified there: determinant 1 and lower-left entry in the level
 lattice, ConstructionFailure otherwise.  The objects are built on first use
 only, from tree_edge and the tuples: transversal (Words) and sgens
-((Word, Mat2) pairs).  No package code reads them; they are built only
-for the tests and for bench/tracing.py.  Counting generators needs
-none of them: len(sgen_edges).
+((Word, Mat2) pairs).  cohom.letter_table_operator reads transversal
+for the words of the generators it evaluates on; sgens serves only the
+tests and bench/tracing.py.  Counting generators needs none of them:
+len(sgen_edges).
 
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
@@ -40,29 +41,17 @@ letters of fpres.matrix_to_word and walks them from the base coset; the
 walk must close.  The letters are not freely reduced, but a letter next
 to its inverse visits one edge with opposite signs, so nothing changes.
 rewrite and express return the same sparse {index: exponent} dicts as
-the relator rows.  No package code calls them; like transversal and
-sgens they serve the tests and bench/tracing.py.
+the relator rows.  No package code calls them; like sgens they serve
+the tests and bench/tracing.py.
 
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
 table (letter_table): delta_j g^{+-1} = W delta_k, with W given by its
-letters, built and certified on coordinate tuples.  push_letter_table
-carries it along the tree.  With delta_i T_x = A_{i,x} delta_{pi_x(i)},
-a tree step x -> y by letter h gives A_{i,y} = A_{i,x} W(pi_x(i), h),
-so walking that W from the end e_{i,x} of the walk of A_{i,x} gives
-e_{i,y} and the step's exponents.
-For the Schreier generator on (x, g), delta_i T_x g T_y^{-1} =
-A_{i,x} W(pi_x(i), g) A_{sigma(i),y}^{-1} delta_{sigma(i)}, so its
-quotient walks W(pi_x(i), g) from e_{i,x} and must end at
-e_{sigma(i),y}; that closure certifies the quotient lies in Gamma_0(n).
-The value is the walk plus S_x - S_y, with S_x the sum over i of the
-walks of A_{i,x}, which the caller sums along the tree from the steps.
-
-Two optional arguments serve the degeneracy maps, which follow the
-level-n*p tree: src, the CongCtx whose coset table the quotients are
-walked in (the level-n one; default: the tree's own), and track, the
-representatives followed from the base (default: all).  "Permute" then
-means mapping the followed indices onto those of the end coset.
+letters, built and certified on coordinate tuples.  Reading the letters
+of a word gamma through the table from delta_i gives
+delta_i gamma = W_1 ... W_m delta_{sigma(i)}; cohom.letter_table_operator
+walks W_1 ... W_m in a coset table with _walk, and the closure of that
+walk certifies that the quotient lies in Gamma_0(n).
 """
 
 from __future__ import annotations
@@ -314,65 +303,6 @@ class CongCtx:
         if not self.level.contains(m.c):
             raise NotInSubgroup(f"{m} is not in Gamma_0({self.level})")
         return self.rewrite(matrix_to_word(m, self.pres))
-
-    def push_letter_table(self, table, src=None, track=None):
-        """Walk a level-one letter table along the tree (module docstring).
-
-        table[j][letter] = (k, letters) with reps[j] * letter = W * reps[k]
-        and W the value of letters.  The quotients are walked in the coset
-        table of src (default: this CongCtx), following the representatives
-        in track (default: all).  Returns (rows, steps): rows[s] sums the
-        quotient walks of Schreier generator s, one per followed
-        representative, and steps[y] sums the walks of the tree step into
-        coset y ({} at the base), both as {src sgen index: exponent} dicts.
-        Raises ConstructionFailure when a quotient walk does not close and
-        PermutationFailure when a step or a generator does not permute
-        the followed representatives.
-        """
-        src = self if src is None else src
-        ncos = len(self.cosets)
-        walk = src._walk
-        if track is None:
-            track = range(len(table))
-        # start[y][j]: the src coset where the walk of A_{i,y} ends, for
-        # the followed i with reps[i] * T_y = A_{i,y} * reps[j]
-        start: list = [None] * ncos
-        start[self.base] = dict.fromkeys(track, src.base)
-        steps: list = [{} for _ in range(ncos)]
-        for y in self.tree_order[1:]:
-            x, letter = self.tree_edge[y]
-            sx = start[x]
-            sy = {}
-            vec = steps[y]
-            for j, s in sx.items():
-                k, letters = table[j][letter]
-                sy[k] = walk(letters, s, vec)[0]
-            if len(sy) != len(sx):
-                raise PermutationFailure(
-                    f"tree step into coset {y} does not permute the representatives"
-                )
-            start[y] = sy
-        rows = []
-        act = self.act
-        for x, gid in self.sgen_edges:
-            sx = start[x]
-            sy = start[act[gid][0][x]]
-            letter = (gid, 1)
-            vec = {}
-            ends = {}
-            for j, s in sx.items():
-                k, letters = table[j][letter]
-                ends[k] = walk(letters, s, vec)[0]
-            if ends.keys() != sy.keys():
-                raise PermutationFailure(
-                    f"generator ({x}, {gid}) does not permute the representatives"
-                )
-            if ends != sy:
-                raise ConstructionFailure(
-                    f"quotient walk of generator ({x}, {gid}) did not close"
-                )
-            rows.append(vec)
-        return rows, steps
 
 
 def letter_table(reps, pres: AmbientPresentation, locate):

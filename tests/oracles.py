@@ -20,13 +20,16 @@ hecke_reps and each coset is found by the scan over all of them at the
 level, locate_right_coset), the transversal matrices (tmats), and the
 two degeneracy maps by rewriting the word of every Schreier generator
 and expressing its conjugate by diag(pi, 1) (degeneracy_maps,
-conjugate_by_pgen), and the parabolic subspace from cusps a/c
-enumerated over the divisors of the level, deduplicated by a unit
-congruence, with their width translations expressed
+conjugate_by_pgen), every letter-table operator by pushing the table
+along the whole destination tree and walking every Schreier generator
+(push_letter_table, tree_push_operator), and the parabolic subspace
+from cusps a/c enumerated over the divisors of the level, deduplicated
+by a unit congruence, with their width translations expressed
 (cusps_by_divisors, cusp_equivalent, parabolic_by_cusps; divisors,
 invertible_reps and colon_square serve them).  Last come small helpers
 that the tests use as judges and the package no longer needs:
-evaluate, membership, matpow and abelianized_relators.
+evaluate, membership, matpow and abelianized_relators, and two for
+mutating letter tables: copy_table and ReadLog.
 """
 
 from __future__ import annotations
@@ -724,6 +727,90 @@ def degeneracy_maps(src, dst):
             project_values(src, twisted, dst))
 
 
+def push_letter_table(cc, table, src=None, track=None):
+    """Walk a level-one letter table along the whole tree of cc.
+
+    With delta_i T_x = A_{i,x} delta_{pi_x(i)}, a tree step x -> y by
+    letter h gives A_{i,y} = A_{i,x} W(pi_x(i), h), so walking that W
+    from the end e_{i,x} of the walk of A_{i,x} gives e_{i,y} and the
+    step's exponents.  For the Schreier generator on (x, g), its
+    quotient walks W(pi_x(i), g) from e_{i,x} and must end at
+    e_{sigma(i),y}; the value is the walk plus S_x - S_y, with S_x the
+    sum over i of the walks of A_{i,x}.  The walks run in the coset
+    table of src (default: cc), following the representatives in track
+    (default: all).  Returns (rows, steps): rows[s] sums the quotient
+    walks of Schreier generator s, steps[y] the walks of the tree step
+    into coset y ({} at the base).
+    """
+    from bianchicoh.errors import ConstructionFailure, PermutationFailure
+
+    src = cc if src is None else src
+    walk = src._walk
+    if track is None:
+        track = range(len(table))
+    start = [None] * len(cc.cosets)
+    start[cc.base] = dict.fromkeys(track, src.base)
+    steps = [{} for _ in range(len(cc.cosets))]
+    for y in cc.tree_order[1:]:
+        x, letter = cc.tree_edge[y]
+        sy = {}
+        for j, s in start[x].items():
+            k, letters = table[j][letter]
+            sy[k] = walk(letters, s, steps[y])[0]
+        if len(sy) != len(start[x]):
+            raise PermutationFailure(
+                f"tree step into coset {y} does not permute the representatives")
+        start[y] = sy
+    rows = []
+    for x, gid in cc.sgen_edges:
+        sy = start[cc.act[gid][0][x]]
+        vec = {}
+        ends = {}
+        for j, s in start[x].items():
+            k, letters = table[j][(gid, 1)]
+            ends[k] = walk(letters, s, vec)[0]
+        if ends.keys() != sy.keys():
+            raise PermutationFailure(
+                f"generator ({x}, {gid}) does not permute the representatives")
+        if ends != sy:
+            raise ConstructionFailure(
+                f"quotient walk of generator ({x}, {gid}) did not close")
+        rows.append(vec)
+    return rows, steps
+
+
+def tree_push_operator(src, dst, table, track=None):
+    """Coordinate matrix of a letter-table operator from the whole tree.
+
+    The images on every Schreier generator of dst come from
+    push_letter_table, with the steps summed along the tree in BFS
+    order, and are projected onto the dst basis on all columns
+    (ProjectionFailure when one escapes).
+    """
+    import numpy as np
+
+    from bianchicoh.errors import ProjectionFailure
+    from bianchicoh.modlinalg import MatQ, project_rows, sparse_values
+
+    q = src.q.q
+    if src.dim == 0:
+        return MatQ(q, np.zeros((0, dst.dim), dtype=np.int64))
+    cc = dst.cc
+    rows, steps = push_letter_table(cc, table, src.cc, track)
+    vals = sparse_values(src.basis, rows + steps).arr
+    nsg = len(rows)
+    tree = vals[:, nsg:].T.copy()
+    for y in cc.tree_order[1:]:
+        tree[y] = (tree[y] + tree[cc.tree_edge[y][0]]) % q
+    xs = [x for x, _ in cc.sgen_edges]
+    ys = [cc.act[gid][0][x] for x, gid in cc.sgen_edges]
+    images = (vals[:, :nsg] + tree[xs].T - tree[ys].T) % q
+    coords, bad = project_rows(dst.basis, images)
+    if bad is not None:
+        raise ProjectionFailure("image escapes the subspace")
+    return MatQ(q, coords)
+
+
 def congruence_objects(level, move_order="default"):
     """Coset action, tree and Schreier generators of Gamma_0(level) on objects.
 
@@ -922,6 +1009,24 @@ def abelianized_relators(p):
     return rows
 
 
+def copy_table(table):
+    """A letter table whose rows can be changed without touching table."""
+    return [dict(entries) for entries in table]
+
+
+class ReadLog(dict):
+    """One row j of a letter table that adds (j, letter) to read on a read."""
+
+    def __init__(self, j, entries, read):
+        super().__init__(entries)
+        self.j = j
+        self.read = read
+
+    def __getitem__(self, letter):
+        self.read.add((self.j, letter))
+        return super().__getitem__(letter)
+
+
 def locate_right_coset(reps, lam, level, x):
     """(j, gamma) with x = gamma * reps[j] and gamma in Gamma_0(level).
 
@@ -1063,4 +1168,4 @@ def parabolic_by_cusps(space, cusp_list=None):
             conds.append(cc.express(m))
     coords = kernel_basis(sparse_values(space.basis, conds).transpose())
     return CohomSubspace(cc, space.q, rref(coords @ space.basis)[0],
-                         PARABOLIC)
+                         PARABOLIC, space.gens)

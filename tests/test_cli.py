@@ -453,6 +453,21 @@ def test_inspect_reports_frozen_at_large_primes_and_levels():
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == expected, args
 
 
+# stdout sha256 of verify at the norm-753 level (19+14*w) of d=2 with
+# one test prime, (27-19*w) of norm 1451; the level-N*p space has
+# |P^1| = 4032.  Recorded while T_l still walked every Schreier generator.
+VERIFY_753_SHA256 = (
+    "42c99fc8dfec215256aa500381f84ec22ab169a28cfc7e809a6bdae4439edbfc")
+
+
+def test_verify_frozen_at_norm_753():
+    r = run_cli("verify", "--field-d", "2", "--level", "(19+14*w)",
+                "--prime", "(1+1*w)", "--max-norm", "4000",
+                "--test-primes", "1")
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_753_SHA256
+
+
 def test_bad_modulus_is_rejected_before_the_level_group_is_built(
         monkeypatch, capsys):
     from bianchicoh import cli

@@ -14,7 +14,9 @@ from bianchicoh.cohom import (
     LinMap,
     h1,
     parabolic,
+    unit_conjugation_operator,
     unit_invariants,
+    unit_letter_table,
 )
 from bianchicoh.degmaps import (
     alpha,
@@ -31,13 +33,21 @@ from bianchicoh.errors import (
     ProjectionFailure,
     ShapeMismatch,
 )
-from bianchicoh.hecke import hecke_cosets, hecke_letter_table
+from bianchicoh.hecke import hecke_cosets, hecke_letter_table, hecke_matrix
 from bianchicoh.ideals import PIdeal, enumerate_ideals, parse_ideal, primes_by_norm
 from bianchicoh.modlinalg import MatQ
 from bianchicoh.qfield import Mat2, field, parse_element
 from bianchicoh.schreier import CongCtx
 
-from oracles import conjugate_by_pgen, degeneracy_maps, evaluate
+from oracles import (
+    ReadLog,
+    conjugate_by_pgen,
+    copy_table,
+    degeneracy_maps,
+    evaluate,
+    tree_push_operator,
+)
+from test_cohom import FROZEN_DIMS
 
 # the acceptance A-configurations: level, auxiliary prime, modulus
 A_CONFIGS = {
@@ -199,15 +209,19 @@ def test_zero_dimensional_source_gives_empty_maps():
 
 
 def test_zero_dimensional_destination_fails_the_projection():
-    """A fabricated zero-dimensional destination: both images escape it."""
+    """A fabricated zero-dimensional destination: both images escape it.
+
+    It keeps the generating set S of the real full space at its level,
+    on which the images are checked; an empty S would check nothing.
+    """
     d, q = 2, 5
     src_cc, src, _, _ = _layers(d, "(3+1*w)", q)
     dst_cc = CongCtx(parse_ideal(field(d), _product_level(d, "(3+1*w)", "(0+1*w)")),
                      field(d))
     dst = CohomSubspace(dst_cc, src.q,
                         MatQ(q, np.zeros((0, len(dst_cc.sgen_edges)), dtype=np.int64)),
-                        FULL)
-    assert src.dim > 0 and dst.dim == 0
+                        FULL, h1(dst_cc, q).gens)
+    assert src.dim > 0 and dst.dim == 0 and dst.gens
     with pytest.raises(ProjectionFailure):
         restriction_map(src, dst)
     with pytest.raises(ProjectionFailure):
@@ -237,29 +251,63 @@ def test_degeneracy_maps_equal_the_per_generator_oracle():
             assert twisted_map(s, t).mat == want_t, where
 
 
-def _copy_table(table):
-    return [dict(entries) for entries in table]
+def _coprime_prime(level):
+    return next(l for l in primes_by_norm(level.ctx, 50) if l.is_coprime(level))
 
 
-class _ReadLog(dict):
-    """One row of a letter table that records the entries read from it."""
+# inspect hecke levels of FROZEN_LARGE_SHA256 in test_cli: T_l at N(l) = 211
+LARGE_HECKE = [(2, "(3+1*w)", "(7+9*w)", 5), (7, "(1+2*w)", "(1+10*w)", 5)]
 
-    def __init__(self, j, entries, read):
-        super().__init__(entries)
-        self.j = j
-        self.read = read
 
-    def __getitem__(self, letter):
-        self.read.add((self.j, letter))
-        return super().__getitem__(letter)
+def test_every_letter_table_operator_equals_the_tree_push_judge():
+    """Evaluating on S equals pushing the table along the whole tree.
+
+    T_l, the unit operator and both degeneracy maps, on the full,
+    parabolic and unit-invariant spaces of every FROZEN_DIMS row (with
+    the A-configuration prime where the row is one, else the smallest
+    coprime prime), and T_l at N(l) = 211 on two levels.
+    """
+    checked = 0
+    for d, n_text, q, _ in FROZEN_DIMS:
+        ctx = field(d)
+        level = parse_ideal(ctx, n_text)
+        a_level, a_prime, a_q = A_CONFIGS[d]
+        p = (parse_ideal(ctx, a_prime) if (a_level, a_q) == (n_text, q)
+             else _coprime_prime(level))
+        src = _layers(d, n_text, q)[1:]
+        dst = _layers(d, _product_level(d, n_text, f"({p.gen})"), q)[1:]
+        gens = range(src[0].cc.pres.gen_count)
+        identity = [{(g, e): (0, ((g, e),)) for g in gens for e in (1, -1)}]
+        for s, t in zip(src, dst):
+            where = (d, n_text, q, s.kind)
+            for space in (s, t):
+                l = _coprime_prime(space.cc.level)
+                assert hecke_matrix(l, space).mat == tree_push_operator(
+                    space, space, hecke_letter_table(l)), where
+                assert unit_conjugation_operator(space) == tree_push_operator(
+                    space, space, unit_letter_table(ctx)), where
+            assert restriction_map(s, t).mat == tree_push_operator(
+                s, t, identity), where
+            assert twisted_map(s, t).mat == tree_push_operator(
+                s, t, hecke_letter_table(p), [p.norm()]), where
+            checked += s.dim > 0
+    for d, n_text, l_text, q in LARGE_HECKE:
+        l = parse_ideal(field(d), l_text)
+        assert l.norm() == 211
+        for space in _layers(d, n_text, q)[1:]:
+            assert hecke_matrix(l, space).mat == tree_push_operator(
+                space, space, hecke_letter_table(l)), (d, space.kind)
+            checked += space.dim > 0
+    assert checked >= 20
 
 
 def test_wrong_twist_table_entry_is_caught(monkeypatch):
-    """A wrong k or an extra letter in any T_p entry the chain reads raises.
+    """A wrong k in any T_p entry that the walks of S read raises.
 
-    A wrong k breaks k = pi_y of the twist-chain lemma and an extra
-    letter leaves a walk open; an entry the chain never reads cannot
-    change the map.
+    A wrong k breaks "walking gamma from delta ends at delta" of the
+    twist-chain lemma or leaves a walk open; an entry no walk reads
+    cannot change the map.  A lengthened word is caught when the table
+    is built (test_hecke.py::test_lengthened_table_word_fails_at_construction).
     """
     for d, (n_text, p_text, q) in A_CONFIGS.items():
         p = parse_ideal(field(d), p_text)
@@ -269,26 +317,24 @@ def test_wrong_twist_table_entry_is_caught(monkeypatch):
         nreps = len(table)
         want = twisted_map(src, dst).mat
         read = set()
-        logged = [_ReadLog(j, entries, read) for j, entries in enumerate(table)]
+        logged = [ReadLog(j, entries, read) for j, entries in enumerate(table)]
         monkeypatch.setattr(degmaps, "hecke_letter_table", lambda _: logged)
         assert twisted_map(src, dst).mat == want
-        t = (src.cc.pres.t_id, 1)
         caught = 0
         for j in range(nreps):
             for letter, (k, letters) in table[j].items():
-                for entry in (((k + 1) % nreps, letters), (k, letters + (t,))):
-                    bad = _copy_table(table)
-                    bad[j][letter] = entry
-                    monkeypatch.setattr(degmaps, "hecke_letter_table",
-                                        lambda _: bad)
-                    if (j, letter) in read:
-                        with pytest.raises((ConstructionFailure,
-                                            PermutationFailure)):
-                            twisted_map(src, dst)
-                        caught += 1
-                    else:
-                        assert twisted_map(src, dst).mat == want
-        assert caught == 2 * len(read) > 0, d
+                bad = copy_table(table)
+                bad[j][letter] = ((k + 1) % nreps, letters)
+                monkeypatch.setattr(degmaps, "hecke_letter_table",
+                                    lambda _: bad)
+                if (j, letter) in read:
+                    with pytest.raises((ConstructionFailure,
+                                        PermutationFailure)):
+                        twisted_map(src, dst)
+                    caught += 1
+                else:
+                    assert twisted_map(src, dst).mat == want
+        assert caught == len(read) > 0, d
         monkeypatch.undo()
 
 

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from bianchicoh import cohom
 import bianchicoh.hecke as hecke
 import bianchicoh.schreier as schreier
 from bianchicoh.cohom import (
@@ -14,6 +15,7 @@ from bianchicoh.cohom import (
     letter_table_operator,
     parabolic,
     unit_invariants,
+    unit_letter_table,
 )
 from bianchicoh.degmaps import alpha, kernel, restriction_map, twisted_map
 from bianchicoh.errors import (
@@ -41,11 +43,11 @@ from bianchicoh.ideals import (
     parse_ideal,
     primes_by_norm,
 )
-from bianchicoh.modlinalg import MatQ
+from bianchicoh.modlinalg import MatQ, rref
 from bianchicoh.qfield import Mat2, field, mat_mul_coords, parse_element
 from bianchicoh.schreier import CongCtx
 import oracles
-from oracles import quotient_full, scan_right_cosets
+from oracles import ReadLog, copy_table, quotient_full, scan_right_cosets
 
 # the acceptance A-configuration level of each field
 A_LEVELS = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
@@ -526,10 +528,6 @@ def test_letter_table_operator_equals_the_descent_oracle():
         assert min(x for x in seen if isinstance(x, int)) <= 3, d
 
 
-def _copy_table(table):
-    return [dict(entries) for entries in table]
-
-
 def test_table_word_must_give_its_quotient(monkeypatch):
     ctx = field(2)
     l = parse_ideal(ctx, "(1+1*w)")
@@ -558,11 +556,10 @@ def test_table_quotient_must_carry_its_representative():
 
 
 def test_wrong_table_index_is_caught():
-    """A wrong k in any entry that is read fails a closure or permutation.
+    """A wrong k in any entry that the walks of S read raises.
 
-    Schreier generators read the positive letters and tree steps read
-    the letters of the tree edges; an entry read by neither cannot
-    change T_l.
+    The entries read are logged (ReadLog) on an honest run; an entry
+    that no walk reads cannot change T_l.
     """
     ctx = field(2)
     cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
@@ -570,17 +567,17 @@ def test_wrong_table_index_is_caught():
     l = parse_ideal(ctx, "(1+1*w)")
     table = hecke.hecke_letter_table(l)
     want = oracles.hecke_matrix(l, full)
-    assert letter_table_operator(full, full, lambda: table,
+    read = set()
+    logged = [ReadLog(j, entries, read) for j, entries in enumerate(table)]
+    assert letter_table_operator(full, full, lambda: logged,
                                  "Hecke image").mat == want
-    read = {cc.tree_edge[y][1] for y in cc.tree_order[1:]}
-    read |= {(gid, 1) for gid in range(cc.pres.gen_count)}
     nreps = len(table)
     caught = 0
     for j in range(nreps):
         for letter, (k, letters) in table[j].items():
-            bad = _copy_table(table)
+            bad = copy_table(table)
             bad[j][letter] = ((k + 1) % nreps, letters)
-            if letter in read:
+            if (j, letter) in read:
                 with pytest.raises((ConstructionFailure, PermutationFailure,
                                     ProjectionFailure)):
                     letter_table_operator(full, full, lambda: bad,
@@ -590,7 +587,81 @@ def test_wrong_table_index_is_caught():
                 got = letter_table_operator(full, full, lambda: bad,
                                             "Hecke image")
                 assert got.mat == want
-    assert caught >= nreps * len(read) > 0
+    assert caught == len(read) > 0
+
+
+def _lengthen_one_word(monkeypatch, n):
+    """Make call n of schreier.matrix_to_word return one trailing t more."""
+    descent = schreier.matrix_to_word
+    calls = [0]
+
+    def lengthened(m, p):
+        letters = descent(m, p)
+        calls[0] += 1
+        return letters + [(p.t_id, 1)] if calls[0] == n + 1 else letters
+
+    monkeypatch.setattr(schreier, "matrix_to_word", lengthened)
+    return calls
+
+
+def test_lengthened_table_word_fails_at_construction(monkeypatch):
+    """A trailing letter on the word of any one entry fails letter_table.
+
+    letter_table asks matrix_to_word once per entry, so lengthening call
+    n for every n reaches every entry: of the T_(1+1*w) table at d=2, of
+    each A-configuration T_p table and of each unit table.  The walks of
+    S cannot be trusted to catch it: an extra t after a chain that ends
+    at the base keeps the walk closed, because t fixes the base coset.
+    """
+    builds = []
+    for d, p_text in ((2, "(1+1*w)"), (1, "(1+1*w)"), (2, "(0+1*w)"),
+                      (3, "(1+1*w)"), (7, "(0+1*w)"), (11, "(0+1*w)")):
+        ctx = field(d)
+        l = parse_ideal(ctx, p_text)
+        builds.append((lambda l=l: hecke.hecke_letter_table.__wrapped__(l),
+                       (l.norm() + 1) * 2 * schreier.builtin_presentation(ctx).gen_count))
+        builds.append((lambda ctx=ctx: unit_letter_table.__wrapped__(ctx),
+                       2 * schreier.builtin_presentation(ctx).gen_count))
+    for build, entries in builds:
+        for n in range(entries):
+            _lengthen_one_word(monkeypatch, n)
+            with pytest.raises(ConstructionFailure):
+                build()
+            monkeypatch.undo()
+        calls = _lengthen_one_word(monkeypatch, entries)
+        build()
+        assert calls[0] == entries
+        monkeypatch.undo()
+
+
+def test_image_moved_off_the_span_on_s_fails_the_projection(monkeypatch):
+    """The check on S catches one image value moved off the span.
+
+    The parabolic-unit space at d=2 (3+1*w) has dim 1 < |S| = 3, so S
+    has columns that are no pivot of the space; a value changed there
+    leaves the span of basis[:, S].
+    """
+    ctx = field(2)
+    full = h1(CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx), 5)
+    unit = unit_invariants(parabolic(full))
+    l = parse_ideal(ctx, "(1+1*w)")
+    want = hecke_matrix(l, unit).mat
+    pivots = rref(MatQ(5, unit.basis.arr[:, list(unit.gens)]))[1]
+    free = [c for c in range(len(unit.gens)) if c not in pivots]
+    assert 0 < unit.dim < len(unit.gens) == len(full.gens) == full.dim
+    real = cohom.sparse_values
+    for c in free:
+        def moved(basis, rows, c=c):
+            vals = real(basis, rows)
+            vals.arr[0, c] = (vals.arr[0, c] + 1) % vals.q
+            return vals
+
+        monkeypatch.setattr(cohom, "sparse_values", moved)
+        with pytest.raises(ProjectionFailure):
+            hecke_matrix(l, unit)
+        monkeypatch.undo()
+    assert len(free) == 2
+    assert hecke_matrix(l, unit).mat == want
 
 
 def test_corrupted_table_word_fails_the_closure():
@@ -600,7 +671,7 @@ def test_corrupted_table_word_fails_the_closure():
     table = hecke.hecke_letter_table(parse_ideal(ctx, "(1+1*w)"))
     t = (schreier.builtin_presentation(ctx).t_id, 1)
     for j in range(len(table)):
-        bad = _copy_table(table)
+        bad = copy_table(table)
         k, letters = bad[j][t]
         bad[j][t] = (k, letters + (t,))
         with pytest.raises(ConstructionFailure):
@@ -608,14 +679,25 @@ def test_corrupted_table_word_fails_the_closure():
 
 
 def test_colliding_table_index_fails_the_bijection_at_level_one():
-    """With one coset every walk closes, so only sigma can catch a collision."""
+    """With one coset every walk closes, so only sigma can catch a collision.
+
+    S is one generator, whose word is the single letter of its loop at
+    the one coset, so the walks read that letter's entry of every row;
+    one of them is collided.
+    """
     ctx = field(2)
-    full = h1(CongCtx(PIdeal(ctx.one), ctx), 5)
+    cc = CongCtx(PIdeal(ctx.one), ctx)
+    full = h1(cc, 5)
     assert full.dim == 1
+    _, gid = cc.sgen_edges[full.gens[0]]
+    letter = (gid, 1)
     table = hecke.hecke_letter_table(parse_ideal(ctx, "(1+1*w)"))
-    bad = _copy_table(table)
-    t = (schreier.builtin_presentation(ctx).t_id, 1)
-    bad[0][t] = (bad[1][t][0], bad[0][t][1])
+    read = set()
+    logged = [ReadLog(j, entries, read) for j, entries in enumerate(table)]
+    letter_table_operator(full, full, lambda: logged, "Hecke image")
+    assert read == {(j, letter) for j in range(len(table))}
+    bad = copy_table(table)
+    bad[0][letter] = (bad[1][letter][0], bad[0][letter][1])
     with pytest.raises(PermutationFailure):
         letter_table_operator(full, full, lambda: bad, "Hecke image")
 
