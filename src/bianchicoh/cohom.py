@@ -4,9 +4,10 @@ A cohomology class with trivial coefficients is a homomorphism to Z/q,
 i.e. a functional on the Schreier generators killing every rewritten
 relator; the full space is therefore the right kernel of the relator
 matrix mod q.  That matrix is sparse, so the kernel comes from
-structured Gaussian elimination (modlinalg.sparse_kernel_basis), with
-dense RREF only on what the sparse pass leaves, and every relator row is
-checked to vanish on the basis.  The parabolic subspace imposes
+structured Gaussian elimination in rounds of independent pivots on
+numpy arrays (modlinalg.sparse_kernel_basis), with dense RREF only on
+what the sparse pass leaves, and every relator row is checked to vanish
+on the basis.  The parabolic subspace imposes
 vanishing on the unipotent stabilizer of every cusp (see below);
 torsion parts of the stabilizers contribute nothing since q is coprime
 to their order.  The unit-invariant subspace is the fixed space of

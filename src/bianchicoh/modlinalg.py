@@ -5,17 +5,19 @@ elimination uses modular inverses (q prime), so ranks and kernels are
 exact.  Kernel bases are returned in reduced row-echelon form, which
 makes them canonical: recomputing from any generating set of the same
 subspace yields the same matrix.  That is what lets sparse_kernel_basis,
-which eliminates sparse rows before a dense step, return exactly the
+which eliminates sparse rows in rounds of independent pivots on numpy
+(row, column, value) arrays before a dense step, return exactly the
 matrix that kernel_basis returns on the dense form of the same rows.
 
 Products go through mulmod, which splits the inner dimension so that no
-int64 partial sum reaches 2^63; with q < 2^31 (the bound that
+int64 partial sum reaches 2^63; the sparse pass reduces each product of
+two residues before it sums them.  With q < 2^31 (the bound that
 CoefficientModulus enforces) every product and sum here is exact.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -182,122 +184,140 @@ def kernel_basis(m: MatQ) -> MatQ:
 def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
     """kernel_basis of the matrix with sparse rows {column: integer}.
 
-    Structured Gaussian elimination: pop the lightest live row, pivot on
-    its column with the fewest live rows (ties to the lowest column), and
-    clear that column from the other rows; stop once the lightest row
-    has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of the
-    rows left, over the columns without a pivot, is back-substituted
-    through the pivot rows and brought to RREF, so the result equals
-    kernel_basis(MatQ(q, dense rows)).  Every input row is then checked
-    to pair to 0 with every basis vector.
+    Structured Gaussian elimination in rounds of independent pivots on
+    the arrays of _coo.  The pass stops once the lightest live row has
+    more than SPARSE_WEIGHT_CAP entries.  Else the rows of weight at most
+    min(SPARSE_WEIGHT_CAP, 2 * lightest) are the candidates, each on its
+    column with the fewest live rows (ties to the lowest column).  In
+    (weight, column count) order a candidate is accepted when its pivot
+    column lies in no accepted row and its row holds no accepted pivot
+    column.  The pivot rows P are scaled to 1 at their columns C, and
+    every other row R becomes R - R[:, C] P in one gather.  The dense
+    kernel of the rows left, over the columns without a pivot, is
+    back-substituted round by round in reverse, x[C] = -P_offdiag x, and
+    brought to RREF: the result is kernel_basis(MatQ(q, dense rows)).
+    Every input row is then checked to vanish on every basis vector.
+
+    Round lemma.  No accepted pivot row holds another pivot column of
+    its round, so each is unchanged by the other eliminations of the
+    round, and the simultaneous update equals any sequential order.
+    After the round no live row holds a column of C, so each pivot row
+    reads only free columns and pivots of later rounds, which the
+    reverse back-substitution has filled in.  The result is the
+    canonical RREF kernel, whatever the order of the pivots.
     """
-    live: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(rows):
-        red = {j: v % q for j, v in row.items() if v % q}
-        if red:
-            live[i] = red
-    cols: list[set[int]] = [set() for _ in range(ncols)]
-    for i, row in live.items():
-        for j in row:
-            cols[j].add(i)
-    heap = [(len(row), i) for i, row in live.items()]
-    heapify(heap)
-    pivots: list[tuple[int, dict[int, int]]] = []
-    while heap:
-        weight, i = heap[0]
-        row = live.get(i)
-        if row is None or len(row) != weight:
-            heappop(heap)  # stale entry
-            continue
-        if weight > SPARSE_WEIGHT_CAP:
+    coo = r, c, v = _coo(rows, ncols, q)
+    rounds = []  # (C, pivot of each off-diagonal entry, its column, value)
+    free = np.ones(ncols, dtype=bool)
+    while r.size:
+        first = _starts(r).nonzero()[0]
+        bounds = np.append(first, r.size)
+        weight = bounds[1:] - first
+        if weight.min() > SPARSE_WEIGHT_CAP:
             break
-        heappop(heap)
-        del live[i]
-        c = min(row, key=lambda j: (len(cols[j]), j))
-        inv = _inv(row[c], q)
-        if inv != 1:
-            row = {j: v * inv % q for j, v in row.items()}
-        for j in row:
-            cols[j].discard(i)
-        for k in list(cols[c]):
-            other = live[k]
-            f = other[c]
-            for j, v in row.items():
-                nv = (other.get(j, 0) - f * v) % q
-                if nv:
-                    if j not in other:
-                        cols[j].add(k)
-                    other[j] = nv
-                else:
-                    del other[j]
-                    cols[j].discard(k)
-            if other:
-                heappush(heap, (len(other), k))
-            else:
-                del live[k]
-        pivots.append((c, row))
-    pivset = {c for c, _ in pivots}
-    free = [j for j in range(ncols) if j not in pivset]
-    pos = {j: t for t, j in enumerate(free)}
-    rest = np.zeros((len(live), len(free)), dtype=np.int64)
-    for t, i in enumerate(sorted(live)):
-        for j, v in live[i].items():
-            rest[t, pos[j]] = v
+        row = np.repeat(np.arange(first.size), weight)
+        key = np.bincount(c, minlength=ncols)[c] * ncols + c
+        best = np.minimum.reduceat(key, first)
+        at = key == best[row]  # the pivot entry of each row
+        cand = np.flatnonzero(weight <= min(SPARSE_WEIGHT_CAP,
+                                            2 * weight.min()))
+        piv, cols, bounds = c[at].tolist(), c.tolist(), bounds.tolist()
+        in_row, is_piv, accepted = set(), set(), []
+        for i in cand[np.lexsort((best[cand], weight[cand]))].tolist():
+            span = cols[bounds[i]:bounds[i + 1]]
+            if piv[i] not in in_row and is_piv.isdisjoint(span):
+                accepted.append(i)
+                is_piv.add(piv[i])
+                in_row.update(span)
+        take = np.bincount(accepted, minlength=first.size) > 0
+        C = c[at][take]
+        free[C] = False
+        inv = np.array([_inv(a, q) for a in v[at][take].tolist()])
+        pe = take[row]
+        pk = (np.cumsum(take) - 1)[row[pe]]  # sorted pivot numbers
+        pc, pv = c[pe], v[pe] * inv[pk] % q
+        colk = np.full(ncols, -1)
+        colk[C] = np.arange(C.size)
+        hit = (hk := np.where(pe, -1, colk[c])) >= 0
+        count = np.bincount(pk, minlength=C.size)
+        n, seg = count[hk[hit]], (np.cumsum(count) - count)[hk[hit]]
+        idx = np.repeat(seg - np.cumsum(n) + n, n) + np.arange(n.sum())
+        r, c, v = _summed(
+            np.concatenate((r[~pe], np.repeat(r[hit], n))),
+            np.concatenate((c[~pe], pc[idx])),
+            np.concatenate((v[~pe], -(np.repeat(v[hit], n) * pv[idx]) % q)),
+            ncols, q)
+        off = ~at[pe]
+        rounds.append((C, pk[off], pc[off], pv[off]))
+    row = np.cumsum(_starts(r)) - 1
+    rest = np.zeros((row.size and row[-1] + 1, free.sum()), dtype=np.int64)
+    rest[row, (np.cumsum(free) - 1)[c]] = v
     sub = kernel_basis(MatQ(q, rest))
-    k = sub.nrows
-    if k == 0:
+    if (k := sub.nrows) == 0:
         return MatQ(q, np.zeros((0, ncols), dtype=np.int64))
     # x[j] holds coordinate j of all k kernel vectors
     x = np.zeros((ncols, k), dtype=np.int64)
     x[free] = sub.arr.T
-    for c, row in reversed(pivots):
-        acc = np.zeros(k, dtype=np.int64)
-        for j, v in row.items():
-            if j != c:
-                acc = (acc + v * x[j]) % q
-        x[c] = (-acc) % q
+    for C, pk, pc, pv in reversed(rounds):
+        acc = np.zeros((C.size, k), dtype=np.int64)
+        np.add.at(acc, pk, pv[:, None] * x[pc] % q)
+        x[C] = -acc % q
     basis = rref(MatQ(q, x.T))[0]
-    _check_annihilates(rows, basis)
+    bad = np.flatnonzero(_pairings(basis, coo, len(rows)).any(axis=1))
+    if bad.size:
+        raise ConstructionFailure(
+            f"row {int(bad[0])} does not vanish on the kernel basis")
     return basis
 
 
-def _check_annihilates(rows, basis: MatQ):
-    """Raise ConstructionFailure unless row . v = 0 mod q for all pairs."""
-    bad = np.flatnonzero(sparse_values(basis, rows).arr.any(axis=0))
-    if bad.size:
-        raise ConstructionFailure(
-            f"row {int(bad[0])} does not vanish on the kernel basis"
-        )
+def _coo(rows, ncols: int, q: int):
+    """Sparse rows {column: integer} as int64 arrays (r, c, v mod q)."""
+    r = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    c = np.fromiter(chain.from_iterable(rows), np.int64, r.size)
+    v = np.fromiter(chain.from_iterable(row.values() for row in rows),
+                    np.int64, r.size)
+    return _summed(r, c, v % q, ncols, q)
+
+
+def _summed(r, c, v, ncols: int, q: int):
+    """Entries sorted by (r, c), duplicate keys summed mod q, zeros dropped
+    (each v a residue, a key repeated at most row weight + 1 times)."""
+    key = r * ncols + c
+    order = np.argsort(key, kind="stable")
+    first = _starts(key[order]).nonzero()[0]
+    v = np.add.reduceat(v[order], first)
+    v[v >= q] %= q
+    keep = order[first][v != 0]
+    return r[keep], c[keep], v[v != 0]
+
+
+def _starts(a) -> np.ndarray:
+    """True at each entry of a sorted array that differs from the last."""
+    return np.concatenate((a[:1] == a[:1], a[1:] != a[:-1]))
 
 
 def sparse_values(basis: MatQ, rows) -> MatQ:
-    """basis @ dense(rows).T for sparse integer rows {column: value}.
+    """basis @ dense(rows).T for sparse integer rows {column: value}."""
+    coo = _coo(rows, basis.ncols, basis.q)
+    return MatQ(basis.q, _pairings(basis, coo, len(rows)).T)
 
-    Entry [i, k] is the value of basis row i on row k.  Each entry of
-    each row is paired with its column of basis.arr.T, in chunks of at
+
+def _pairings(basis: MatQ, coo, nrows: int) -> np.ndarray:
+    """Row k: the values of row k of coo = (r, c, v) on the basis rows.
+
+    Each entry is paired with its column of basis.arr.T, in chunks of at
     most _CHUNK_CELLS cells, and summed per row; no dense row is formed.
     """
-    q = basis.q
-    k = basis.nrows
-    sums = np.zeros((len(rows), k), dtype=np.int64)
-    ri, cj, vals = [], [], []
-    for i, row in enumerate(rows):
-        ri += [i] * len(row)
-        cj += row.keys()
-        vals += row.values()
-    if vals and k:
-        ri = np.asarray(ri, dtype=np.int64)
-        cj = np.asarray(cj, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.int64) % q
-        bt = basis.arr.T
-        step = max(1, _CHUNK_CELLS // k)
-        for s in range(0, len(vals), step):
-            r = ri[s:s + step]
-            prod = (bt[cj[s:s + step]] * vals[s:s + step, None]) % q
-            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-            seg = np.add.reduceat(prod, starts, axis=0) % q
-            sums[r[starts]] = (sums[r[starts]] + seg) % q
-    return MatQ(q, sums.T)
+    (r, c, v), q, k = coo, basis.q, basis.nrows
+    sums = np.zeros((nrows, k), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // max(k, 1))
+    for s in range(0, v.size if k else 0, step):
+        rs = r[s:s + step]
+        prod = (basis.arr.T[c[s:s + step]] * v[s:s + step, None]) % q
+        starts = _starts(rs).nonzero()[0]
+        seg = np.add.reduceat(prod, starts, axis=0) % q
+        sums[rs[starts]] = (sums[rs[starts]] + seg) % q
+    return sums
 
 
 def left_kernel(m: MatQ) -> MatQ:

@@ -26,7 +26,9 @@ along the whole destination tree and walking every Schreier generator
 from cusps a/c enumerated over the divisors of the level, deduplicated
 by a unit congruence, with their width translations expressed
 (cusps_by_divisors, cusp_equivalent, parabolic_by_cusps; divisors,
-invertible_reps and colon_square serve them).  Last come small helpers
+invertible_reps and colon_square serve them), and the sparse kernel by
+one heap pivot and one dict update at a time (heap_sparse_kernel_basis).
+Last come small helpers
 that the tests use as judges and the package no longer needs:
 evaluate, membership, matpow and abelianized_relators, and two for
 mutating letter tables: copy_table and ReadLog.
@@ -480,6 +482,90 @@ def dense_rows(rows, ncols):
             dense[j] = v
         out.append(dense)
     return out
+
+
+def heap_sparse_kernel_basis(rows, ncols, q):
+    """modlinalg.sparse_kernel_basis by one pivot at a time.
+
+    Pop the lightest live row off a heap, pivot on its column with the
+    fewest live rows (ties to the lowest column), and clear that column
+    from the other rows one dict entry at a time; stop once the lightest
+    row has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of
+    the rows left is back-substituted through the pivot rows and brought
+    to RREF.  No certificate: the tests compare the result.
+    """
+    from heapq import heapify, heappop, heappush
+
+    import numpy as np
+
+    from bianchicoh.modlinalg import (
+        SPARSE_WEIGHT_CAP, MatQ, _inv, kernel_basis, rref)
+
+    live = {}
+    for i, row in enumerate(rows):
+        red = {j: v % q for j, v in row.items() if v % q}
+        if red:
+            live[i] = red
+    cols = [set() for _ in range(ncols)]
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        weight, i = heap[0]
+        row = live.get(i)
+        if row is None or len(row) != weight:
+            heappop(heap)  # stale entry
+            continue
+        if weight > SPARSE_WEIGHT_CAP:
+            break
+        heappop(heap)
+        del live[i]
+        c = min(row, key=lambda j: (len(cols[j]), j))
+        inv = _inv(row[c], q)
+        if inv != 1:
+            row = {j: v * inv % q for j, v in row.items()}
+        for j in row:
+            cols[j].discard(i)
+        for k in list(cols[c]):
+            other = live[k]
+            f = other[c]
+            for j, v in row.items():
+                nv = (other.get(j, 0) - f * v) % q
+                if nv:
+                    if j not in other:
+                        cols[j].add(k)
+                    other[j] = nv
+                else:
+                    del other[j]
+                    cols[j].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+            else:
+                del live[k]
+        pivots.append((c, row))
+    pivset = {c for c, _ in pivots}
+    free = [j for j in range(ncols) if j not in pivset]
+    pos = {j: t for t, j in enumerate(free)}
+    rest = np.zeros((len(live), len(free)), dtype=np.int64)
+    for t, i in enumerate(sorted(live)):
+        for j, v in live[i].items():
+            rest[t, pos[j]] = v
+    sub = kernel_basis(MatQ(q, rest))
+    k = sub.nrows
+    if k == 0:
+        return MatQ(q, np.zeros((0, ncols), dtype=np.int64))
+    x = np.zeros((ncols, k), dtype=np.int64)
+    x[free] = sub.arr.T
+    for c, row in reversed(pivots):
+        acc = np.zeros(k, dtype=np.int64)
+        for j, v in row.items():
+            if j != c:
+                acc = (acc + v * x[j]) % q
+        x[c] = (-acc) % q
+    return rref(MatQ(q, x.T))[0]
 
 
 def quotient_full(x, delta, lam, level):

@@ -468,6 +468,35 @@ def test_verify_frozen_at_norm_753():
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == VERIFY_753_SHA256
 
 
+NO_LAZY_NUMPY_IMPORTS = """
+import contextlib, io, sys
+import numpy
+import bianchicoh.cli as cli
+
+def numpy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+before = numpy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--field-d", "2", "--level", "(3+1*w)",
+                     "--prime", "(0+1*w)", "--modulus", "5",
+                     "--test-primes", "1"]) == 0
+    assert cli.main(["inspect", "dims", "--field-d", "2",
+                     "--level", "(9+11*w)", "--modulus", "5"]) == 0
+print(" ".join(sorted(numpy_modules() - before)))
+"""
+
+
+def test_no_numpy_submodule_is_imported_lazily_in_the_call_path():
+    """A numpy submodule first imported inside a call (a bare np.unique
+    imports numpy.ma) costs milliseconds on the first call of a process.
+    """
+    r = subprocess.run([sys.executable, "-c", NO_LAZY_NUMPY_IMPORTS],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []
+
+
 def test_bad_modulus_is_rejected_before_the_level_group_is_built(
         monkeypatch, capsys):
     from bianchicoh import cli

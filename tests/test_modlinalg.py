@@ -25,7 +25,8 @@ from bianchicoh.modlinalg import (
 )
 from bianchicoh.qfield import field
 from bianchicoh.schreier import CongCtx
-from oracles import dense_rows, matpow
+from oracles import dense_rows, heap_sparse_kernel_basis, matpow
+from test_cohom import FROZEN_DIMS
 
 
 def _random_mat(rng, q, r, c):
@@ -187,15 +188,83 @@ def _dense_kernel(rows, ncols, q):
                                          dtype=np.int64).reshape(-1, ncols)))
 
 
+JUDGE_MODULI = (2, 3, 5, 2147483647)
+# the inspect dims levels of the dims-large-d2 benchmark workload
+LARGE_D2_LEVELS = ("(9+11*w)", "(19+7*w)", "(23)")
+
+
 def test_sparse_kernel_equals_dense_kernel_on_relator_matrices():
-    levels = {1: "(2+5*w)", 2: "(3+1*w)", 3: "(1+5*w)", 7: "(1+2*w)",
-              11: "(1-2*w)"}
-    for d, text in levels.items():
+    """Rounds of pivots == one heap pivot at a time == the dense kernel.
+
+    At the large levels the sparse pass pivots on every column, so the
+    rounds and the back-substitution are all of the work.  The dense
+    kernel takes about a second per modulus there and is compared at
+    the extreme moduli only.
+    """
+    levels = sorted({(d, text) for d, text, _, _ in FROZEN_DIMS})
+    levels += [(2, text) for text in LARGE_D2_LEVELS]
+    for d, text in levels:
         ctx = field(d)
         cc = CongCtx(parse_ideal(ctx, text), ctx)
-        for q in (5, 2147483647):
-            sparse = sparse_kernel_basis(cc.relmat, len(cc.sgens), q)
-            assert sparse == _dense_kernel(cc.relmat, len(cc.sgens), q), (d, q)
+        ncols = len(cc.sgen_edges)
+        for q in JUDGE_MODULI:
+            got = sparse_kernel_basis(cc.relmat, ncols, q)
+            assert got == heap_sparse_kernel_basis(cc.relmat, ncols, q), (
+                d, text, q)
+            if text not in LARGE_D2_LEVELS or q in (2, 2147483647):
+                assert got == _dense_kernel(cc.relmat, ncols, q), (d, text, q)
+
+
+def test_sparse_kernel_equals_the_heap_judge_on_random_light_rows():
+    rng = random.Random(41)
+    for trial in range(240):
+        q = JUDGE_MODULI[trial % len(JUDGE_MODULI)]
+        ncols = rng.randrange(1, 16)
+        rows = []
+        for _ in range(rng.randrange(0, 20)):
+            if rows and rng.random() < 0.15:
+                rows.append(dict(rng.choice(rows)))  # a duplicate row
+            elif rng.random() < 0.1:
+                rows.append({j: q * rng.randint(-3, 3)  # a zero row
+                             for j in rng.sample(range(ncols),
+                                                 min(2, ncols))})
+            else:
+                # the last column is never touched
+                cols = range(ncols - 1)
+                rows.append({j: rng.randint(-3 * q, 3 * q) for j in
+                             rng.sample(cols, min(rng.randrange(6),
+                                                  len(cols)))})
+        got = sparse_kernel_basis(rows, ncols, q)
+        assert got == heap_sparse_kernel_basis(rows, ncols, q), trial
+        assert got == _dense_kernel(rows, ncols, q), trial
+
+
+def test_sparse_kernel_certificate_catches_a_wrong_pivot_inverse(
+        monkeypatch):
+    """A pivot row not scaled to 1 leaves its column in the other rows.
+
+    At this level the sparse pass pivots on every column (the dense
+    remainder has no rows), and the dense steps only form linear
+    combinations of their rows, so the failure comes from the pivots.
+    """
+    ctx = field(2)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
+    ncols = len(cc.sgen_edges)
+    remainders = []
+    dense = modlinalg.kernel_basis
+
+    def spy(m):
+        remainders.append(m.nrows)
+        return dense(m)
+
+    monkeypatch.setattr(modlinalg, "kernel_basis", spy)
+    assert sparse_kernel_basis(cc.relmat, ncols, 5).nrows == 3
+    assert remainders == [0]
+    true_inv = modlinalg._inv
+    monkeypatch.setattr(modlinalg, "_inv",
+                        lambda a, q: 2 * true_inv(a, q) % q)
+    with pytest.raises(ConstructionFailure, match="does not vanish"):
+        sparse_kernel_basis(cc.relmat, ncols, 5)
 
 
 def _heavy_rows(rng, nrows, ncols, weight):
