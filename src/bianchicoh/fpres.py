@@ -39,6 +39,7 @@ from .qfield import (
     FieldCtx,
     Mat2,
     QuadInt,
+    det_coords,
     divmod_coords,
     mat_mul_coords,
     mat_pow_coords,
@@ -283,9 +284,7 @@ def matrix_to_word(m: Mat2, p: AmbientPresentation) -> list:
     sh = 1 if ctx.shifted else 0
     m_coords = m.coords()
     a0, a1, b0, b1, c0, c1, d0, d1 = m_coords
-    ad, bc = a1 * d1, b1 * c1
-    if (a0 * d0 - b0 * c0 - nw * (ad - bc) != 1
-            or a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)):
+    if det_coords(ctx, m_coords) != (1, 0):
         raise NotUnimodular(f"determinant {m.det()} != 1")
     t_pos, t_neg = (p.t_id, 1), (p.t_id, -1)
     u_pos, u_neg = (p.u_id, 1), (p.u_id, -1)

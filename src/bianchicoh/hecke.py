@@ -79,7 +79,7 @@ from .ideals import (
 )
 from .modlinalg import MatQ, block_diag2, project_rows, rref
 from .projline import p1_table
-from .qfield import Mat2, QuadInt, divmod_coords, xgcd
+from .qfield import Mat2, QuadInt, det_coords, divmod_coords, xgcd
 from .schreier import letter_table
 
 
@@ -120,12 +120,9 @@ def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt):
         c0, c1, r0, r1 = divmod_coords(ctx, c0, c1, l0, l1)
     if r0 or r1:
         return None
-    ad, bc = a1 * d1, b1 * c1
-    e0 = a0 * d0 - b0 * c0 - nw * (ad - bc)
-    e1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
-    if e0 * e0 + sh * e0 * e1 + nw * e1 * e1 != 1:
-        return None
-    return (a0, a1, b0, b1, c0, c1, d0, d1)
+    x = (a0, a1, b0, b1, c0, c1, d0, d1)
+    e0, e1 = det_coords(ctx, x)
+    return x if e0 * e0 + sh * e0 * e1 + nw * e1 * e1 == 1 else None
 
 
 def _coset_points(l: PIdeal, reps, point_of) -> list[int]:
@@ -187,7 +184,7 @@ def _check_kernel_lines(l: PIdeal, coords) -> list[int]:
     """
     ctx = l.ctx
     for j, x in enumerate(coords):
-        if not l.contains(Mat2.from_coords(ctx, x).det()):
+        if not l.contains(QuadInt(ctx, *det_coords(ctx, x))):
             raise ConstructionFailure(
                 f"representative {j} does not kill its line mod {l}"
             )

@@ -5,8 +5,8 @@ elimination uses modular inverses (q prime), so ranks and kernels are
 exact.  Kernel bases are returned in reduced row-echelon form, which
 makes them canonical: recomputing from any generating set of the same
 subspace yields the same matrix.  That is what lets sparse_kernel_basis,
-which eliminates sparse rows in rounds of independent pivots on numpy
-(row, column, value) arrays before a dense step, return exactly the
+which eliminates SparseRows (numpy (row, column, value) arrays) in
+rounds of independent pivots before a dense step, return exactly the
 matrix that kernel_basis returns on the dense form of the same rows.
 
 Products go through mulmod, which splits the inner dimension so that no
@@ -45,6 +45,19 @@ def mulmod(x, y, q: int) -> np.ndarray:
         return (x @ y) % q
     return sum((x[..., s:s + step] @ y[s:s + step]) % q
                for s in range(0, n, step)) % q
+
+
+class SparseRows:
+    """nrows integer rows as int64 arrays r, c, v sorted by (row, column),
+    one entry per key and no zero value; len() is nrows, empty rows too."""
+
+    __slots__ = ("r", "c", "v", "nrows")
+
+    def __init__(self, r, c, v, nrows: int):
+        self.r, self.c, self.v, self.nrows = r, c, v, nrows
+
+    def __len__(self):
+        return self.nrows
 
 
 class MatQ:
@@ -169,24 +182,22 @@ def kernel_basis(m: MatQ) -> MatQ:
     q = m.q
     red, pivots = rref(m)
     nc = m.ncols
-    pivset = set(pivots)
-    free = [c for c in range(nc) if c not in pivset]
+    free = sorted(set(range(nc)).difference(pivots))
     if not free:
         return MatQ(q, np.zeros((0, nc), dtype=np.int64))
     rows = np.zeros((len(free), nc), dtype=np.int64)
-    for i, fc in enumerate(free):
-        rows[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            rows[i, pc] = (-red.arr[r, fc]) % q
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(pivots)] = -red.arr[:, free].T % q
     return rref(MatQ(q, rows))[0]
 
 
-def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
-    """kernel_basis of the matrix with sparse rows {column: integer}.
+def sparse_kernel_basis(rows: SparseRows, ncols: int, q: int) -> MatQ:
+    """kernel_basis of the integer matrix rows, mod q.
 
-    Structured Gaussian elimination in rounds of independent pivots on
-    the arrays of _coo.  The pass stops once the lightest live row has
-    more than SPARSE_WEIGHT_CAP entries.  Else the rows of weight at most
+    The values are reduced mod q and zeros dropped; the rows arrive
+    sorted and coalesced.  Structured Gaussian elimination in rounds of
+    independent pivots stops once the lightest live row has more than
+    SPARSE_WEIGHT_CAP entries.  Else the rows of weight at most
     min(SPARSE_WEIGHT_CAP, 2 * lightest) are the candidates, each on its
     column with the fewest live rows (ties to the lowest column).  In
     (weight, column count) order a candidate is accepted when its pivot
@@ -196,7 +207,9 @@ def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
     kernel of the rows left, over the columns without a pivot, is
     back-substituted round by round in reverse, x[C] = -P_offdiag x, and
     brought to RREF: the result is kernel_basis(MatQ(q, dense rows)).
-    Every input row is then checked to vanish on every basis vector.
+    Every input row is then checked to vanish on every basis vector,
+    which proves that the basis lies in the kernel; that it spans the
+    kernel rests on the elimination alone.
 
     Round lemma.  No accepted pivot row holds another pivot column of
     its round, so each is unchanged by the other eliminations of the
@@ -206,7 +219,8 @@ def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
     reverse back-substitution has filled in.  The result is the
     canonical RREF kernel, whatever the order of the pivots.
     """
-    coo = r, c, v = _coo(rows, ncols, q)
+    keep = rows.v % q != 0
+    r, c, v = rows.r[keep], rows.c[keep], rows.v[keep] % q
     rounds = []  # (C, pivot of each off-diagonal entry, its column, value)
     free = np.ones(ncols, dtype=bool)
     while r.size:
@@ -263,20 +277,20 @@ def sparse_kernel_basis(rows, ncols: int, q: int) -> MatQ:
         np.add.at(acc, pk, pv[:, None] * x[pc] % q)
         x[C] = -acc % q
     basis = rref(MatQ(q, x.T))[0]
-    bad = np.flatnonzero(_pairings(basis, coo, len(rows)).any(axis=1))
+    bad = np.flatnonzero(_pairings(basis, rows).any(axis=1))
     if bad.size:
         raise ConstructionFailure(
             f"row {int(bad[0])} does not vanish on the kernel basis")
     return basis
 
 
-def _coo(rows, ncols: int, q: int):
-    """Sparse rows {column: integer} as int64 arrays (r, c, v mod q)."""
+def _coo(rows, ncols: int, q: int) -> SparseRows:
+    """Sparse rows {column: integer} as SparseRows of their values mod q."""
     r = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     c = np.fromiter(chain.from_iterable(rows), np.int64, r.size)
     v = np.fromiter(chain.from_iterable(row.values() for row in rows),
                     np.int64, r.size)
-    return _summed(r, c, v % q, ncols, q)
+    return SparseRows(*_summed(r, c, v % q, ncols, q), len(rows))
 
 
 def _summed(r, c, v, ncols: int, q: int):
@@ -298,22 +312,21 @@ def _starts(a) -> np.ndarray:
 
 def sparse_values(basis: MatQ, rows) -> MatQ:
     """basis @ dense(rows).T for sparse integer rows {column: value}."""
-    coo = _coo(rows, basis.ncols, basis.q)
-    return MatQ(basis.q, _pairings(basis, coo, len(rows)).T)
+    return MatQ(basis.q, _pairings(basis, _coo(rows, basis.ncols, basis.q)).T)
 
 
-def _pairings(basis: MatQ, coo, nrows: int) -> np.ndarray:
-    """Row k: the values of row k of coo = (r, c, v) on the basis rows.
+def _pairings(basis: MatQ, rows: SparseRows) -> np.ndarray:
+    """Row k: the values of row k of the integer rows on the basis rows.
 
-    Each entry is paired with its column of basis.arr.T, in chunks of at
-    most _CHUNK_CELLS cells, and summed per row; no dense row is formed.
+    Each entry, reduced mod q, meets its column of basis.arr.T in chunks
+    of at most _CHUNK_CELLS cells, summed per row; no row is made dense.
     """
-    (r, c, v), q, k = coo, basis.q, basis.nrows
-    sums = np.zeros((nrows, k), dtype=np.int64)
+    r, c, v, q, k = rows.r, rows.c, rows.v, basis.q, basis.nrows
+    sums = np.zeros((rows.nrows, k), dtype=np.int64)
     step = max(1, _CHUNK_CELLS // max(k, 1))
     for s in range(0, v.size if k else 0, step):
         rs = r[s:s + step]
-        prod = (basis.arr.T[c[s:s + step]] * v[s:s + step, None]) % q
+        prod = basis.arr.T[c[s:s + step]] * (v[s:s + step, None] % q) % q
         starts = _starts(rs).nonzero()[0]
         seg = np.add.reduceat(prod, starts, axis=0) % q
         sums[rs[starts]] = (sums[rs[starts]] + seg) % q

@@ -418,6 +418,14 @@ def mat_mul_coords(ctx: FieldCtx, x: tuple, y: tuple) -> tuple:
     )
 
 
+def det_coords(ctx: FieldCtx, x: tuple) -> tuple[int, int]:
+    """(d0, d1) with d0 + d1*w the determinant of a coordinate tuple."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = x
+    e = a1 * d1 - b1 * c1  # the coefficient of w^2
+    return (a0 * d0 - b0 * c0 - ctx.norm_w * e,
+            a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + ctx.trace_w * e)
+
+
 def mat_pow_coords(ctx: FieldCtx, x: tuple, k: int) -> tuple:
     """x**k for k >= 0 on 8-int coordinate tuples, by binary powering."""
     if k < 0:

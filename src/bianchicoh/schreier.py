@@ -29,20 +29,19 @@ and the Schreier generator crossed (-1 on tree edges); the sign is e.
 _walk follows the lists for one start coset.  _build_relmat walks every
 ambient relator from all cosets at once on the same tables as numpy
 arrays; every walk must close (an array equality).  The rewritten rows
-form the relator matrix, kept sparse as one dict {Schreier generator
-index: nonzero exponent} per relator and coset, relator-major, with
-keys in the order of their first visit: the visits are coalesced by
-(row, generator) key and zero sums dropped, exactly as _walk would give
-them.  A relator walk touches a handful of edges, so the rows are
-short; their mod-q kernel is the cohomology downstream.
+form the relator matrix, one per relator and coset, relator-major, kept
+as a modlinalg.SparseRows sorted by (row, Schreier generator) key: the
+visits are summed per key and zero sums dropped.  A relator walk
+touches a handful of edges, so the rows are short; their mod-q kernel
+is the cohomology downstream.
 
 express(m) checks that m lies in Gamma_0(n), takes the certified
 letters of fpres.matrix_to_word and walks them from the base coset; the
 walk must close.  The letters are not freely reduced, but a letter next
 to its inverse visits one edge with opposite signs, so nothing changes.
-rewrite and express return the same sparse {index: exponent} dicts as
-the relator rows.  No package code calls them; like sgens they serve
-the tests and bench/tracing.py.
+rewrite and express return sparse {index: exponent} dicts, in the
+columns of the relator matrix.  No package code calls them; like sgens
+they serve the tests and bench/tracing.py.
 
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
@@ -57,7 +56,6 @@ walk certifies that the quotient lies in Gamma_0(n).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -70,8 +68,9 @@ from .errors import (
 )
 from .fpres import AmbientPresentation, Word, builtin_presentation, matrix_to_word
 from .ideals import PIdeal
+from .modlinalg import SparseRows
 from .projline import P1Table
-from .qfield import FieldCtx, Mat2, mat_mul_coords
+from .qfield import FieldCtx, Mat2, det_coords, mat_mul_coords
 
 
 class CongCtx:
@@ -146,8 +145,6 @@ class CongCtx:
         ctx = self.ctx
         ncos = len(self.cosets)
         lp, lq, lr = self.level.hnf()
-        nw = ctx.norm_w
-        sh = 1 if ctx.shifted else 0
         tcoords = self._tcoords
         tree_pos = self._tree_pos
         gmats = [m.coords() for m in p._mats]
@@ -164,12 +161,8 @@ class CongCtx:
                 a0, a1, b0, b1, c0, c1, d0, d1 = tcoords[y]
                 m = mat_mul_coords(ctx, mat_mul_coords(ctx, tx, gmats[gid]),
                                    (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
-                a0, a1, b0, b1, c0, c1, d0, d1 = m
-                ad, bc = a1 * d1, b1 * c1
-                det0 = a0 * d0 - b0 * c0 - nw * (ad - bc)
-                det1 = a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0 + sh * (ad - bc)
-                k, rem = divmod(c1, lr)
-                if det0 != 1 or det1 or rem or (c0 - k * lq) % lp:
+                k, rem = divmod(m[5], lr)
+                if det_coords(ctx, m) != (1, 0) or rem or (m[4] - k * lq) % lp:
                     raise ConstructionFailure(
                         f"Schreier generator {Mat2.from_coords(ctx, m)} "
                         f"escapes the level"
@@ -231,12 +224,12 @@ class CongCtx:
             pos = nxt[pos]
         return pos, vec
 
-    def _build_relmat(self):
+    def _build_relmat(self) -> SparseRows:
         """Walk every relator from all cosets at once on the walk tables.
 
         Row r * |P^1| + x is the walk of relator r from coset x, which
-        must close; its keys come in the order of their first visit and
-        zero sums are dropped, as _walk would give them.
+        must close, with its visits summed per Schreier generator and the
+        zero sums dropped, as rewrite would give them.
         """
         ncos = len(self.cosets)
         nsg = len(self.sgen_edges)
@@ -264,26 +257,15 @@ class CongCtx:
             pos = nxt[codes[t], pos]
         if not np.array_equal(pos, start):
             raise ConstructionFailure("relator walk did not close")
-        # visits by row, and each row's in walk order
-        row, step = np.nonzero(visits.T >= 0)
-        col = visits[step, row]
+        # the visits summed per key row * nsg + generator, keys sorted
+        step, row = np.nonzero(visits >= 0)
         signs = sign[codes[step, row]]
-        _, first, inv = np.unique(row * nsg + col, return_index=True,
-                                  return_inverse=True)
-        total = (np.bincount(inv[signs > 0], minlength=len(first))
-                 - np.bincount(inv[signs < 0], minlength=len(first)))
-        # the first visit of each (row, generator), still in walk order
-        at = np.zeros(len(row), dtype=bool)
-        at[first] = True
-        at = np.flatnonzero(at)
-        total = total[inv[at]]
-        at = at[total != 0]
-        sizes = np.bincount(row[at], minlength=len(start)).tolist()
-        col = col[at].tolist()
-        total = total[total != 0].tolist()
-        bounds = [0, *accumulate(sizes)]
-        return [dict(zip(col[b0:b1], total[b0:b1]))
-                for b0, b1 in zip(bounds, bounds[1:])]
+        keys, inv = np.unique(row * nsg + visits[step, row],
+                              return_inverse=True)
+        total = (np.bincount(inv[signs > 0], minlength=keys.size)
+                 - np.bincount(inv[signs < 0], minlength=keys.size))
+        keep = total != 0
+        return SparseRows(*divmod(keys[keep], nsg), total[keep], start.size)
 
     # -- queries ------------------------------------------------------
 

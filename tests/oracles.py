@@ -27,7 +27,9 @@ from cusps a/c enumerated over the divisors of the level, deduplicated
 by a unit congruence, with their width translations expressed
 (cusps_by_divisors, cusp_equivalent, parabolic_by_cusps; divisors,
 invertible_reps and colon_square serve them), and the sparse kernel by
-one heap pivot and one dict update at a time (heap_sparse_kernel_basis).
+one heap pivot and one dict update at a time (heap_sparse_kernel_basis,
+which reads modlinalg.SparseRows as dict rows through row_dicts, as
+dense_rows' callers do; sparse_rows builds a SparseRows from dict rows).
 Last come small helpers
 that the tests use as judges and the package no longer needs:
 evaluate, membership, matpow and abelianized_relators, and two for
@@ -473,6 +475,35 @@ def sweep_p1(n):
     return points, lookup
 
 
+def sparse_rows(rows):
+    """Sparse integer rows {column: value} as modlinalg.SparseRows.
+
+    Columns ascending within each row and zero values dropped; the
+    values are kept as integers, not reduced mod anything.
+    """
+    import numpy as np
+
+    from bianchicoh.modlinalg import SparseRows
+
+    r, c, v = np.array(
+        [(i, j, x) for i, row in enumerate(rows)
+         for j, x in sorted(row.items()) if x],
+        dtype=np.int64).reshape(-1, 3).T
+    return SparseRows(r, c, v, len(rows))
+
+
+def row_dicts(rows):
+    """SparseRows as one dict {column: value} per row, empty rows included.
+
+    The one way the judges below (dense_rows, heap_sparse_kernel_basis)
+    and the tests read a SparseRows.
+    """
+    out = [{} for _ in range(len(rows))]
+    for i, j, x in zip(rows.r.tolist(), rows.c.tolist(), rows.v.tolist()):
+        out[i][j] = x
+    return out
+
+
 def dense_rows(rows, ncols):
     """Sparse rows {column: value} as dense integer lists of length ncols."""
     out = []
@@ -487,12 +518,13 @@ def dense_rows(rows, ncols):
 def heap_sparse_kernel_basis(rows, ncols, q):
     """modlinalg.sparse_kernel_basis by one pivot at a time.
 
-    Pop the lightest live row off a heap, pivot on its column with the
-    fewest live rows (ties to the lowest column), and clear that column
-    from the other rows one dict entry at a time; stop once the lightest
-    row has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of
-    the rows left is back-substituted through the pivot rows and brought
-    to RREF.  No certificate: the tests compare the result.
+    rows is a SparseRows of integers, read through row_dicts.  Pop the
+    lightest live row off a heap, pivot on its column with the fewest
+    live rows (ties to the lowest column), and clear that column from
+    the other rows one dict entry at a time; stop once the lightest row
+    has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of the
+    rows left is back-substituted through the pivot rows and brought to
+    RREF.  No certificate: the tests compare the result.
     """
     from heapq import heapify, heappop, heappush
 
@@ -502,7 +534,7 @@ def heap_sparse_kernel_basis(rows, ncols, q):
         SPARSE_WEIGHT_CAP, MatQ, _inv, kernel_basis, rref)
 
     live = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(row_dicts(rows)):
         red = {j: v % q for j, v in row.items() if v % q}
         if red:
             live[i] = red

@@ -41,6 +41,7 @@ from oracles import (
     dense_rows,
     locate_right_coset,
     parabolic_by_cusps,
+    row_dicts,
 )
 
 FIELDS = (1, 2, 3, 7, 11)
@@ -350,7 +351,7 @@ def test_acceptance_7_cross_validation():
         ctx = field(d)
         for text in texts:
             cc = CongCtx(parse_ideal(ctx, text), ctx)
-            relmat = dense_rows(cc.relmat, len(cc.sgens))
+            relmat = dense_rows(row_dicts(cc.relmat), len(cc.sgens))
             rank, torsion = abelian_invariants(relmat, len(cc.sgens))
             for q in (5, 7):
                 expected = rank + sum(1 for t in torsion if t % q == 0)

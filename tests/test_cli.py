@@ -552,7 +552,9 @@ tracer.begin_call(argv)
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(argv)
 tracer.end_call(0.0)
-print(json.dumps({"rc": rc, "missing": tracer.summary()["missing"]}))
+summary = tracer.summary()
+print(json.dumps({"rc": rc, "missing": summary["missing"],
+                  "counters": summary["counters"]}))
 """
 
 
@@ -560,8 +562,14 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     """The tracer finds every package name that bench/tracing.py reads.
 
     A missing name leaves its per-layer metrics out of a traced run;
-    this catches a rename or deletion in the Tier-1 run.
+    this catches a rename or deletion in the Tier-1 run.  The counters
+    of the one coset build must equal the sizes of a direct build, so
+    a relator matrix whose len() is not its row count fails here too.
     """
+    from bianchicoh.ideals import parse_ideal
+    from bianchicoh.qfield import field
+    from bianchicoh.schreier import CongCtx
+
     root = Path(__file__).resolve().parent.parent
     r = subprocess.run(
         [sys.executable, "-c", _TRACED_DIMS, str(root / "bench"),
@@ -569,4 +577,11 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout.splitlines()[-1]) == {"rc": 0, "missing": []}
+    out = json.loads(r.stdout.splitlines()[-1])
+    assert (out["rc"], out["missing"]) == (0, [])
+    ctx = field(2)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
+    counters = out["counters"]
+    assert counters["schreier.relator_rows"] == (
+        len(cc.pres.relators) * len(cc.cosets))
+    assert counters["schreier.sgens"] == len(cc.sgen_edges)

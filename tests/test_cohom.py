@@ -33,6 +33,7 @@ from oracles import (
     evaluate,
     membership,
     parabolic_by_cusps,
+    row_dicts,
 )
 
 # (d, level, q) -> (dim H^1, dim parabolic, dim parabolic-unit)
@@ -74,7 +75,7 @@ def test_h1_dimension_matches_abelianization_oracle():
     for d, text in [(1, "(2+1*w)"), (2, "(3+1*w)"), (3, "(2)"),
                     (7, "(0+1*w)"), (11, "(1-2*w)")]:
         cc = _build(d, text)
-        relmat = dense_rows(cc.relmat, len(cc.sgens))
+        relmat = dense_rows(row_dicts(cc.relmat), len(cc.sgens))
         rank, torsion = abelian_invariants(relmat, len(cc.sgens))
         for q in (5, 7, 13):
             expected = rank + sum(1 for t in torsion if t % q == 0)

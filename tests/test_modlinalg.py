@@ -25,7 +25,13 @@ from bianchicoh.modlinalg import (
 )
 from bianchicoh.qfield import field
 from bianchicoh.schreier import CongCtx
-from oracles import dense_rows, heap_sparse_kernel_basis, matpow
+from oracles import (
+    dense_rows,
+    heap_sparse_kernel_basis,
+    matpow,
+    row_dicts,
+    sparse_rows,
+)
 from test_cohom import FROZEN_DIMS
 
 
@@ -184,8 +190,9 @@ def test_products_exact_at_the_largest_modulus():
 
 
 def _dense_kernel(rows, ncols, q):
-    return kernel_basis(MatQ(q, np.array(dense_rows(rows, ncols),
-                                         dtype=np.int64).reshape(-1, ncols)))
+    dense = dense_rows(row_dicts(rows), ncols)
+    return kernel_basis(MatQ(q, np.array(dense, dtype=np.int64)
+                             .reshape(-1, ncols)))
 
 
 JUDGE_MODULI = (2, 3, 5, 2147483647)
@@ -234,6 +241,8 @@ def test_sparse_kernel_equals_the_heap_judge_on_random_light_rows():
                 rows.append({j: rng.randint(-3 * q, 3 * q) for j in
                              rng.sample(cols, min(rng.randrange(6),
                                                   len(cols)))})
+        # integer values: the kernel itself must reduce and drop them
+        rows = sparse_rows(rows)
         got = sparse_kernel_basis(rows, ncols, q)
         assert got == heap_sparse_kernel_basis(rows, ncols, q), trial
         assert got == _dense_kernel(rows, ncols, q), trial
@@ -291,6 +300,7 @@ def test_sparse_kernel_with_a_dense_remainder(monkeypatch):
         # light rows, zero and empty rows and duplicates ride along
         rows += [{j: 1 for j in rng.sample(range(ncols), 3)} for _ in range(5)]
         rows += [{}, {0: 0, 1: 5 * 7}, dict(rows[0])]
+        rows = sparse_rows(rows)
         for q in (5, 7, 2147483647):
             remainders.clear()
             sparse = sparse_kernel_basis(rows, ncols, q)
@@ -299,16 +309,19 @@ def test_sparse_kernel_with_a_dense_remainder(monkeypatch):
 
 
 def test_sparse_kernel_edge_shapes():
-    assert sparse_kernel_basis([], 3, 5) == MatQ.identity(5, 3)
-    assert sparse_kernel_basis([{}, {1: 10}], 2, 5) == MatQ.identity(5, 2)
-    assert sparse_kernel_basis([{0: 1}, {1: 3}], 2, 7).nrows == 0
-    assert sparse_kernel_basis([], 0, 5).arr.shape == (0, 0)
+    def kernel(rows, ncols, q):
+        return sparse_kernel_basis(sparse_rows(rows), ncols, q)
+
+    assert kernel([], 3, 5) == MatQ.identity(5, 3)
+    assert kernel([{}, {1: 10}], 2, 5) == MatQ.identity(5, 2)
+    assert kernel([{0: 1}, {1: 3}], 2, 7).nrows == 0
+    assert kernel([], 0, 5).arr.shape == (0, 0)
 
 
 def test_sparse_kernel_certificate_catches_a_wrong_basis(monkeypatch):
     rng = random.Random(37)
     ncols = 2 * SPARSE_WEIGHT_CAP
-    rows = _heavy_rows(rng, 8, ncols, SPARSE_WEIGHT_CAP + 4)
+    rows = sparse_rows(_heavy_rows(rng, 8, ncols, SPARSE_WEIGHT_CAP + 4))
 
     def identity_kernel(m):
         return MatQ.identity(m.q, m.ncols)

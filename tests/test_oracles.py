@@ -21,8 +21,10 @@ from oracles import (
     brute_p1_count,
     brute_p1_count_fast,
     dense_rows,
+    row_dicts,
     scan_right_cosets,
     snf_diagonal,
+    sparse_rows,
     sweep_p1,
     tc_subgroup_abelianization,
     todd_coxeter,
@@ -182,6 +184,18 @@ def test_sweep_p1_counts_rays_and_maps_them_to_their_first_pair():
 def test_dense_rows_places_entries_and_zero_fills():
     assert dense_rows([{0: 2, 3: -1}, {}], 4) == [[2, 0, 0, -1], [0, 0, 0, 0]]
     assert dense_rows([], 3) == []
+
+
+def test_sparse_rows_keep_integers_and_round_trip_through_row_dicts():
+    rows = sparse_rows([{3: -1, 0: 15, 2: 0}, {}, {1: 10**10}])
+    assert len(rows) == rows.nrows == 3
+    assert rows.r.tolist() == [0, 0, 2]
+    assert rows.c.tolist() == [0, 3, 1]
+    assert rows.v.tolist() == [15, -1, 10**10]
+    assert row_dicts(rows) == [{0: 15, 3: -1}, {}, {1: 10**10}]
+    empty = sparse_rows([{}, {}])
+    assert len(empty) == 2 and empty.r.size == 0
+    assert row_dicts(empty) == [{}, {}]
 
 
 def test_descent_operators_commute_and_have_finite_order():

@@ -9,6 +9,7 @@ import pytest
 from bianchicoh.errors import FieldMismatch, ParseError, UnsupportedField
 from bianchicoh.qfield import (
     Mat2,
+    det_coords,
     divides,
     divmod_coords,
     euclid_divmod,
@@ -176,6 +177,17 @@ def test_mat2_product_and_power_match_entrywise_arithmetic():
             m ** -1
     with pytest.raises(FieldMismatch):
         Mat2.identity(field(1)) * Mat2.identity(field(2))
+
+
+def test_det_coords_equals_the_mat2_determinant():
+    """Shifted (d = 3, 7, 11) and unshifted (d = 1, 2) rings alike."""
+    rng = random.Random(71)
+    for d in FIELDS:
+        ctx = field(d)
+        for _ in range(200):
+            x = tuple(rng.randint(-60, 60) for _ in range(8))
+            det = Mat2.from_coords(ctx, x).det()
+            assert det_coords(ctx, x) == (det.a, det.b), (d, x)
 
 
 def test_mat2_inverse_requires_unit_determinant():
