@@ -21,6 +21,7 @@ produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -461,7 +462,10 @@ def cmd_findprimes(cfg: RunConfig) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="bianchicoh",
         description=(

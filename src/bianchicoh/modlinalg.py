@@ -6,12 +6,19 @@ exact.  Kernel bases are returned in reduced row-echelon form, which
 makes them canonical: recomputing from any generating set of the same
 subspace yields the same matrix.  That is what lets sparse_kernel_basis,
 which eliminates SparseRows (numpy (row, column, value) arrays) in
-rounds of independent pivots before a dense step, return exactly the
-matrix that kernel_basis returns on the dense form of the same rows.
+rounds of independent pivots until the live block is dense and hands
+the rest to the dense kernel, return exactly the matrix that
+kernel_basis returns on the dense form of the same rows, wherever the
+rounds stop.  rref works in panels of columns and brings the columns
+right of a panel up to date with one product.
 
-Products go through mulmod, which splits the inner dimension so that no
-int64 partial sum reaches 2^63; the sparse pass reduces each product of
-two residues before it sums them.  With q < 2^31 (the bound that
+Products go through mulmod.  A large one runs in float64 through BLAS
+in chunks of k terms with (q - 1)^2 * k < 2^53, so every partial sum is
+an integer below 2^53 and exact; when such chunks would be shorter than
+a panel (q above about 1.2 * 10^7) it runs in int64 in chunks that keep
+every partial sum below 2^63.  The sparse pass reduces each product of
+two residues before it sums them, and the row certificate does so when
+a row is long enough to need it.  With q < 2^31 (the bound that
 CoefficientModulus enforces) every product and sum here is exact.
 """
 
@@ -24,27 +31,41 @@ import numpy as np
 from .errors import ConstructionFailure, ShapeMismatch
 
 _INT64_MAX = 2**63 - 1
-# The sparse pass stops once the lightest live row has more entries than
-# this; the rows left go to the dense kernel.
-SPARSE_WEIGHT_CAP = 32
-# Bound on the entries of one temporary array in the row certificate.
-_CHUNK_CELLS = 1 << 20
+# Every integer up to 2^53 is a float64.
+_FLOAT_EXACT = 2**53
+# Columns per panel of rref.
+_PANEL = 64
+# Multiply-adds from which a product pays for its float64 copies; the
+# first BLAS call of a process also maps about 0.4 MiB of work buffers.
+_BLAS_MIN = 1 << 16
+# The sparse pass stops once its live entries times this reach live rows
+# times live columns; the rows left go to the dense kernel.
+_DENSITY = 4
 
 
 def mulmod(x, y, q: int) -> np.ndarray:
     """x @ y mod q for int64 arrays with entries in [0, q), computed exactly.
 
-    The inner dimension is split into chunks of at most
-    (2^63 - 1) // (q - 1)^2 terms, so no partial sum overflows.
+    A product of at least _BLAS_MIN multiply-adds runs in float64
+    through BLAS when chunks of k terms with (q - 1)^2 * k < 2^53 hold
+    at least _PANEL terms.  Else it runs in int64, in chunks of at most
+    (2^63 - 1) // (q - 1)^2 terms.  Either way every partial sum is an
+    exact integer.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     n = x.shape[-1]
-    step = max(1, _INT64_MAX // max(1, (q - 1) ** 2))
+    sq = max(1, (q - 1) ** 2)
+    step = (_FLOAT_EXACT - 1) // sq
+    if step >= _PANEL and x.size * y.size // max(n, 1) >= _BLAS_MIN:
+        x, y = x.astype(np.float64), y.astype(np.float64)
+    else:
+        step = _INT64_MAX // sq
+    # reduced in int64, which is much faster than the float64 remainder
     if n <= step:
-        return (x @ y) % q
-    return sum((x[..., s:s + step] @ y[s:s + step]) % q
-               for s in range(0, n, step)) % q
+        return np.matmul(x, y).astype(np.int64) % q
+    return sum(np.matmul(x[..., s:s + step], y[s:s + step]).astype(np.int64)
+               % q for s in range(0, n, step)) % q
 
 
 class SparseRows:
@@ -148,28 +169,79 @@ def _inv(a: int, q: int) -> int:
 
 
 def rref(m: MatQ) -> tuple[MatQ, tuple[int, ...]]:
-    """Reduced row-echelon form and its pivot columns."""
+    """Reduced row-echelon form and its pivot columns.
+
+    Panel-blocked.  The columns are taken _PANEL at a time.  Rows r..
+    (those without a pivot yet) are eliminated on the panel columns one
+    pivot at a time, and beside them z records each row as multiples of
+    the panel's pivot rows as they first read: when row i becomes the
+    t-th pivot row, z[i, t] = 1, and every row operation acts on z too.
+    The columns right of the panel are then brought up to date at once,
+    tail = tail (pivot rows zeroed) + z @ (their tail as first read),
+    and the new pivot columns are cleared from the rows above with one
+    more product.  Both products go through mulmod.  The RREF is
+    canonical, so the result equals that of one pivot at a time.
+    """
     q = m.q
     a = m.arr.copy()
     nr, nc = a.shape
     pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = (a[r] * _inv(a[r, c], q)) % q
-        rest = np.nonzero(a[:, c])[0]
-        rest = rest[rest != r]
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % q
-        pivots.append(c)
-        r += 1
+    # entries may fall this many pivots' worth of (q - 1)^2 below 0
+    # before a reduction, which keeps them above -2^62
+    every = _INT64_MAX // 2 // (q - 1) ** 2
+    r = c1 = 0
+    while c1 < nc and r < nr:
+        # the last panel takes up to 2 * _PANEL columns: z costs about as
+        # much per pivot as a tail of _PANEL columns saves
+        c0 = c1
+        c1 = c0 + _PANEL if nc - c0 > 2 * _PANEL else nc
+        w, r0, tail = c1 - c0, r, c1 < nc
+        # b: rows r0.. of the panel (a view of a when nothing is right of
+        # it), then z
+        b = a[r0:, c0:c1]
+        if tail:
+            z = np.zeros((nr - r0, min(w, nr - r0)), np.int64)
+            b = np.concatenate((b, z), axis=1)
+        i = lag = 0
+        for j in range(w):
+            if r0 + i >= nr:
+                break
+            b[:, j] %= q
+            nz = np.nonzero(b[i:, j])[0]
+            if nz.size == 0:
+                continue
+            p = i + int(nz[0])
+            if p != i:
+                b[[i, p]] = b[[p, i]]
+                if tail:
+                    a[[r0 + i, r0 + p], c1:] = a[[r0 + p, r0 + i], c1:]
+            if tail:
+                b[i, w + i] = 1
+            b[i] = b[i] % q * _inv(b[i, j], q) % q
+            f = b[:, j].copy()
+            f[i] = 0
+            # row i is 0 left of j and in z right of column i
+            live = b[:, j:w + i + 1]
+            live -= np.outer(f, live[i])
+            lag += 1
+            if lag == every:
+                b %= q
+                lag = 0
+            pivots.append(c0 + j)
+            i += 1
+        b %= q
+        r = r0 + i
+        if tail:
+            a[r0:, c0:c1] = b[:, :w]
+            if i:
+                first = a[r0:r, c1:].copy()
+                a[r0:r, c1:] = 0
+                a[r0:, c1:] += mulmod(b[:, w:w + i], first, q)
+                a[r0:, c1:] %= q
+        if i and r0:
+            new = pivots[-i:]
+            a[:r0, c0:] -= mulmod(a[:r0, new], a[r0:r, c0:], q)
+            a[:r0, c0:] %= q
     return MatQ(q, a[:r]), tuple(pivots)
 
 
@@ -195,29 +267,38 @@ def sparse_kernel_basis(rows: SparseRows, ncols: int, q: int) -> MatQ:
     """kernel_basis of the integer matrix rows, mod q.
 
     The values are reduced mod q and zeros dropped; the rows arrive
-    sorted and coalesced.  Structured Gaussian elimination in rounds of
-    independent pivots stops once the lightest live row has more than
-    SPARSE_WEIGHT_CAP entries.  Else the rows of weight at most
-    min(SPARSE_WEIGHT_CAP, 2 * lightest) are the candidates, each on its
-    column with the fewest live rows (ties to the lowest column).  In
-    (weight, column count) order a candidate is accepted when its pivot
-    column lies in no accepted row and its row holds no accepted pivot
-    column.  The pivot rows P are scaled to 1 at their columns C, and
-    every other row R becomes R - R[:, C] P in one gather.  The dense
-    kernel of the rows left, over the columns without a pivot, is
-    back-substituted round by round in reverse, x[C] = -P_offdiag x, and
-    brought to RREF: the result is kernel_basis(MatQ(q, dense rows)).
-    Every input row is then checked to vanish on every basis vector,
-    which proves that the basis lies in the kernel; that it spans the
-    kernel rests on the elimination alone.
+    sorted and coalesced.  Structured Gaussian elimination runs in
+    rounds of independent pivots until the live block is dense: it stops
+    once its entries times _DENSITY reach its live rows times its live
+    columns.  In a round the rows of weight at most 2 * lightest are the
+    candidates, each on its column with the fewest live rows (ties to
+    the lowest column).  In (weight, column count) order a candidate is
+    accepted when its pivot column lies in no accepted row and its row
+    holds no accepted pivot column.  The pivot rows P are scaled to 1 at
+    their columns C, and every other row R becomes R - R[:, C] P in one
+    gather.  The dense kernel of the rows left, over the columns without
+    a pivot, is back-substituted round by round in reverse,
+    x[C] = -P_offdiag x, and brought to RREF: the result is
+    kernel_basis(MatQ(q, dense rows)).  The rows left must hold no pivot
+    column (ConstructionFailure otherwise).  Every input row is then
+    checked to vanish on every basis vector, which proves that the basis
+    lies in the kernel; that it spans the kernel rests on the
+    elimination alone.
 
     Round lemma.  No accepted pivot row holds another pivot column of
     its round, so each is unchanged by the other eliminations of the
     round, and the simultaneous update equals any sequential order.
     After the round no live row holds a column of C, so each pivot row
     reads only free columns and pivots of later rounds, which the
-    reverse back-substitution has filled in.  The result is the
-    canonical RREF kernel, whatever the order of the pivots.
+    reverse back-substitution has filled in.
+
+    Stopping lemma.  After any round the pivot rows and the live rows
+    span the input rows, and the live rows vanish on every pivot column.
+    So x lies in the kernel exactly when the live rows vanish on its free
+    columns and x[C] is back-substituted from them: the kernel is the
+    same space whichever round the pass stops after, and its RREF basis
+    is unique.  The result is the canonical RREF kernel, whatever the
+    order of the pivots and the stopping point.
     """
     keep = rows.v % q != 0
     r, c, v = rows.r[keep], rows.c[keep], rows.v[keep] % q
@@ -225,16 +306,16 @@ def sparse_kernel_basis(rows: SparseRows, ncols: int, q: int) -> MatQ:
     free = np.ones(ncols, dtype=bool)
     while r.size:
         first = _starts(r).nonzero()[0]
+        count = np.bincount(c, minlength=ncols)
+        if r.size * _DENSITY >= first.size * np.count_nonzero(count):
+            break
         bounds = np.append(first, r.size)
         weight = bounds[1:] - first
-        if weight.min() > SPARSE_WEIGHT_CAP:
-            break
         row = np.repeat(np.arange(first.size), weight)
-        key = np.bincount(c, minlength=ncols)[c] * ncols + c
+        key = count[c] * ncols + c
         best = np.minimum.reduceat(key, first)
         at = key == best[row]  # the pivot entry of each row
-        cand = np.flatnonzero(weight <= min(SPARSE_WEIGHT_CAP,
-                                            2 * weight.min()))
+        cand = np.flatnonzero(weight <= 2 * weight.min())
         piv, cols, bounds = c[at].tolist(), c.tolist(), bounds.tolist()
         in_row, is_piv, accepted = set(), set(), []
         for i in cand[np.lexsort((best[cand], weight[cand]))].tolist():
@@ -263,6 +344,8 @@ def sparse_kernel_basis(rows: SparseRows, ncols: int, q: int) -> MatQ:
             ncols, q)
         off = ~at[pe]
         rounds.append((C, pk[off], pc[off], pv[off]))
+    if not free[c].all():  # the round lemma, checked
+        raise ConstructionFailure("a pivot column is still live")
     row = np.cumsum(_starts(r)) - 1
     rest = np.zeros((row.size and row[-1] + 1, free.sum()), dtype=np.int64)
     rest[row, (np.cumsum(free) - 1)[c]] = v
@@ -318,18 +401,22 @@ def sparse_values(basis: MatQ, rows) -> MatQ:
 def _pairings(basis: MatQ, rows: SparseRows) -> np.ndarray:
     """Row k: the values of row k of the integer rows on the basis rows.
 
-    Each entry, reduced mod q, meets its column of basis.arr.T in chunks
-    of at most _CHUNK_CELLS cells, summed per row; no row is made dense.
+    One gather per basis row: each entry times its coordinate, summed
+    per row in int64 and then reduced; no row is made dense.  The
+    products are reduced before the sum only when a row is long enough
+    that its sum of products below (q - 1)^2 could reach 2^63.
     """
-    r, c, v, q, k = rows.r, rows.c, rows.v, basis.q, basis.nrows
-    sums = np.zeros((rows.nrows, k), dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // max(k, 1))
-    for s in range(0, v.size if k else 0, step):
-        rs = r[s:s + step]
-        prod = basis.arr.T[c[s:s + step]] * (v[s:s + step, None] % q) % q
-        starts = _starts(rs).nonzero()[0]
-        seg = np.add.reduceat(prod, starts, axis=0) % q
-        sums[rs[starts]] = (sums[rs[starts]] + seg) % q
+    r, c, q = rows.r, rows.c, basis.q
+    v = rows.v % q
+    at = _starts(r).nonzero()[0]
+    longest = int(np.diff(np.append(at, r.size)).max(initial=0))
+    reduce = longest * (q - 1) ** 2 > _INT64_MAX
+    sums = np.zeros((rows.nrows, basis.nrows), dtype=np.int64)
+    if at.size:
+        for k, b in enumerate(basis.arr):
+            prod = b[c] * v
+            sums[r[at], k] = np.add.reduceat(prod % q if reduce else prod,
+                                             at) % q
     return sums
 
 

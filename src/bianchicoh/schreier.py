@@ -2,11 +2,12 @@
 
 Cosets are identified with P^1(O/n) through the bottom row, the base
 coset being (0:1); act[g] holds the integer action tables of each
-generator and its inverse (P1Table.action, one determinant check per
-table).  A breadth-first spanning tree (moves ordered by generator id,
-then inverse moves) fixes a transversal T_x; the tree is kept as its BFS
-order (tree_order, base first) and the edge into each coset
-(tree_edge[y] = (parent, letter)), so T_y = T_parent * letter.
+generator (P1Table.action, one determinant check per table) and of its
+inverse, read off as the inverse permutation.  A breadth-first spanning
+tree (moves ordered by generator id, then inverse moves) fixes a
+transversal T_x; the tree is kept as its BFS order (tree_order, base
+first) and the edge into each coset (tree_edge[y] = (parent, letter)),
+so T_y = T_parent * letter.
 Schreier generators T_x g T_y^{-1} sit on the non-tree positive edges
 (sgen_edges).
 
@@ -100,8 +101,7 @@ class CongCtx:
         elif move_order != "default":
             raise ValueError(f"unknown move_order {move_order!r}")
         # integer action tables: act[g][0] = right mult by g, [1] by g^-1
-        self.act = [(p1.action(p._mats[gid]), p1.action(p._invs[gid]))
-                    for gid in range(p.gen_count)]
+        self.act = [_with_inverse(p1.action(m)) for m in p._mats]
         moves = [[(gid, 1, self.act[gid][0], p._mats[gid].coords()),
                   (gid, -1, self.act[gid][1], p._invs[gid].coords())]
                  for gid in gens]
@@ -285,6 +285,17 @@ class CongCtx:
         if not self.level.contains(m.c):
             raise NotInSubgroup(f"{m} is not in Gamma_0({self.level})")
         return self.rewrite(matrix_to_word(m, self.pres))
+
+
+def _with_inverse(fwd: list[int]) -> tuple[list[int], list[int]]:
+    """(fwd, back) for the action table fwd of g: x * g^-1 = y exactly
+    when y * g = x, so back[fwd[y]] = y.  fwd must be a permutation
+    (ConstructionFailure otherwise)."""
+    back = np.full(len(fwd), -1)
+    back[fwd] = np.arange(len(fwd))
+    if (back < 0).any():
+        raise ConstructionFailure("an action table is not a permutation")
+    return fwd, back.tolist()
 
 
 def letter_table(reps, pres: AmbientPresentation, locate):

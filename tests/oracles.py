@@ -29,7 +29,10 @@ by a unit congruence, with their width translations expressed
 invertible_reps and colon_square serve them), and the sparse kernel by
 one heap pivot and one dict update at a time (heap_sparse_kernel_basis,
 which reads modlinalg.SparseRows as dict rows through row_dicts, as
-dense_rows' callers do; sparse_rows builds a SparseRows from dict rows).
+dense_rows' callers do; sparse_rows builds a SparseRows from dict rows),
+and the dense RREF and kernel by one pivot and one outer-product update
+at a time (loop_rref, loop_kernel_basis), which every judge here that
+eliminates uses in place of the package's rref and kernel_basis.
 Last come small helpers
 that the tests use as judges and the package no longer needs:
 evaluate, membership, matpow and abelianized_relators, and two for
@@ -515,6 +518,61 @@ def dense_rows(rows, ncols):
     return out
 
 
+def loop_rref(m):
+    """RREF and pivot columns by one pivot and one outer-product update
+    at a time, every entry reduced mod q after each: the judge of
+    modlinalg.rref, which works in panels."""
+    import numpy as np
+
+    from bianchicoh.modlinalg import MatQ
+
+    q = m.q
+    a = m.arr.copy()
+    nr, nc = a.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), q - 2, q)) % q
+        rest = np.nonzero(a[:, c])[0]
+        rest = rest[rest != r]
+        if rest.size:
+            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % q
+        pivots.append(c)
+        r += 1
+    return MatQ(q, a[:r]), tuple(pivots)
+
+
+def loop_kernel_basis(m):
+    """Canonical RREF basis of the right kernel of m, through loop_rref."""
+    import numpy as np
+
+    from bianchicoh.modlinalg import MatQ
+
+    q = m.q
+    red, pivots = loop_rref(m)
+    nc = m.ncols
+    free = sorted(set(range(nc)).difference(pivots))
+    if not free:
+        return MatQ(q, np.zeros((0, nc), dtype=np.int64))
+    rows = np.zeros((len(free), nc), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, list(pivots)] = -red.arr[:, free].T % q
+    return loop_rref(MatQ(q, rows))[0]
+
+
+# The heap judge's own stopping weight: where the sparse pass stops does
+# not change the kernel, so the judge need not stop where the package does.
+HEAP_WEIGHT_CAP = 32
+
+
 def heap_sparse_kernel_basis(rows, ncols, q):
     """modlinalg.sparse_kernel_basis by one pivot at a time.
 
@@ -522,16 +580,16 @@ def heap_sparse_kernel_basis(rows, ncols, q):
     lightest live row off a heap, pivot on its column with the fewest
     live rows (ties to the lowest column), and clear that column from
     the other rows one dict entry at a time; stop once the lightest row
-    has more than SPARSE_WEIGHT_CAP entries.  The dense kernel of the
-    rows left is back-substituted through the pivot rows and brought to
-    RREF.  No certificate: the tests compare the result.
+    has more than HEAP_WEIGHT_CAP entries.  The dense kernel of the rows
+    left (loop_kernel_basis) is back-substituted through the pivot rows
+    and brought to RREF by loop_rref.  No certificate: the tests compare
+    the result.
     """
     from heapq import heapify, heappop, heappush
 
     import numpy as np
 
-    from bianchicoh.modlinalg import (
-        SPARSE_WEIGHT_CAP, MatQ, _inv, kernel_basis, rref)
+    from bianchicoh.modlinalg import MatQ
 
     live = {}
     for i, row in enumerate(row_dicts(rows)):
@@ -551,12 +609,12 @@ def heap_sparse_kernel_basis(rows, ncols, q):
         if row is None or len(row) != weight:
             heappop(heap)  # stale entry
             continue
-        if weight > SPARSE_WEIGHT_CAP:
+        if weight > HEAP_WEIGHT_CAP:
             break
         heappop(heap)
         del live[i]
         c = min(row, key=lambda j: (len(cols[j]), j))
-        inv = _inv(row[c], q)
+        inv = pow(row[c], q - 2, q)
         if inv != 1:
             row = {j: v * inv % q for j, v in row.items()}
         for j in row:
@@ -585,7 +643,7 @@ def heap_sparse_kernel_basis(rows, ncols, q):
     for t, i in enumerate(sorted(live)):
         for j, v in live[i].items():
             rest[t, pos[j]] = v
-    sub = kernel_basis(MatQ(q, rest))
+    sub = loop_kernel_basis(MatQ(q, rest))
     k = sub.nrows
     if k == 0:
         return MatQ(q, np.zeros((0, ncols), dtype=np.int64))
@@ -597,7 +655,7 @@ def heap_sparse_kernel_basis(rows, ncols, q):
             if j != c:
                 acc = (acc + v * x[j]) % q
         x[c] = (-acc) % q
-    return rref(MatQ(q, x.T))[0]
+    return loop_rref(MatQ(q, x.T))[0]
 
 
 def quotient_full(x, delta, lam, level):
@@ -1272,7 +1330,7 @@ def parabolic_by_cusps(space, cusp_list=None):
     conditions, carried back to H^1 and reduced.
     """
     from bianchicoh.cohom import PARABOLIC, CohomSubspace
-    from bianchicoh.modlinalg import kernel_basis, rref, sparse_values
+    from bianchicoh.modlinalg import sparse_values
     from bianchicoh.qfield import Mat2
 
     cc = space.cc
@@ -1284,6 +1342,6 @@ def parabolic_by_cusps(space, cusp_list=None):
             xi = cusp.width_gen * mult
             m = cusp.gmat * Mat2(ctx.one, xi, ctx.zero, ctx.one) * gi
             conds.append(cc.express(m))
-    coords = kernel_basis(sparse_values(space.basis, conds).transpose())
-    return CohomSubspace(cc, space.q, rref(coords @ space.basis)[0],
+    coords = loop_kernel_basis(sparse_values(space.basis, conds).transpose())
+    return CohomSubspace(cc, space.q, loop_rref(coords @ space.basis)[0],
                          PARABOLIC, space.gens)

@@ -497,6 +497,42 @@ def test_no_numpy_submodule_is_imported_lazily_in_the_call_path():
     assert r.stdout.split() == []
 
 
+# (argv, exit code, stdout sha256) run in this order in one process; the
+# two accepted calls are calls of the verify-a5 and dims-large-d2
+# benchmark workloads, with the digests frozen in bench/expected.json
+ONE_PROCESS_CALLS = [
+    (["inspect", "dims", "--field-d", "5", "--level", "(3+1*w)"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["inspect", "dims", "--field-d", "2", "--level", "(9+11*w)",
+      "--modulus", "5"], 0,
+     "0f345b7f204b693bb22ea9904eda4904ca25998e63eaebbb8abaef072d81a4ae"),
+    (["verify", "--field-d", "2", "--level", "(3+1*w)", "--prime", "(0+1*w)",
+      "--modulus", "5", "--test-primes", "1"], 0,
+     "0f220123ce34b61d8316faff98b47bfc970431f4e720d584a282a7acb43c0f08"),
+]
+
+
+def test_calls_in_one_process_share_the_parser_but_no_state():
+    """main builds its parser once per process; an argv that argparse
+    rejects must leave nothing behind for the calls after it."""
+    import contextlib
+    import io
+
+    from bianchicoh import cli
+
+    for argv, rc, digest in ONE_PROCESS_CALLS:
+        out = io.StringIO()
+        with (contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(io.StringIO())):
+            try:
+                got = cli.main(argv)
+            except SystemExit as exc:
+                got = exc.code
+        assert got == rc, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_bad_modulus_is_rejected_before_the_level_group_is_built(
         monkeypatch, capsys):
     from bianchicoh import cli

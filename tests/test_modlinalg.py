@@ -11,7 +11,9 @@ import bianchicoh.modlinalg as modlinalg
 from bianchicoh.errors import ConstructionFailure, ShapeMismatch
 from bianchicoh.ideals import parse_ideal
 from bianchicoh.modlinalg import (
-    SPARSE_WEIGHT_CAP,
+    _BLAS_MIN,
+    _DENSITY,
+    _PANEL,
     MatQ,
     coordinates_in_rowspace,
     kernel_basis,
@@ -28,6 +30,8 @@ from bianchicoh.schreier import CongCtx
 from oracles import (
     dense_rows,
     heap_sparse_kernel_basis,
+    loop_kernel_basis,
+    loop_rref,
     matpow,
     row_dicts,
     sparse_rows,
@@ -189,10 +193,76 @@ def test_products_exact_at_the_largest_modulus():
     assert sparse_values(basis, [{0: q - 1, 4: -1}]).to_lists() == want
 
 
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
+# the largest prime whose products of _PANEL terms stay below 2^53, so
+# that mulmod runs in float64, and the next prime, which runs in int64
+FLOAT_MAX_PRIME = next(q for q in range(int((2**53 / _PANEL) ** 0.5) + 1,
+                                        2, -1)
+                       if (q - 1) ** 2 * _PANEL < 2**53 and _is_prime(q))
+INT_MIN_PRIME = next(q for q in range(FLOAT_MAX_PRIME + 1, 2**31)
+                     if _is_prime(q))
+
+
+def _rank_deficient(rng, q, nrows, ncols):
+    """A random nrows x ncols matrix mod q in which about a third of the
+    columns and of the rows are sums of two others, and a few columns
+    are zero."""
+    a = rng.integers(0, q, (nrows, ncols))
+    for j in rng.choice(ncols, size=ncols // 3, replace=False):
+        a[:, j] = (a[:, rng.integers(ncols)] + a[:, rng.integers(ncols)]) % q
+    for i in rng.choice(nrows, size=nrows // 3, replace=False):
+        a[i] = (a[rng.integers(nrows)] + a[rng.integers(nrows)]) % q
+    a[:, rng.choice(ncols, size=ncols // 5, replace=False)] = 0
+    return MatQ(q, a)
+
+
+def test_blocked_rref_equals_the_loop_judge(monkeypatch):
+    """rref in panels == one pivot at a time, on both product paths.
+
+    Widths around one and two panels, zero columns inside a panel, rank
+    deficiency and empty shapes.  The spy shows which dtype the panel
+    products ran in at each modulus: float64 for products of at least
+    _BLAS_MIN multiply-adds where the modulus allows it, else int64.
+    """
+    matmul = np.matmul
+    dtypes = []
+
+    def spy(x, y, *args, **kwargs):
+        big = x.size * y.size // max(x.shape[-1], 1) >= _BLAS_MIN
+        dtypes.append((x.dtype, big))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(19)
+    widths = (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1, 3 * _PANEL + 1)
+    for q, dtype in ((5, np.float64), (FLOAT_MAX_PRIME, np.float64),
+                     (INT_MIN_PRIME, np.int64), (2147483647, np.int64)):
+        dtypes.clear()
+        shapes = ((0, 5), (5, 0), (0, 0), (1, 1), (3, 2 * _PANEL + 1))
+        cases = [MatQ(q, np.zeros(shape, dtype=np.int64)) for shape in shapes]
+        cases.append(MatQ(q, [[rng.integers(1, q)]]))
+        for w in widths:
+            for nrows in (w // 3, w + 7):
+                cases += [_rank_deficient(rng, q, nrows, w),
+                          MatQ(q, rng.integers(0, q, (nrows, w)))]
+        for m in cases:
+            red, pivots = rref(m)
+            assert (red, pivots) == loop_rref(m), (q, m.arr.shape)
+        kinds = {t for t, _ in dtypes}
+        if dtype is np.float64:  # a chunk of a large product may be small
+            assert np.dtype(dtype) in kinds, q
+            assert (np.dtype(np.int64), True) not in dtypes, q
+        else:
+            assert kinds == {np.dtype(np.int64)}, q
+
+
 def _dense_kernel(rows, ncols, q):
     dense = dense_rows(row_dicts(rows), ncols)
-    return kernel_basis(MatQ(q, np.array(dense, dtype=np.int64)
-                             .reshape(-1, ncols)))
+    return loop_kernel_basis(MatQ(q, np.array(dense, dtype=np.int64)
+                                  .reshape(-1, ncols)))
 
 
 JUDGE_MODULI = (2, 3, 5, 2147483647)
@@ -200,22 +270,35 @@ JUDGE_MODULI = (2, 3, 5, 2147483647)
 LARGE_D2_LEVELS = ("(9+11*w)", "(19+7*w)", "(23)")
 
 
-def test_sparse_kernel_equals_dense_kernel_on_relator_matrices():
+def test_sparse_kernel_equals_dense_kernel_on_relator_matrices(
+        monkeypatch):
     """Rounds of pivots == one heap pivot at a time == the dense kernel.
 
-    At the large levels the sparse pass pivots on every column, so the
-    rounds and the back-substitution are all of the work.  The dense
-    kernel takes about a second per modulus there and is compared at
-    the extreme moduli only.
+    The two stop the sparse pass at different points (the density rule,
+    a weight cap), which does not change the kernel; at (19+7*w) the
+    rounds leave a dense tail.  The dense kernel takes about a second
+    per modulus at the large levels and is compared at the extreme
+    moduli only.
     """
     levels = sorted({(d, text) for d, text, _, _ in FROZEN_DIMS})
     levels += [(2, text) for text in LARGE_D2_LEVELS]
+    remainders = []
+    dense = modlinalg.kernel_basis
+
+    def spy(m):
+        remainders.append(m.nrows)
+        return dense(m)
+
+    monkeypatch.setattr(modlinalg, "kernel_basis", spy)
     for d, text in levels:
         ctx = field(d)
         cc = CongCtx(parse_ideal(ctx, text), ctx)
         ncols = len(cc.sgen_edges)
         for q in JUDGE_MODULI:
+            remainders.clear()
             got = sparse_kernel_basis(cc.relmat, ncols, q)
+            if text == "(19+7*w)":  # the sparse pass left a dense tail
+                assert remainders[0] > 0, q
             assert got == heap_sparse_kernel_basis(cc.relmat, ncols, q), (
                 d, text, q)
             if text not in LARGE_D2_LEVELS or q in (2, 2147483647):
@@ -252,28 +335,38 @@ def test_sparse_kernel_certificate_catches_a_wrong_pivot_inverse(
         monkeypatch):
     """A pivot row not scaled to 1 leaves its column in the other rows.
 
-    At this level the sparse pass pivots on every column (the dense
-    remainder has no rows), and the dense steps only form linear
-    combinations of their rows, so the failure comes from the pivots.
+    The wrong inverse is used by the sparse pivots only; once the dense
+    remainder is reached the true one returns.  The check before the
+    dense step finds the pivot column still live.  At (3+1*w) the basis
+    the fault gives is empty, which the row certificate cannot tell from
+    a true one.
     """
-    ctx = field(2)
-    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
-    ncols = len(cc.sgen_edges)
-    remainders = []
-    dense = modlinalg.kernel_basis
+    true_inv, dense = modlinalg._inv, modlinalg.kernel_basis
+    wrong, dense_started = [], []
+
+    def wrong_inv(a, q):
+        if dense_started:
+            return true_inv(a, q)
+        wrong.append(a)
+        return 2 * true_inv(a, q) % q
 
     def spy(m):
-        remainders.append(m.nrows)
+        dense_started.append(m.nrows)
         return dense(m)
 
     monkeypatch.setattr(modlinalg, "kernel_basis", spy)
-    assert sparse_kernel_basis(cc.relmat, ncols, 5).nrows == 3
-    assert remainders == [0]
-    true_inv = modlinalg._inv
-    monkeypatch.setattr(modlinalg, "_inv",
-                        lambda a, q: 2 * true_inv(a, q) % q)
-    with pytest.raises(ConstructionFailure, match="does not vanish"):
-        sparse_kernel_basis(cc.relmat, ncols, 5)
+    ctx = field(2)
+    for text, dim in (("(3+1*w)", 3), ("(9+11*w)", 10)):
+        cc = CongCtx(parse_ideal(ctx, text), ctx)
+        ncols = len(cc.sgen_edges)
+        monkeypatch.setattr(modlinalg, "_inv", true_inv)
+        assert sparse_kernel_basis(cc.relmat, ncols, 5).nrows == dim
+        dense_started.clear()
+        wrong.clear()
+        monkeypatch.setattr(modlinalg, "_inv", wrong_inv)
+        with pytest.raises(ConstructionFailure, match="still live"):
+            sparse_kernel_basis(cc.relmat, ncols, 5)
+        assert wrong and not dense_started, text
 
 
 def _heavy_rows(rng, nrows, ncols, weight):
@@ -293,9 +386,10 @@ def test_sparse_kernel_with_a_dense_remainder(monkeypatch):
         return dense(m)
 
     monkeypatch.setattr(modlinalg, "kernel_basis", spy)
-    ncols = 3 * SPARSE_WEIGHT_CAP
+    ncols = 96
     for trial in range(12):
-        weight = rng.randrange(SPARSE_WEIGHT_CAP + 1, ncols + 1)
+        # rows dense enough that the density rule stops the sparse pass
+        weight = rng.randrange(ncols // _DENSITY + 1, ncols + 1)
         rows = _heavy_rows(rng, rng.randrange(1, ncols + 8), ncols, weight)
         # light rows, zero and empty rows and duplicates ride along
         rows += [{j: 1 for j in rng.sample(range(ncols), 3)} for _ in range(5)]
@@ -320,16 +414,19 @@ def test_sparse_kernel_edge_shapes():
 
 def test_sparse_kernel_certificate_catches_a_wrong_basis(monkeypatch):
     rng = random.Random(37)
-    ncols = 2 * SPARSE_WEIGHT_CAP
-    rows = sparse_rows(_heavy_rows(rng, 8, ncols, SPARSE_WEIGHT_CAP + 4))
+    ncols = 64
+    rows = sparse_rows(_heavy_rows(rng, 8, ncols, ncols // _DENSITY + 4))
+    remainders = []
 
     def identity_kernel(m):
+        remainders.append(m.nrows)
         return MatQ.identity(m.q, m.ncols)
 
     # a remainder kernel that ignores the remaining rows
     monkeypatch.setattr(modlinalg, "kernel_basis", identity_kernel)
     with pytest.raises(ConstructionFailure, match="does not vanish"):
         sparse_kernel_basis(rows, ncols, 5)
+    assert remainders[0] > 0
 
 
 def test_project_rows_equals_the_per_row_projection():

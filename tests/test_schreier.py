@@ -376,6 +376,23 @@ def test_corrupted_action_entry_fails_the_generator_certificate(monkeypatch):
         CongCtx(level, ctx)
 
 
+def test_action_table_that_is_not_a_permutation_is_rejected(monkeypatch):
+    """The inverse tables are read off the forward ones, which must
+    therefore be permutations: one repeated entry is rejected."""
+    ctx = field(2)
+    level = parse_ideal(ctx, "(3+1*w)")
+    action = P1Table.action
+
+    def repeated(self, g):
+        out = action(self, g)
+        out[1] = out[2]
+        return out
+
+    monkeypatch.setattr(P1Table, "action", repeated)
+    with pytest.raises(ConstructionFailure, match="not a permutation"):
+        CongCtx(level, ctx)
+
+
 def test_corrupted_walk_table_fails_the_relator_closure():
     """Two swapped entries of one letter's walk table leave a relator open."""
     for d, text, _ in FROZEN_ABELIANIZATIONS:
