@@ -10,10 +10,15 @@ Subcommands:
   to nilpotents).  Exit code 0 when every check passes, 1 when a check
   fails, 2 for a rejected configuration.
 * ``inspect`` prints one intermediate artifact (projective line, coset
-  certificates, dimensions, a Hecke matrix, or the degeneracy maps).
+  certificates, dimensions, a Hecke matrix, or the degeneracy maps),
+  each from its own handler in _INSPECT.
 * ``findprimes`` runs the two prime samplers with certificates.
 
-All reports are JSON on stdout with a top-level ``"schema": 1`` field;
+Every option is one row of _OPTIONS, which gives its flag, its
+config-file key (``_`` or ``-``), its type, its default and the commands
+that take it; RunConfig holds the merged values.  Each command returns
+the body of its report, and _emit adds the ``"schema": 1`` and
+``"config"`` fields.  Reports go to stdout as JSON (or as a table);
 diagnostics and timings go to stderr so that identical configurations
 produce byte-identical stdout.
 """
@@ -25,6 +30,7 @@ import functools
 import json
 import sys
 import time
+from math import gcd
 
 from .cohom import (
     PARABOLIC_UNIT,
@@ -34,7 +40,7 @@ from .cohom import (
     unit_invariants,
 )
 from .degmaps import alpha, kernel, restriction_map, twisted_map
-from .errors import ExhaustedSearch, NotStable
+from .errors import ExhaustedSearch
 from .hecke import (
     eisenstein_check,
     gamma01_cosets,
@@ -51,10 +57,8 @@ from .ideals import (
 )
 from .modlinalg import block_diag2
 from .projline import p1_table
-from .qfield import Mat2, field
+from .qfield import EUCLIDEAN_DS, Mat2, field
 from .schreier import CongCtx
-
-_FORMATS = ("json", "table")
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +69,40 @@ class ConfigError(ValueError):
     """A rejected run configuration; the message names the hypothesis."""
 
 
+class _Ideal(str):
+    """Option type of an ideal literal, parsed once the field is known."""
+
+
+# key: (type, default, choices, the one command that takes it or None
+# for every command, help)
+_OPTIONS = {
+    "field_d": (int, None, EUCLIDEAN_DS, None,
+                "discriminant choice d of Q(sqrt(-d))"),
+    "level": (_Ideal, None, None, None, 'level ideal, e.g. "(2+5*w)"'),
+    "prime": (_Ideal, None, None, None, 'prime ideal p, e.g. "(1+1*w)"'),
+    "modulus": (int, 5, None, None, "coefficient prime q >= 5"),
+    "test_primes": (int, 3, None, None,
+                    "number of ray-trivial primes to sample"),
+    "max_norm": (int, 600, None, None, "norm bound for prime searches"),
+    "conductor": (_Ideal, None, None, None, "conductor override ideal"),
+    "format": (str, "json", ("json", "table"), None, "output format"),
+    "seed": (int, 0, None, None, "seed echoed into reports"),
+    "exponent": (int, 3, None, "findprimes",
+                 "odd exponent >= 3 for the coprimality search"),
+}
+
+
 class RunConfig:
-    """Validated parameters for one run."""
+    """Validated parameters for one run, one attribute per option."""
 
-    __slots__ = (
-        "field_d", "level", "prime", "modulus", "test_primes", "max_norm",
-        "conductor", "format", "seed", "exponent", "ctx",
-    )
-
-    def __init__(self, field_d, level, prime, modulus, test_primes, max_norm,
-                 conductor, fmt, seed, exponent):
-        self.ctx = field(field_d)
-        self.field_d = field_d
-        self.level = parse_ideal(self.ctx, level) if level else None
-        self.prime = parse_ideal(self.ctx, prime) if prime else None
-        self.modulus = modulus
-        self.test_primes = test_primes
-        self.max_norm = max_norm
-        self.conductor = (
-            parse_ideal(self.ctx, conductor) if conductor else None
-        )
+    def __init__(self, command, values):
+        self.command = command
+        self.ctx = field(values["field_d"])
+        for key, (kind, *_) in _OPTIONS.items():
+            value = values[key]
+            if kind is _Ideal:
+                value = parse_ideal(self.ctx, value) if value else None
+            setattr(self, key, value)
         for name in ("level", "conductor"):
             ideal = getattr(self, name)
             if ideal is not None and ideal.is_zero():
@@ -92,26 +110,21 @@ class RunConfig:
                     f'rejected: {name} (0); violates the hypothesis "the '
                     f'{name} is a nonzero ideal"'
                 )
-        if fmt not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {fmt}")
-        self.format = fmt
-        self.seed = seed
-        self.exponent = exponent
+        for key, (_, _, choices, *_) in _OPTIONS.items():
+            if choices and getattr(self, key) not in choices:
+                raise ConfigError(
+                    f"{key} must be one of {choices}, got {getattr(self, key)}"
+                )
 
     def to_json_dict(self):
-        return {
-            "field_d": self.field_d,
-            "level": format_ideal(self.level) if self.level else None,
-            "prime": format_ideal(self.prime) if self.prime else None,
-            "modulus": self.modulus,
-            "test_primes": self.test_primes,
-            "max_norm": self.max_norm,
-            "conductor": (
-                format_ideal(self.conductor) if self.conductor else None
-            ),
-            "format": self.format,
-            "seed": self.seed,
-        }
+        """The options this command takes, as its report echoes them."""
+        out = {}
+        for key, (*_, only, _) in _OPTIONS.items():
+            if only in (None, self.command):
+                value = getattr(self, key)
+                out[key] = (format_ideal(value) if isinstance(value, PIdeal)
+                            else value)
+        return out
 
 
 def _require_level(cfg) -> PIdeal:
@@ -167,13 +180,6 @@ def _check_search_bounds(cfg):
 # config file / flags
 
 
-_CONFIG_KEYS = {
-    "field_d": int, "level": str, "prime": str, "modulus": int,
-    "test_primes": int, "max_norm": int, "conductor": str, "format": str,
-    "seed": int, "exponent": int,
-}
-
-
 def _read_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,45 +199,40 @@ def _read_config_file(path):
             )
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _CONFIG_KEYS[key](value.strip())
+            out[key] = _OPTIONS[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
 def _merge_config(args) -> RunConfig:
-    base = {
-        "field_d": None, "level": None, "prime": None, "modulus": 5,
-        "test_primes": 3, "max_norm": 600, "conductor": None,
-        "format": "json", "seed": 0, "exponent": 3,
-    }
+    """Defaults, then the config file, then the flags given."""
+    values = {key: spec[1] for key, spec in _OPTIONS.items()}
     if getattr(args, "config", None):
-        base.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+        values.update(_read_config_file(args.config))
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            base[key] = flag
-    if base["field_d"] is None:
+            values[key] = flag
+    if values["field_d"] is None:
         raise ConfigError("a --field-d value is required")
-    return RunConfig(
-        base["field_d"], base["level"], base["prime"], base["modulus"],
-        base["test_primes"], base["max_norm"], base["conductor"],
-        base["format"], base["seed"], base["exponent"],
-    )
+    return RunConfig(args.command, values)
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 
-def _emit(cfg, obj):
+def _emit(cfg, body):
+    """Write one report: body plus the schema and the echoed options."""
+    report = {"schema": 1, "config": cfg.to_json_dict(), **body}
     if cfg.format == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        for line in _tabulate(obj, ""):
+        for line in _tabulate(report, ""):
             sys.stdout.write(line + "\n")
 
 
@@ -260,33 +261,42 @@ class _Timer:
 # verify
 
 
-def _spaces(level, ctx, q):
-    q = CoefficientModulus(q)  # rejects a bad modulus before the build
-    full = h1(CongCtx(level, ctx), q)
+def _spaces(level, cfg):
+    q = CoefficientModulus(cfg.modulus)  # rejects a bad modulus first
+    full = h1(CongCtx(level, cfg.ctx), q)
     par = parabolic(full)
     return full, par, unit_invariants(par)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _degeneracy(cfg, lap):
+    """The unit spaces at N and N*p, their dims, and the restriction,
+    twisted and stacked maps between them; lap(label) after each level.
+    """
     n, p = _check_theorem_hypotheses(cfg)
     _check_search_bounds(cfg)
-    q = cfg.modulus
-    timer = _Timer()
-    full_n, par_n, us = _spaces(n, cfg.ctx, q)
-    timer.lap("level N spaces")
-    ndst = n * p
-    full_d, par_d, ud = _spaces(ndst, cfg.ctx, q)
-    timer.lap("level N*p spaces")
+    dims, units = {}, []
+    for tag, level in (("N", n), ("N*p", n * p)):
+        full, par, unit = _spaces(level, cfg)
+        key = tag.replace("*", "")
+        dims.update({f"h1_{key}": full.dim, f"h1p_{key}": par.dim,
+                     f"h1pu_{key}": unit.dim})
+        units.append(unit)
+        lap(f"level {tag} spaces")
+    us, ud = units
     rmap = restriction_map(us, ud)
     tmap = twisted_map(us, ud)
-    amap = alpha(rmap, tmap)
+    return dims, us, ud, rmap, tmap, alpha(rmap, tmap)
+
+
+def cmd_verify(cfg: RunConfig) -> dict:
+    timer = _Timer()
+    dims, us, ud, rmap, _, amap = _degeneracy(cfg, timer.lap)
     ker = kernel(amap)
     lemma1 = kernel(rmap).nrows == 0
     timer.lap("degeneracy maps")
-    primes = ray_trivial_primes(
-        n, cfg.test_primes, avoid=(p,), max_norm=cfg.max_norm,
-        conductor=cfg.conductor,
-    )
+    primes = ray_trivial_primes(cfg.level, cfg.test_primes,
+                                avoid=(cfg.prime,), max_norm=cfg.max_norm,
+                                conductor=cfg.conductor)
     equivariance = []
     eisenstein = []
     for l in primes:
@@ -294,178 +304,120 @@ def cmd_verify(cfg: RunConfig) -> int:
         t_dst = hecke_matrix(l, ud)
         lhs = block_diag2(t_src.mat) @ amap.mat
         rhs = amap.mat @ t_dst.mat
-        equivariance.append({
-            "l": format_ideal(l),
-            "norm": l.norm(),
-            "holds": bool((lhs.arr == rhs.arr).all()),
-        })
-        try:
-            eisenstein.append(eisenstein_check(t_src, ker, l))
-        except NotStable:
-            eisenstein.append({
-                "l": format_ideal(l), "norm": l.norm(),
-                "cosets": l.norm() + 1, "stable": False,
-                "nilpotency_index": None, "passed": False,
-            })
+        equivariance.append({"l": format_ideal(l), "norm": l.norm(),
+                             "holds": bool((lhs.arr == rhs.arr).all())})
+        eisenstein.append(eisenstein_check(t_src, ker, l))
         timer.lap(f"hecke {format_ideal(l)}")
-    passed = (
-        lemma1
-        and all(e["holds"] for e in equivariance)
-        and all(e["passed"] for e in eisenstein)
-    )
-    report = {
-        "schema": 1,
-        "config": cfg.to_json_dict(),
-        "dims": {
-            "h1_N": full_n.dim,
-            "h1p_N": par_n.dim,
-            "h1pu_N": us.dim,
-            "h1_Np": full_d.dim,
-            "h1p_Np": par_d.dim,
-            "h1pu_Np": ud.dim,
-        },
+    return {
+        "dims": dims,
         "alpha": {"rank": amap.rank(), "kernel_dim": ker.nrows},
         "lemma1_injective": lemma1,
         "equivariance": equivariance,
         "eisenstein": eisenstein,
-        "passed": passed,
+        "passed": (
+            lemma1
+            and all(e["holds"] for e in equivariance)
+            and all(e["passed"] for e in eisenstein)
+        ),
     }
-    _emit(cfg, report)
-    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # inspect
 
 
-def _mat_entries(m):
-    return [str(e) for e in m.entries()]
+def _listed(mats):
+    return {"count": len(mats),
+            "reps": [[str(e) for e in m.entries()] for m in mats]}
 
 
-def cmd_inspect(sub: str, cfg: RunConfig) -> int:
-    if sub == "p1":
-        n = _require_level(cfg)
-        table = p1_table(n)
-        _emit(cfg, {
-            "schema": 1,
-            "config": cfg.to_json_dict(),
-            "size": len(table.points),
-            "points": [[str(x.c), str(x.d)] for x in table.points],
-        })
-        return 0
-    if sub == "cosets":
-        n = _require_level(cfg)
-        l = _require_prime(cfg)
-        reps = hecke_cosets(l, n)
-        out = {
-            "schema": 1,
-            "config": cfg.to_json_dict(),
-            "hecke": {
-                "count": len(reps),
-                "reps": [_mat_entries(Mat2.from_coords(cfg.ctx, t))
-                         for t in reps],
-            },
-        }
-        g01 = gamma01_cosets(n, l)
-        out["gamma01"] = {
-            "count": len(g01),
-            "reps": [_mat_entries(m) for m in g01],
-        }
-        _emit(cfg, out)
-        return 0
-    if sub == "dims":
-        n = _require_level(cfg)
-        full, par, unit = _spaces(n, cfg.ctx, cfg.modulus)
-        _emit(cfg, {
-            "schema": 1,
-            "config": cfg.to_json_dict(),
-            "dims": {
-                "h1": full.dim,
-                "h1_parabolic": par.dim,
-                "h1_parabolic_unit": unit.dim,
-            },
-        })
-        return 0
-    if sub == "hecke":
-        n = _require_level(cfg)
-        l = _require_prime(cfg)
-        _, _, unit = _spaces(n, cfg.ctx, cfg.modulus)
-        t = hecke_matrix(l, unit)
-        _emit(cfg, {
-            "schema": 1,
-            "config": cfg.to_json_dict(),
-            "space": PARABOLIC_UNIT,
-            "dim": unit.dim,
-            "matrix": t.mat.to_lists(),
-        })
-        return 0
-    if sub == "degeneracy":
-        n, p = _check_theorem_hypotheses(cfg)
-        _check_search_bounds(cfg)
-        _, _, us = _spaces(n, cfg.ctx, cfg.modulus)
-        _, _, ud = _spaces(n * p, cfg.ctx, cfg.modulus)
-        rmap = restriction_map(us, ud)
-        tmap = twisted_map(us, ud)
-        amap = alpha(rmap, tmap)
-        _emit(cfg, {
-            "schema": 1,
-            "config": cfg.to_json_dict(),
-            "restriction": rmap.to_json_dict(),
-            "twisted": tmap.to_json_dict(),
-            "alpha": amap.to_json_dict(),
-        })
-        return 0
-    raise ConfigError(f"unknown inspect subcommand {sub!r}")
+def _inspect_p1(cfg):
+    points = p1_table(_require_level(cfg)).points
+    return {"size": len(points),
+            "points": [[str(x.c), str(x.d)] for x in points]}
+
+
+def _inspect_cosets(cfg):
+    n = _require_level(cfg)
+    l = _require_prime(cfg)
+    return {
+        "hecke": _listed([Mat2.from_coords(cfg.ctx, t)
+                          for t in hecke_cosets(l, n)]),
+        "gamma01": _listed(gamma01_cosets(n, l)),
+    }
+
+
+def _inspect_dims(cfg):
+    full, par, unit = _spaces(_require_level(cfg), cfg)
+    return {"dims": {"h1": full.dim, "h1_parabolic": par.dim,
+                     "h1_parabolic_unit": unit.dim}}
+
+
+def _inspect_hecke(cfg):
+    n = _require_level(cfg)
+    l = _require_prime(cfg)
+    unit = _spaces(n, cfg)[2]
+    return {"space": PARABOLIC_UNIT, "dim": unit.dim,
+            "matrix": hecke_matrix(l, unit).mat.to_lists()}
+
+
+def _inspect_degeneracy(cfg):
+    *_, rmap, tmap, amap = _degeneracy(cfg, lambda label: None)
+    return {"restriction": rmap.to_json_dict(),
+            "twisted": tmap.to_json_dict(), "alpha": amap.to_json_dict()}
+
+
+_INSPECT = {"p1": _inspect_p1, "cosets": _inspect_cosets,
+            "dims": _inspect_dims, "hecke": _inspect_hecke,
+            "degeneracy": _inspect_degeneracy}
 
 
 # ---------------------------------------------------------------------------
 # findprimes
 
 
-def cmd_findprimes(cfg: RunConfig) -> int:
+def cmd_findprimes(cfg: RunConfig) -> dict:
     n = _require_level(cfg)
     _check_search_bounds(cfg)
-    from math import gcd as igcd
-
-    coprime = search_prime_coprime_normminus1(
-        cfg.ctx, cfg.exponent, cfg.max_norm
-    )
+    coprime = search_prime_coprime_normminus1(cfg.ctx, cfg.exponent,
+                                              cfg.max_norm)
     conductor = cfg.conductor if cfg.conductor is not None else n
     avoid = (cfg.prime,) if cfg.prime is not None else ()
-    ray = ray_trivial_primes(
-        n, cfg.test_primes, avoid=avoid, max_norm=cfg.max_norm,
-        conductor=cfg.conductor,
-    )
+    ray = ray_trivial_primes(n, cfg.test_primes, avoid=avoid,
+                             max_norm=cfg.max_norm, conductor=cfg.conductor)
     entries = []
     for l in ray:
         u = ray_trivial_unit(l, conductor)
         entries.append({
-            "prime": format_ideal(l),
-            "norm": l.norm(),
-            "unit": str(u),
-            "certified": bool(conductor.contains(u * l.gen - cfg.ctx.one)),
-        })
-    _emit(cfg, {
-        "schema": 1,
-        "config": {**cfg.to_json_dict(), "exponent": cfg.exponent},
+            "prime": format_ideal(l), "norm": l.norm(), "unit": str(u),
+            "certified": bool(conductor.contains(u * l.gen - cfg.ctx.one))})
+    return {
         "coprime_norm_minus_one": {
-            "prime": format_ideal(coprime),
-            "norm": coprime.norm(),
-            "gcd_with_exponent": igcd(coprime.norm() - 1, cfg.exponent),
-        },
+            "prime": format_ideal(coprime), "norm": coprime.norm(),
+            "gcd_with_exponent": gcd(coprime.norm() - 1, cfg.exponent)},
         "ray_trivial": entries,
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+def _add_options(parser, only):
+    """One flag per option that only this command (None: every one) takes."""
+    for key, (kind, _, choices, scope, text) in _OPTIONS.items():
+        if scope == only:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind,
+                                choices=choices, help=text)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; parse_args leaves it
     unchanged."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file")
+    _add_options(common, None)
     parser = argparse.ArgumentParser(
         prog="bianchicoh",
         description=(
@@ -474,51 +426,26 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--field-d", dest="field_d", type=int,
-                        choices=(1, 2, 3, 7, 11),
-                        help="discriminant choice d of Q(sqrt(-d))")
-        sp.add_argument("--level", help='level ideal, e.g. "(2+5*w)"')
-        sp.add_argument("--prime", help='prime ideal p, e.g. "(1+1*w)"')
-        sp.add_argument("--modulus", type=int, help="coefficient prime q >= 5")
-        sp.add_argument("--test-primes", dest="test_primes", type=int,
-                        help="number of ray-trivial primes to sample")
-        sp.add_argument("--max-norm", dest="max_norm", type=int,
-                        help="norm bound for prime searches")
-        sp.add_argument("--conductor", help="conductor override ideal")
-        sp.add_argument("--format", choices=_FORMATS, help="output format")
-        sp.add_argument("--seed", type=int, help="seed echoed into reports")
-
-    sp_verify = sub.add_parser("verify", help="run the full verification")
-    common(sp_verify)
-
-    sp_inspect = sub.add_parser("inspect", help="print one artifact")
-    sp_inspect.add_argument(
-        "what", choices=("p1", "cosets", "dims", "hecke", "degeneracy")
-    )
-    common(sp_inspect)
-
-    sp_find = sub.add_parser("findprimes", help="run the prime samplers")
-    common(sp_find)
-    sp_find.add_argument("--exponent", type=int,
-                         help="odd exponent >= 3 for the coprimality search")
+    sub.add_parser("verify", parents=[common],
+                   help="run the full verification")
+    sp_inspect = sub.add_parser("inspect", parents=[common],
+                                help="print one artifact")
+    sp_inspect.add_argument("what", choices=tuple(_INSPECT))
+    sp_find = sub.add_parser("findprimes", parents=[common],
+                             help="run the prime samplers")
+    _add_options(sp_find, "findprimes")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "inspect":
-            return cmd_inspect(args.what, cfg)
-        if args.command == "findprimes":
-            return cmd_findprimes(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        report = (_INSPECT[args.what](cfg) if args.command == "inspect"
+                  else cmd_verify(cfg) if args.command == "verify"
+                  else cmd_findprimes(cfg))
+        _emit(cfg, report)
+        return 0 if report.get("passed", True) else 1
     except ExhaustedSearch as exc:
         sys.stderr.write(f"error: search exhausted: {exc}\n")
         return 1

@@ -71,7 +71,7 @@ from .modlinalg import (
     sparse_values,
 )
 from .qfield import QuadInt, mat_mul_coords
-from .fpres import Word, builtin_presentation
+from .fpres import builtin_presentation
 from .schreier import CongCtx, letter_table
 
 FULL = "full"
@@ -329,7 +329,7 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
     representative of the table); row k holds the dst coordinates of the
     image of src basis class k.  The image is evaluated on S = dst.gens
     only.  The word of s = T_x g T_y^{-1} in S comes from
-    dst.cc.transversal.  From each followed i its letters are read
+    dst.cc.sgen_word.  From each followed i its letters are read
     through the table, (j, W) = table[j][letter], so that
     reps[i] s = W_1 ... W_m reps[j_m], and each W is walked on in the src
     coset table from its base, adding into the row of s.  Each walk must
@@ -363,12 +363,9 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
     followed = sorted(track)
     walk = src.cc._walk
     base = src.cc.base
-    words = cc.transversal
     rows = []
     for s in dst.gens:
-        x, gid = cc.sgen_edges[s]
-        word = (words[x] * Word([(gid, 1)])
-                * words[cc.act[gid][0][x]].inverse()).letters
+        word = cc.sgen_word(s).letters
         vec = {}
         ends = []
         for i in track:

@@ -83,9 +83,5 @@ class PermutationFailure(ArithmeticError):
     """Hecke coset permutation was not well defined (internal error)."""
 
 
-class NotStable(ArithmeticError):
-    """A subspace expected to be operator-stable is not (internal error)."""
-
-
 class ConstructionFailure(ArithmeticError):
     """A certified construction failed its own certificate (internal error)."""

@@ -49,8 +49,10 @@ The twisted degeneracy map (degmaps.twisted_map) reads the same table
 for l = p, following only its last representative diag(lambda, 1).
 
 The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
-stable subspace for ray-trivial l, which is the finite-level meaning of
-"supported on Eisenstein maximal ideals only".
+subspace for ray-trivial l, which is the finite-level meaning of
+"supported on Eisenstein maximal ideals only".  A subspace that T_l
+does not preserve fails the check in its report (stable false); it is
+not an error.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .errors import (
     NotCoprimeToLevel,
     NotPrime,
     NotProjectivePoint,
-    NotStable,
     PermutationFailure,
     ShapeMismatch,
 )
@@ -358,21 +359,14 @@ def ray_trivial_primes(
     )
 
 
-def _restrict_operator(red: MatQ, opmat: MatQ) -> MatQ:
-    """Matrix of an operator restricted to the span of an RREF basis."""
-    coords, bad = project_rows(red, (red @ opmat).arr)
-    if bad is not None:
-        raise NotStable("subspace is not stable under the operator")
-    return MatQ(red.q, coords)
-
-
 def eisenstein_check(t: LinMap, basis: MatQ, l: PIdeal) -> dict:
-    """Nilpotency report for T_l - (N(l)+1) on the given stable subspace.
+    """Nilpotency report for T_l - (N(l)+1) on the span of basis.
 
     t is hecke_matrix(l, space).  basis rows live either in space
     coordinates or, for the kernel of the stacked degeneracy map, in
-    doubled coordinates on which T_l acts blockwise.  Raises NotStable
-    when the subspace escapes.
+    doubled coordinates on which T_l acts blockwise.  A span that T_l
+    does not preserve gives stable false and no nilpotency index, and
+    so does not pass.
     """
     q = t.mat.q
     d = t.domain.dim
@@ -397,8 +391,11 @@ def eisenstein_check(t: LinMap, basis: MatQ, l: PIdeal) -> dict:
     }
     if dim_b == 0:
         return report
-    rmat = _restrict_operator(red, opmat)
-    rmat = rmat - MatQ(q, nlp1 * np.eye(dim_b, dtype=np.int64))
+    coords, bad = project_rows(red, (red @ opmat).arr)
+    if bad is not None:
+        report.update(stable=False, nilpotency_index=None, passed=False)
+        return report
+    rmat = MatQ(q, coords) - MatQ(q, nlp1 * np.eye(dim_b, dtype=np.int64))
     power = MatQ.identity(q, dim_b)
     for e in range(dim_b + 1):
         if power.is_zero():

@@ -16,11 +16,11 @@ tuple (Mat2.coords), multiplied along the tree by qfield.mat_mul_coords,
 and every Schreier generator is formed on tuples at construction and
 certified there: determinant 1 and lower-left entry in the level
 lattice, ConstructionFailure otherwise.  The objects are built on first use
-only, from tree_edge and the tuples: transversal (Words) and sgens
-((Word, Mat2) pairs).  cohom.letter_table_operator reads transversal
-for the words of the generators it evaluates on; sgens serves only the
-tests and bench/tracing.py.  Counting generators needs none of them:
-len(sgen_edges).
+only, from tree_edge and the tuples: transversal (Words), the word of
+one Schreier generator (sgen_word) and sgens ((Word, Mat2) pairs).
+cohom.letter_table_operator reads sgen_word for the generators it
+evaluates on; sgens serves only the tests and bench/tracing.py.
+Counting generators needs none of them: len(sgen_edges).
 
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
@@ -194,16 +194,18 @@ class CongCtx:
             words[y] = words[x] * Word([letter])
         return words
 
+    def sgen_word(self, s: int) -> Word:
+        """The word T_x g T_y^{-1} of Schreier generator s."""
+        x, gid = self.sgen_edges[s]
+        words = self.transversal
+        return (words[x] * Word([(gid, 1)])
+                * words[self.act[gid][0][x]].inverse())
+
     @cached_property
     def sgens(self) -> list[tuple[Word, Mat2]]:
         """(word, matrix) of every Schreier generator T_x g T_y^{-1}."""
-        words = self.transversal
-        act = self.act
-        return [
-            (words[x] * Word([(gid, 1)]) * words[act[gid][0][x]].inverse(),
-             Mat2.from_coords(self.ctx, m))
-            for (x, gid), m in zip(self.sgen_edges, self._sgen_coords)
-        ]
+        return [(self.sgen_word(s), Mat2.from_coords(self.ctx, m))
+                for s, m in enumerate(self._sgen_coords)]
 
     def _walk(self, letters, start, vec=None):
         """Walk letters from a coset; return (end coset, sgen exponents).

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,88 @@ def test_config_file_with_flag_precedence(tmp_path):
     r = run_cli("inspect", "dims", "--config", str(bad))
     assert r.returncode == 2
     assert "fieldd" in r.stderr
+
+
+# A config file that sets every option, the two-word keys in both
+# spellings (the later line wins), and the stdout sha256 of two calls that
+# read it, one of them a table; recorded before the options, their flags
+# and their config keys came from one table in the CLI.
+EVERY_KEY_CONFIG = """\
+# every option
+field-d = 7
+field_d = 2
+level = (3+1*w)
+prime = (0+1*w)
+modulus = 7
+test-primes = 1
+test_primes = 2
+max-norm = 300
+max_norm = 400
+conductor = (3+1*w)
+format = table
+seed = 11
+exponent = 5
+"""
+
+FROZEN_CONFIG_SHA256 = [
+    (("findprimes",), ("--modulus", "5"),
+     "e70d823a12ae82fd68df92b61f49eeec81916ebb0036c5023f2b72101fd175c6"),
+    (("inspect", "dims"), ("--format", "json"),
+     "e9cc64995cecfdf740b152cfa0f26ec2cfbe20561ddd63e9bcf1b16f5dc31066"),
+]
+
+
+def test_config_file_setting_every_key_frozen(tmp_path):
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(EVERY_KEY_CONFIG)
+    for command, flags, expected in FROZEN_CONFIG_SHA256:
+        r = run_cli(*command, "--config", str(cfg), *flags)
+        assert r.returncode == 0, r.stderr
+        digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+        assert digest == expected, command
+
+
+def test_config_file_values_outside_their_choices_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, message in [
+        ("field_d = 2\nlevel = (3+1*w)\nformat = xml\n",
+         "format must be one of ('json', 'table'), got xml"),
+        ("field_d = 5\nlevel = (3+1*w)\n",
+         "d must be one of (1, 2, 3, 7, 11), got 5"),
+    ]:
+        cfg.write_text(text)
+        r = run_cli("inspect", "dims", "--config", str(cfg))
+        assert r.returncode == 2
+        assert r.stderr == f"error: {message}\n"
+        assert r.stdout == ""
+
+
+SHARED_FLAGS = {
+    "--config", "--field-d", "--level", "--prime", "--modulus",
+    "--test-primes", "--max-norm", "--conductor", "--format", "--seed",
+}
+
+
+def test_every_help_formats_and_the_flag_set_is_pinned():
+    """--help exits 0 everywhere, and no flag is added or lost.
+
+    findprimes alone takes --exponent; a help string that argparse
+    cannot format fails here too.
+    """
+    import contextlib
+    import io
+
+    from bianchicoh import cli
+
+    for command, flags in [((), set()), (("verify",), SHARED_FLAGS),
+                           (("inspect",), SHARED_FLAGS),
+                           (("findprimes",), SHARED_FLAGS | {"--exponent"})]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--help"])
+        assert exc.value.code == 0, command
+        got = set(re.findall(r"--[a-z][a-z-]*", out.getvalue()))
+        assert got == flags | {"--help"}, command
 
 
 def test_unreadable_config_file_rejected(tmp_path):

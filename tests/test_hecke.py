@@ -400,6 +400,29 @@ def test_eisenstein_check_trivial_and_malformed_bases():
         eisenstein_check(t, MatQ(5, [[1, 2, 3]]), l)
 
 
+def test_eisenstein_check_reports_an_unstable_span_and_a_failed_one():
+    """The two failing outcomes, on the full H^1 (dim 3) at (3+1*w).
+
+    T_l for l = (1-3*w), of norm 19, is [[2, 0, 0], [0, 2, 1], [0, 0, 0]]
+    mod 5.  It moves e_1 to 2 e_1 + e_2, out of the span of e_1: the
+    report says so and does not pass.  It fixes the span of e_0 with
+    eigenvalue 2, not N(l) + 1 = 0 mod 5: stable, but no power of
+    T_l - 20 vanishes there.
+    """
+    ctx = field(2)
+    full = h1(CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx), 5)
+    assert full.dim == 3
+    l = parse_ideal(ctx, "(1-3*w)")
+    t = hecke_matrix(l, full)
+    head = {"l": "(1-3*w)", "norm": 19, "cosets": 20}
+    assert eisenstein_check(t, MatQ(5, [[0, 1, 0]]), l) == {
+        **head, "stable": False, "nilpotency_index": None, "passed": False,
+    }
+    assert eisenstein_check(t, MatQ(5, [[1, 0, 0]]), l) == {
+        **head, "stable": True, "nilpotency_index": None, "passed": False,
+    }
+
+
 def test_hecke_matrix_on_zero_space_is_empty():
     _, space = _unit_space(1, "(3)", 5)
     assert space.dim == 0
