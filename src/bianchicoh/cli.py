@@ -197,10 +197,15 @@ def _read_config_file(path):
             raise ConfigError(
                 f"{path}:{lineno}: expected key=value, got {line!r}"
             )
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        written, _, value = line.partition("=")
+        written = written.strip()
+        key = written.replace("-", "_")
         if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            bare = written.lstrip("-")
+            hint = (f"; drop the leading dashes, as in {bare!r}"
+                    if bare.replace("-", "_") in _OPTIONS else "")
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {written!r}{hint}")
         try:
             out[key] = _OPTIONS[key][0](value.strip())
         except ValueError as exc:

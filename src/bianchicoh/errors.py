@@ -75,6 +75,10 @@ class NotCoprimeToLevel(ValueError):
     """A Hecke prime must be coprime to the level."""
 
 
+class LevelTooLarge(ValueError):
+    """A level too large for exact int64 residue arithmetic."""
+
+
 class ProjectionFailure(ArithmeticError):
     """A vector expected to lie in a subspace does not (internal error)."""
 

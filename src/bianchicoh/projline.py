@@ -8,43 +8,127 @@ walks.
 
 Everything per point runs on integer coordinates.  A residue x0 + x1*w
 of the box of ResidueSystem is numbered x1*p + x0, with (p, q, r) the
-lattice basis of the level (PIdeal.hnf), and a point is kept as the
-coordinates (c0, c1, d0, d1) of its pair.  The P1Point objects are
+lattice basis of the level (PIdeal.hnf), and the points are kept as one
+int64 array of the coordinates (c0, c1, d0, d1) of their pairs.
+ring_mul and ring_reduce multiply and reduce residues, on ints and on
+int64 arrays alike; check_int64_headroom bounds the norm so that the
+array products of box residues are exact.  The P1Point objects are
 built on first use only (points), for the API edge: normalize, apply,
 base_point and inspect p1.
 
-The table is built one divisor class at a time.  Units act transitively
-on the residues c with a given g = gcd(c, n), so every ray through such
-a c meets c_min(g), the first residue of the class, and a unit w with
-w*c = c_min is recorded for each c by walking the unit orbit of c_min.
-The unit inverses come from one batch inversion (ideals.inverses_mod).
-The units fixing c_min are those = 1 mod m, m = n/g, so the second
-coordinates paired with c_min in the ray of (c : d) are the residues
-y = w*d (mod m) that lie in no prime dividing g; the canonical one is
-the first such y.  A class table keyed by residues mod m' (m times the
-primes of g that do not divide m, so that the key also decides
-membership in those primes) maps each admissible w*d to its point.
+The table is built with array operations.  The class of a residue c is
+the divisor g = gcd(c, n), read off the valuations of c at the prime
+divisors; units act transitively on each class, so every ray through c
+meets c_min(g), the first residue of the class.  One product of all
+units with all the c_min gives for each c a unit u with u*c_min = c, and
+w = u^-1 (ideals.inverses_mod) has w*c = c_min.  The units fixing c_min
+are those = 1 mod m, m = n/g, so any two such w differ by one of them
+and give the same ray below; the second coordinates paired with
+c_min in the ray of (c : d) are the residues y = w*d (mod m) that lie in
+no prime dividing g; the canonical one is the first such y (np.unique).
+A dense class table over the residues mod m' (m times the primes of g
+that do not divide m, so that the key also decides membership in those
+primes) holds the point of each admissible w*d and -1 elsewhere; the
+class tables lie end to end in one array, and each residue c keeps its
+rule (w, the lattice of m', the offset of its table).
 
-index_of is the one normalization rule: reduce c mod n, read (w, key
-lattice, class table) off c, reduce w*d mod m' and look the key up;
-NotProjectivePoint when it is missing.  action(g) runs it over every
-point after one ring product per entry, with one determinant check for
-the whole table; normalize and apply wrap it.  The point count is
-checked against the local formula at construction.
+index_of is the one normalization rule: reduce c mod n, read the rule
+of c, reduce w*d mod m' and read the table; NotProjectivePoint on -1.
+It reads list copies of the arrays.  action(g) evaluates the same rule
+on the arrays for every point at once, after one integer 4x4 product
+for (c : d) * g (right_mult), with one determinant check for the whole
+table; normalize and apply wrap index_of.  The point count is checked
+against the local formula at construction.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .errors import (
     BadDeterminant,
     ConstructionFailure,
+    LevelTooLarge,
     NotProjectivePoint,
     ZeroModulus,
 )
 from .ideals import PIdeal, factor, inverses_mod
-from .qfield import Mat2, QuadInt, exact_div, format_element, gcd
+from .qfield import Mat2, QuadInt, format_element
+
+HEADROOM = 2**62
+
+
+def check_int64_headroom(norm: int, norm_w: int) -> None:
+    """LevelTooLarge unless norm^2 * (|norm_w| + 2) < 2^62.
+
+    Box residues lie in [0, p) x [0, r) with p*r = norm, so a product of
+    two of them has coordinates below norm^2 * (|norm_w| + 1) in absolute
+    value, and a sum of two products (an entry of (c : d) * g with g
+    reduced into the box, or c'*d_y - d'*c_y) twice that.  ring_reduce
+    adds one term below norm^2, so every int64 intermediate stays below
+    2 * norm^2 * (|norm_w| + 2) < 2^63.
+    """
+    bound = norm * norm * (abs(norm_w) + 2)
+    if bound >= HEADROOM:
+        raise LevelTooLarge(
+            f"a level of norm {norm} is too large for exact int64 residue "
+            f"arithmetic: norm^2 * (|norm_w| + 2) = {bound} is not below 2^62"
+        )
+
+
+def ring_mul(ring, x0, x1, y0, y1):
+    """(x0 + x1*w)(y0 + y1*w) on ints or int64 arrays; ring = P1Table.ring."""
+    nw, sh = ring[3], ring[4]
+    be = x1 * y1
+    return x0 * y0 - nw * be, x0 * y1 + x1 * y0 + sh * be
+
+
+def ring_reduce(ring, z0, z1):
+    """Box coordinates of z0 + z1*w mod the level, on ints or int64 arrays.
+
+    The quotient k is reduced mod p before it meets q, so the one new
+    term stays below p^2.
+    """
+    p, q, r = ring[0], ring[1], ring[2]
+    k = z1 // r
+    return (z0 - k % p * q) % p, z1 - k * r
+
+
+def reduce_rows(ring, z):
+    """ring_reduce, in place, on both halves of an (k, 4) array (c, d)."""
+    p, q, r = ring[0], ring[1], ring[2]
+    k = z[:, 1::2] // r
+    z[:, 1::2] -= k * r
+    z[:, ::2] -= k % p * q
+    z[:, ::2] %= p
+    return z
+
+
+@lru_cache(maxsize=256)
+def right_mult(nw: int, sh: int, coords: tuple) -> np.ndarray:
+    """The 4x4 integer matrix of (c0, c1, d0, d1) -> (c : d) * g.
+
+    coords are those of g = [[a, b], [e, f]] (Mat2.coords), with
+    (c : d) * g = (c*a + d*e : c*b + d*f); x0 + x1*w multiplies the row
+    (y0, y1) by [[x0, x1], [-nw*x1, x0 + sh*x1]].  Shared, not to be
+    written to.
+    """
+    a0, a1, b0, b1, e0, e1, f0, f1 = coords
+    out = np.array([[a0, a1, b0, b1],
+                    [-nw * a1, a0 + sh * a1, -nw * b1, b0 + sh * b1],
+                    [e0, e1, f0, f1],
+                    [-nw * e1, e0 + sh * e1, -nw * f1, f0 + sh * f1]],
+                   dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _key(x0, x1, lattice):
+    """Number of the residue x0 + x1*w mod the lattice (p, q, r)."""
+    p, q, r = lattice
+    return x1 % r * p + (x0 - x1 // r * q) % p
 
 
 class P1Point:
@@ -71,16 +155,6 @@ class P1Point:
         return f"({self.c}:{self.d})"
 
 
-def _residue_mask(prime: PIdeal, p: int, r: int) -> bytearray:
-    """mask[k] = 1 when residue number k of the box p x r lies in prime."""
-    pp, qq, rr = prime.hnf()
-    mask = bytearray(p * r)
-    for j in range(0, r, rr):
-        for i in range((j // rr) * qq % pp, p, pp):
-            mask[j * p + i] = 1
-    return mask
-
-
 class P1Table:
     """Enumerated P^1(O/level) with normalization and right action."""
 
@@ -93,107 +167,147 @@ class P1Table:
 
     def _build(self):
         ctx = self.ctx
-        nw = ctx.norm_w
-        sh = 1 if ctx.shifted else 0
-        gen = self.level.gen
         p, q, r = self.level.hnf()
         size = p * r
+        check_int64_headroom(size, ctx.norm_w)
+        # level lattice and ring constants of ring_mul and ring_reduce
+        ring = self.ring = (p, q, r, ctx.norm_w, 1 if ctx.shifted else 0)
         fac = [] if self.level.is_unit_ideal() else factor(self.level)
-        # membership of every residue in every prime divisor of the level
-        masks = [_residue_mask(P, p, r) for P, _ in fac]
-        units = [(k % p, k // p) for k in range(size)
-                 if not any(m[k] for m in masks)]
-        inverses = inverses_mod(self.level, units)
-        # residue number of c -> (w0, w1, key lattice, class table), w*c = c_min
-        orbit: list = [None] * size
-        classes = []  # (c_min, first admissible y of each ray, class table)
-        for ci in range(size):
-            if orbit[ci] is not None:
-                continue
-            c0, c1 = ci % p, ci // p
-            c = QuadInt(ctx, c0, c1)
-            m = exact_div(gen, gcd(c, gen))
-            in_g = [t for t, mask in enumerate(masks) if mask[ci]]
-            mkey = m
-            for t in in_g:
-                if not fac[t][0].contains(m):
-                    mkey = mkey * fac[t][0].gen
-            pm, qm, rm = PIdeal(m).hnf()
-            pk, qk, rk = PIdeal(mkey).hnf()
-            skip = [masks[t] for t in in_g]
-            table: dict[int, int] = {}  # key of y mod m' -> first y of its ray
-            first: dict[int, int] = {}  # key of y mod m -> first y
-            for yi in range(size):
-                if skip and any(mask[yi] for mask in skip):
-                    continue
-                y0, y1 = yi % p, yi // p
-                k = y1 // rm
-                y0m = first.setdefault((y1 - k * rm) * pm + (y0 - k * qm) % pm,
-                                       yi)
-                k = y1 // rk
-                table[(y1 - k * rk) * pk + (y0 - k * qk) % pk] = y0m
-            classes.append((ci, first.values(), table))
-            entry = (pk, qk, rk, table)
-            for (u0, u1), (v0, v1) in zip(units, inverses):
-                be = u1 * c1
-                x0 = u0 * c0 - nw * be
-                x1 = u0 * c1 + u1 * c0 + sh * be
-                k = x1 // r
-                xi = (x1 - k * r) * p + (x0 - k * q) % p
-                if orbit[xi] is None:
-                    orbit[xi] = (v0, v1, *entry)
-        pairs = sorted((ci, yi) for ci, ys, _ in classes for yi in ys)
-        # class tables map keys to point indices
-        by_pair = {pair: k for k, pair in enumerate(pairs)}
-        for ci, _, table in classes:
-            for key, yi in table.items():
-                table[key] = by_pair[(ci, yi)]
-        self._orbit = orbit
-        # level lattice and ring constants of index_of
-        self._ring = (p, q, r, nw, sh)
-        self._coords = [(ci % p, ci // p, yi % p, yi // p) for ci, yi in pairs]
+        x0, x1 = np.arange(size) % p, np.arange(size) // p
+        # val[t, c]: the valuation of residue c at the t-th prime divisor,
+        # capped at its exponent; the class of c is the divisor gcd(c, n),
+        # numbered sig in mixed radix
+        val = np.zeros((len(fac), size), dtype=np.int64)
+        radix = []
+        nclass = 1
+        for t, (P, e) in enumerate(fac):
+            radix.append(nclass)
+            nclass *= e + 1
+            for j in range(1, e + 1):
+                val[t] += _key(x0, x1, PIdeal(P.gen ** j).hnf()) == 0
+        # bit t of primes[c]: residue c lies in the t-th prime divisor
+        primes = (1 << np.arange(len(fac))) @ (val > 0)
+        sig = np.array(radix, dtype=np.int64) @ val
+        # classes renumbered in the order of their first residues c_min
+        first = np.full(nclass, size)
+        np.minimum.at(first, sig, np.arange(size))
+        cmins = np.sort(first)
+        relabel = np.empty_like(first)
+        relabel[np.argsort(first)] = np.arange(nclass)
+        cls = relabel[sig]
+        units = np.flatnonzero(sig == 0)
+        u0, u1 = x0[units], x1[units]
+        v0, v1 = np.array(inverses_mod(self.level, list(zip(
+            u0.tolist(), u1.tolist())))).reshape(-1, 2).T
+        # pick[c]: a unit u with u*c_min = c (any one serves), so that
+        # w = u^-1 has w*c = c_min; u*c_min for every unit and class in one
+        # product, with
+        # c_min*x = x @ [[c0, c1], [-nw*c1, c0 + sh*c1]] on rows (x0, x1)
+        c0, c1 = x0[cmins], x1[cmins]
+        mult = np.empty((2, 2 * nclass), dtype=np.int64)
+        mult[0, ::2], mult[0, 1::2] = c0, c1
+        mult[1, ::2], mult[1, 1::2] = -ring[3] * c1, c0 + ring[4] * c1
+        orbit = np.stack([u0, u1], axis=1) @ mult
+        o0, o1 = ring_reduce(ring, orbit[:, ::2], orbit[:, 1::2])
+        pick = np.full(size, -1)
+        pick[o1 * p + o0] = np.arange(units.size)[:, None]
+        if (pick < 0).any():
+            raise ConstructionFailure("the units miss a residue of its class")
+        params, ys_of, tables = [], [], []
+        npts = offset = 0
+        for ci in cmins.tolist():
+            vc = val[:, ci].tolist()
+            # m = n/g, and m' = m * (primes of g that do not divide m)
+            m = extra = ctx.one
+            for (P, e), v in zip(fac, vc):
+                m = m * P.gen ** (e - v)
+                if v == e:
+                    extra = extra * P.gen
+            pk, qk, rk = PIdeal(m * extra).hnf()
+            ys = np.flatnonzero((primes & primes[ci]) == 0)
+            y0, y1 = x0[ys], x1[ys]
+            # the rays: residues mod m of the admissible y, by first y
+            _, firsts, ray = np.unique(_key(y0, y1, PIdeal(m).hnf()),
+                                       return_index=True, return_inverse=True)
+            order = np.argsort(firsts)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(npts, npts + order.size)
+            table = np.full(pk * rk, -1)
+            table[_key(y0, y1, (pk, qk, rk))] = rank[ray]
+            params.append((pk, qk, rk, offset))
+            ys_of.append(ys[firsts[order]])
+            tables.append(table)
+            npts += order.size
+            offset += table.size
+        # the rule of each residue c: (w0, w1, pk, qk, rk, table offset)
+        # with w*c = c_min and (pk, qk, rk) the lattice of m'
+        self._rule = np.vstack((v0[pick], v1[pick], np.array(params)[cls].T))
+        self._table = np.concatenate(tables)
+        cs = np.repeat(cmins, [ys.size for ys in ys_of])
+        ys = np.concatenate(ys_of)
+        self._points = np.stack([x0[cs], x1[cs], x0[ys], x1[ys]], axis=1)
+        # list copies for the scalar rule
+        self._scalar_rule = self._rule.T.tolist()
+        self._scalar_table = self._table.tolist()
         expected = 1
         for P, e in fac:
-            np = P.norm()
-            expected *= np ** (e - 1) * (np + 1)
-        if len(pairs) != expected:
+            np_ = P.norm()
+            expected *= np_ ** (e - 1) * (np_ + 1)
+        if npts != expected:
             raise ConstructionFailure(
-                f"|P^1| = {len(pairs)} but the local formula gives {expected}"
+                f"|P^1| = {npts} but the local formula gives {expected}"
             )
 
     def __len__(self):
-        return len(self._coords)
+        return len(self._points)
 
     @cached_property
     def points(self) -> list[P1Point]:
         """The canonical points in order, as objects (built on first use)."""
         ctx = self.ctx
         return [P1Point(QuadInt(ctx, c0, c1), QuadInt(ctx, d0, d1), k)
-                for k, (c0, c1, d0, d1) in enumerate(self._coords)]
+                for k, (c0, c1, d0, d1) in enumerate(self._points.tolist())]
 
     def index_of(self, c0: int, c1: int, d0: int, d1: int) -> int:
         """Index of the point of (c0 + c1*w : d0 + d1*w), the one rule.
 
         Raises NotProjectivePoint when the pair is not projective.
         """
-        p, q, r, nw, sh = self._ring
+        # ring_reduce and ring_mul written out: the Hecke coset search
+        # calls this per representative
+        p, q, r, nw, sh = self.ring
         k = c1 // r
-        ci = (c1 - k * r) * p + (c0 - k * q) % p
-        w0, w1, pk, qk, rk, table = self._orbit[ci]
+        w0, w1, pk, qk, rk, off = self._scalar_rule[
+            (c1 - k * r) * p + (c0 - k * q) % p]
         be = w1 * d1
         y1 = w0 * d1 + w1 * d0 + sh * be
         k = y1 // rk
-        pt = table.get((y1 - k * rk) * pk + (w0 * d0 - nw * be - k * qk) % pk)
-        if pt is None:
-            ctx = self.ctx
-            k = d1 // r
-            c = QuadInt(ctx, ci % p, ci // p)
-            d = QuadInt(ctx, (d0 - k * q) % p, d1 - k * r)
-            raise NotProjectivePoint(
-                f"({format_element(c)}:{format_element(d)}) is not projective "
-                f"mod {self.level}"
-            )
+        pt = self._scalar_table[off + (y1 - k * rk) * pk
+                                + (w0 * d0 - nw * be - k * qk) % pk]
+        if pt < 0:
+            raise self._not_projective(c0, c1, d0, d1)
         return pt
+
+    def _locate(self, rows: np.ndarray) -> np.ndarray:
+        """index_of's rule on an (k, 4) array of box residues (c, d).
+
+        -1 marks a pair that is not projective.
+        """
+        w0, w1, pk, qk, rk, off = self._rule[:, rows[:, 1] * self.ring[0]
+                                             + rows[:, 0]]
+        y0, y1 = ring_mul(self.ring, w0, w1, rows[:, 2], rows[:, 3])
+        k = y1 // rk
+        return self._table[off + (y1 - k * rk) * pk
+                           + (y0 - k % pk * qk) % pk]
+
+    def _not_projective(self, c0, c1, d0, d1) -> NotProjectivePoint:
+        ctx = self.ctx
+        c = QuadInt(ctx, *ring_reduce(self.ring, c0, c1))
+        d = QuadInt(ctx, *ring_reduce(self.ring, d0, d1))
+        return NotProjectivePoint(
+            f"({format_element(c)}:{format_element(d)}) is not projective "
+            f"mod {self.level}"
+        )
 
     def normalize(self, c: QuadInt, d: QuadInt) -> P1Point:
         return self.points[self.index_of(c.a, c.b, d.a, d.b)]
@@ -207,22 +321,15 @@ class P1Table:
         """Index of x*g for every point x in order, one det check for all."""
         if not g.det().is_unit():
             raise BadDeterminant(f"determinant {g.det()} is not a unit")
-        a0, a1, b0, b1, e0, e1, f0, f1 = g.coords()
-        nw = self.ctx.norm_w
-        sh = 1 if self.ctx.shifted else 0
-        index_of = self.index_of
-        out = []
-        # (c : d) * g = (c*a + d*e : c*b + d*f) with g = [[a, b], [e, f]]
-        for c0, c1, d0, d1 in self._coords:
-            x = c1 * a1 + d1 * e1
-            y = c1 * b1 + d1 * f1
-            out.append(index_of(
-                c0 * a0 + d0 * e0 - nw * x,
-                c0 * a1 + c1 * a0 + d0 * e1 + d1 * e0 + sh * x,
-                c0 * b0 + d0 * f0 - nw * y,
-                c0 * b1 + c1 * b0 + d0 * f1 + d1 * f0 + sh * y,
-            ))
-        return out
+        ring = self.ring
+        coords = [v for i in range(0, 8, 2)
+                  for v in ring_reduce(ring, *g.coords()[i:i + 2])]
+        rows = reduce_rows(ring, self._points @ right_mult(
+            ring[3], ring[4], tuple(coords)))
+        out = self._locate(rows)
+        if (out < 0).any():
+            raise self._not_projective(*rows[np.argmax(out < 0)].tolist())
+        return out.tolist()
 
     def base_point(self) -> P1Point:
         """The class of (0 : 1), the coset of Gamma_0(n) itself."""

@@ -11,13 +11,20 @@ so T_y = T_parent * letter.
 Schreier generators T_x g T_y^{-1} sit on the non-tree positive edges
 (sgen_edges).
 
-The construction runs on integer coordinates: each T_x is an 8-int
-tuple (Mat2.coords), multiplied along the tree by qfield.mat_mul_coords,
-and every Schreier generator is formed on tuples at construction and
-certified there: determinant 1 and lower-left entry in the level
-lattice, ConstructionFailure otherwise.  The objects are built on first use
-only, from tree_edge and the tuples: transversal (Words), the word of
-one Schreier generator (sgen_word) and sgens ((Word, Mat2) pairs).
+The construction runs on int64 arrays.  The tree is grown one BFS
+level at a time: the targets of the frontier are taken in (frontier
+position, move) order and the first meeting of each unseen coset is
+its tree edge, which is the order a queue would give.  Along the tree
+the bottom row (c_x, d_x) of T_x is carried mod n, one integer 4x4
+product per level (projline.right_mult).  That is all the generator
+certificate needs: T_x is a product of generators, whose determinants
+builtin_presentation certifies to be 1, so M = T_x g T_y^{-1} has
+determinant 1 and lies in Gamma_0(n) exactly when its lower-left entry
+c'*d_y - d'*c_y lies in n, with (c', d') the bottom row of T_x g.  Every
+edge is checked so at once, ConstructionFailure otherwise.  The objects
+are built on first use only, from tree_edge: transversal (Words), the
+word of one Schreier generator (sgen_word) and sgens ((Word, Mat2)
+pairs, the matrices evaluated from the words).
 cohom.letter_table_operator reads sgen_word for the generators it
 evaluates on; sgens serves only the tests and bench/tracing.py.
 Counting generators needs none of them: len(sgen_edges).
@@ -25,14 +32,15 @@ Counting generators needs none of them: len(sgen_edges).
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
 abelianization.  Every walk reads one table per letter, built once with
-the generators: moves[gid][e] lists, for every coset, the next coset
-and the Schreier generator crossed (-1 on tree edges); the sign is e.
-_walk follows the lists for one start coset.  _build_relmat walks every
-ambient relator from all cosets at once on the same tables as numpy
-arrays; every walk must close (an array equality).  The rewritten rows
-form the relator matrix, one per relator and coset, relator-major, kept
-as a modlinalg.SparseRows sorted by (row, Schreier generator) key: the
-visits are summed per key and zero sums dropped.  A relator walk
+the generators as the arrays _next and _crossed (row 2*gid for g,
+2*gid + 1 for g^-1): for every coset, the next coset and the Schreier
+generator crossed (-1 on tree edges); the sign is that of the letter.
+_walk follows their list copies moves[gid][e] for one start coset.
+_build_relmat walks every ambient relator from all cosets at once on
+the arrays; every walk must close (an array equality).  The rewritten
+rows form the relator matrix, one per relator and coset, relator-major,
+kept as a modlinalg.SparseRows sorted by (row, Schreier generator) key:
+the visits are summed per key and zero sums dropped.  A relator walk
 touches a handful of edges, so the rows are short; their mod-q kernel
 is the cohomology downstream.
 
@@ -70,8 +78,8 @@ from .errors import (
 from .fpres import AmbientPresentation, Word, builtin_presentation, matrix_to_word
 from .ideals import PIdeal
 from .modlinalg import SparseRows
-from .projline import P1Table
-from .qfield import FieldCtx, Mat2, det_coords, mat_mul_coords
+from .projline import P1Table, reduce_rows, right_mult, ring_mul, ring_reduce
+from .qfield import FieldCtx, Mat2, mat_mul_coords
 
 
 class CongCtx:
@@ -93,94 +101,114 @@ class CongCtx:
     def _build_tree(self, move_order):
         p = self.pres
         p1 = self.cosets
-        ctx = self.ctx
+        ring = p1.ring
         ncos = len(p1)
-        gens = list(range(p.gen_count))
+        ngen = p.gen_count
+        gens = list(range(ngen))
         if move_order == "reversed":
             gens.reverse()
         elif move_order != "default":
             raise ValueError(f"unknown move_order {move_order!r}")
-        # integer action tables: act[g][0] = right mult by g, [1] by g^-1
-        self.act = [_with_inverse(p1.action(m)) for m in p._mats]
-        moves = [[(gid, 1, self.act[gid][0], p._mats[gid].coords()),
-                  (gid, -1, self.act[gid][1], p._invs[gid].coords())]
-                 for gid in gens]
+        # walk tables: row 2*gid is right mult by g, 2*gid + 1 by g^-1,
+        # and a last row that stays put
+        nxt = np.empty((2 * ngen + 1, ncos), dtype=np.int64)
+        for gid, m in enumerate(p._mats):
+            nxt[2 * gid] = p1.action(m)
+        nxt[1:-1:2] = _inverse_permutations(nxt[:-1:2])
+        nxt[-1] = np.arange(ncos)
+        self._next = nxt
+        self.act = list(zip(nxt[:-1:2].tolist(), nxt[1:-1:2].tolist()))
+        # (c : d) -> (c : d) * letter on bottom rows, in the same rows; the
+        # letters' coordinates are 0 or +-1, so the products stay small
+        self._mult = np.array([right_mult(ring[3], ring[4],
+                                          p._letter_coords[e][gid])
+                               for gid in range(ngen) for e in (1, -1)])
+        # BFS moves: generators in move order, each letter then its inverse
+        moves = np.array([2 * gid + k for gid in gens for k in (0, 1)])
+        nmov = moves.size
+        step = nxt[moves]
+        mult = np.concatenate(self._mult[moves], axis=1)
         base = p1.index_of(0, 0, 1, 0)
         self.base = base
-        # T_x as an 8-int coordinate tuple (Mat2.coords)
-        tcoords: list = [None] * ncos
-        tcoords[base] = (1, 0, 0, 0, 0, 0, 1, 0)
-        tree_pos = set()
-        tree_edge: list = [None] * ncos
-        queue = [base]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            tx = tcoords[x]
-            for pair in moves:
-                for gid, e, table, m in pair:
-                    y = table[x]
-                    if tcoords[y] is None:
-                        tcoords[y] = mat_mul_coords(ctx, tx, m)
-                        tree_pos.add((x, gid) if e == 1 else (y, gid))
-                        tree_edge[y] = (x, (gid, e))
-                        queue.append(y)
-        if any(t is None for t in tcoords):
+        # the bottom row of T_x mod n, carried along the tree
+        rows = np.zeros((ncos, 4), dtype=np.int64)
+        rows[base, 2:] = ring_reduce(ring, 1, 0)
+        parent = np.full(ncos, -1)
+        move = np.full(ncos, -1)
+        seen = np.zeros(ncos, dtype=bool)
+        seen[base] = True
+        frontier = np.array([base])
+        levels = [frontier]
+        while frontier.size:
+            # targets in (frontier position, move) order, as a queue would
+            # meet them: the first meeting of each unseen one is its edge
+            targets = step[:, frontier].T.ravel()
+            fresh = np.flatnonzero(~seen[targets])
+            _, first = np.unique(targets[fresh], return_index=True)
+            pick = fresh[np.sort(first)]
+            # the bottom rows of T_x * letter in the same order
+            carried = (rows[frontier] @ mult).reshape(-1, 4)[pick]
+            parent[targets[pick]] = frontier[pick // nmov]
+            frontier = targets[pick]
+            seen[frontier] = True
+            move[frontier] = pick % nmov
+            rows[frontier] = reduce_rows(ring, carried)
+            levels.append(frontier)
+        if not seen.all():
             raise ZeroModulus("coset graph is disconnected")  # unreachable
-        self._tcoords = tcoords
-        self._tree_pos = tree_pos
+        self._rows = rows
         # BFS order, base first; tree_edge[y] = (parent, letter into y)
-        self.tree_order = queue
-        self.tree_edge = tree_edge
+        self.tree_order = np.concatenate(levels).tolist()
+        letters = [(gid, e) for gid in gens for e in (1, -1)]
+        self.tree_edge = list(zip(parent.tolist(),
+                                  map(letters.__getitem__, move.tolist())))
+        self.tree_edge[base] = None
+        # on_tree[gid, x]: the positive edge (x, gid) is a tree edge
+        child = np.flatnonzero(parent >= 0)
+        row = moves[move[child]]
+        self._on_tree = np.zeros((ngen, ncos), dtype=bool)
+        self._on_tree[row // 2, np.where(row % 2, child, parent[child])] = True
 
     def _build_sgens(self):
-        """Number the non-tree positive edges and certify their generators.
+        """Certify every positive edge and number the non-tree ones.
 
-        Each T_x g T_y^{-1} is formed on coordinate tuples and must have
-        determinant 1 and lower-left entry in the level lattice
-        (ConstructionFailure otherwise).
+        By the bottom-row lemma (module docstring) T_x g T_y^{-1} lies in
+        Gamma_0(n) exactly when c'*d_y - d'*c_y lies in n, read off the
+        carried rows (ConstructionFailure otherwise); on a tree edge it
+        is 1.
         """
-        p = self.pres
-        ctx = self.ctx
+        ring = self.cosets.ring
+        ngen = self.pres.gen_count
         ncos = len(self.cosets)
-        lp, lq, lr = self.level.hnf()
-        tcoords = self._tcoords
-        tree_pos = self._tree_pos
-        gmats = [m.coords() for m in p._mats]
-        coords = []
-        edges = []
-        # crossed[gid][x]: the Schreier generator on the edge (x, gid), or -1
-        crossed = [[-1] * ncos for _ in range(p.gen_count)]
-        for x in range(ncos):
-            tx = tcoords[x]
-            for gid in range(p.gen_count):
-                if (x, gid) in tree_pos:
-                    continue
-                y = self.act[gid][0][x]
-                a0, a1, b0, b1, c0, c1, d0, d1 = tcoords[y]
-                m = mat_mul_coords(ctx, mat_mul_coords(ctx, tx, gmats[gid]),
-                                   (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
-                k, rem = divmod(m[5], lr)
-                if det_coords(ctx, m) != (1, 0) or rem or (m[4] - k * lq) % lp:
-                    raise ConstructionFailure(
-                        f"Schreier generator {Mat2.from_coords(ctx, m)} "
-                        f"escapes the level"
-                    )
-                crossed[gid][x] = len(coords)
-                edges.append((x, gid))
-                coords.append(m)
-        self._sgen_coords = coords
-        self.sgen_edges = edges  # (x, gid) of each Schreier generator
-        # walk tables, one per letter: moves[gid][e] = (next coset, Schreier
-        # generator crossed or -1) for every coset; e = -1 indexes the last
-        # entry.  Walking g^-1 from y crosses the edge (y * g^-1, gid).
-        self._moves = []
-        for gid in range(p.gen_count):
-            fwd, back = self.act[gid]
-            here = crossed[gid]
-            self._moves.append(
-                (None, (fwd, here), (back, [here[y] for y in back])))
+        rows = self._rows
+        img = reduce_rows(ring, (rows @ self._mult[::2]).reshape(-1, 4))
+        to = rows[self._next[:-1:2].ravel()]
+        a0, a1 = ring_mul(ring, img[:, 0], img[:, 1], to[:, 2], to[:, 3])
+        b0, b1 = ring_mul(ring, img[:, 2], img[:, 3], to[:, 0], to[:, 1])
+        z0, z1 = ring_reduce(ring, a0 - b0, a1 - b1)
+        bad = np.flatnonzero(z0 | z1)
+        if bad.size:
+            gid, x = divmod(int(bad[0]), ncos)
+            raise ConstructionFailure(
+                f"T_x g T_y^-1 at coset {x} and generator "
+                f"{self.pres.names[gid]} escapes the level"
+            )
+        x, gid = np.nonzero(~self._on_tree.T)
+        self.sgen_edges = list(zip(x.tolist(), gid.tolist()))
+        # crossed[2*gid + (e < 0), x]: the Schreier generator that the
+        # letter crosses from x, or -1; walking g^-1 from y crosses the
+        # edge (y * g^-1, gid)
+        crossed = np.full(self._next.shape, -1)
+        crossed[2 * gid, x] = np.arange(x.size)
+        crossed[1:-1:2] = crossed[:-1:2][np.arange(ngen)[:, None],
+                                         self._next[1:-1:2]]
+        self._crossed = crossed
+        # walk tables as lists, one per letter: moves[gid][e] = (next
+        # coset, Schreier generator crossed or -1) for every coset; e = -1
+        # indexes the last entry
+        here = crossed.tolist()
+        self._moves = [(None, (fwd, here[2 * g]), (back, here[2 * g + 1]))
+                       for g, (fwd, back) in enumerate(self.act)]
 
     # -- objects, built on first use ------------------------------------
 
@@ -204,8 +232,9 @@ class CongCtx:
     @cached_property
     def sgens(self) -> list[tuple[Word, Mat2]]:
         """(word, matrix) of every Schreier generator T_x g T_y^{-1}."""
-        return [(self.sgen_word(s), Mat2.from_coords(self.ctx, m))
-                for s, m in enumerate(self._sgen_coords)]
+        words = [self.sgen_word(s) for s in range(len(self.sgen_edges))]
+        # through the module, so that wrappers of fpres see the calls
+        return [(w, fpres.word_to_matrix(w, self.pres)) for w in words]
 
     def _walk(self, letters, start, vec=None):
         """Walk letters from a coset; return (end coset, sgen exponents).
@@ -236,20 +265,15 @@ class CongCtx:
         ncos = len(self.cosets)
         nsg = len(self.sgen_edges)
         relators = [r.letters for r in self.pres.relators]
-        # the walk tables stacked, one row per letter, and a last row
-        # that stays put, which pads the shorter relators
-        letters = [(gid, e) for gid in range(self.pres.gen_count)
-                   for e in (1, -1)]
-        nxt = np.array([self._moves[g][e][0] for g, e in letters]
-                       + [list(range(ncos))])
-        crossed = np.array([self._moves[g][e][1] for g, e in letters]
-                           + [[-1] * ncos])
-        sign = np.array([e for _, e in letters] + [0])
-        code = {letter: i for i, letter in enumerate(letters)}
+        # the walk tables; the last row stays put and pads the shorter
+        # relators
+        nxt, crossed = self._next, self._crossed
+        pad = len(nxt) - 1
+        sign = np.array([1, -1] * self.pres.gen_count + [0])
         length = max(map(len, relators))
         # codes[t, r * ncos + x]: the letter of step t of relator r
         codes = np.repeat(np.array(
-            [[code[x] for x in r] + [len(letters)] * (length - len(r))
+            [[2 * gid + (e < 0) for gid, e in r] + [pad] * (length - len(r))
              for r in relators]).T, ncos, axis=1)
         start = np.tile(np.arange(ncos), len(relators))
         pos = start
@@ -289,15 +313,15 @@ class CongCtx:
         return self.rewrite(matrix_to_word(m, self.pres))
 
 
-def _with_inverse(fwd: list[int]) -> tuple[list[int], list[int]]:
-    """(fwd, back) for the action table fwd of g: x * g^-1 = y exactly
-    when y * g = x, so back[fwd[y]] = y.  fwd must be a permutation
-    (ConstructionFailure otherwise)."""
-    back = np.full(len(fwd), -1)
-    back[fwd] = np.arange(len(fwd))
+def _inverse_permutations(fwd: np.ndarray) -> np.ndarray:
+    """back with back[g, fwd[g, y]] = y for the action tables fwd[g]:
+    x * g^-1 = y exactly when y * g = x.  Every row of fwd must be a
+    permutation (ConstructionFailure otherwise)."""
+    back = np.full(fwd.shape, -1)
+    back[np.arange(len(fwd))[:, None], fwd] = np.arange(fwd.shape[1])
     if (back < 0).any():
         raise ConstructionFailure("an action table is not a permutation")
-    return fwd, back.tolist()
+    return back
 
 
 def letter_table(reps, pres: AmbientPresentation, locate):

@@ -870,10 +870,10 @@ def unit_conjugation_operator(space):
 
 
 def tmats(cc):
-    """The matrix of T_x for every coset x of cc, from its coordinates."""
-    from bianchicoh.qfield import Mat2
+    """The matrix of T_x for every coset x of cc, from its word."""
+    from bianchicoh.fpres import word_to_matrix
 
-    return [Mat2.from_coords(cc.ctx, t) for t in cc._tcoords]
+    return [word_to_matrix(w, cc.pres) for w in cc.transversal]
 
 
 def conjugate_by_pgen(m, pi):

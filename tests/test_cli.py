@@ -378,6 +378,12 @@ def test_bad_config_literal_names_line_and_key(tmp_path):
     assert r.returncode == 2
     assert f"{cfg}:2" in r.stderr
     assert "test_primes" in r.stderr
+    # a key in the flag spelling is quoted as written, with the fix
+    cfg.write_text("--field-d = 2\n")
+    r = run_cli("inspect", "dims", "--config", str(cfg), "--level", "(3+1*w)")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert (f"{cfg}:1: unknown key '--field-d'; drop the leading dashes, "
+            f"as in 'field-d'") in r.stderr
 
 
 def test_table_format():

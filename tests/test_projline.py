@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 
-from bianchicoh.errors import BadDeterminant, NotProjectivePoint, ZeroModulus
+from bianchicoh.errors import (
+    BadDeterminant,
+    LevelTooLarge,
+    NotProjectivePoint,
+    ZeroModulus,
+)
 from bianchicoh.fpres import builtin_presentation
 from bianchicoh.ideals import PIdeal, ResidueSystem, enumerate_ideals, parse_ideal
-from bianchicoh.projline import P1Table, p1_table
+from bianchicoh.projline import P1Table, check_int64_headroom, p1_table
 from bianchicoh.qfield import Mat2, field
 from oracles import brute_p1_count, sweep_p1
 
@@ -150,15 +156,64 @@ def test_point_order_matches_the_sweep_at_large_levels():
         assert [(pt.c, pt.d) for pt in P1Table(n).points] == points, text
 
 
+def _random_sl2(ctx, rng, steps=6):
+    """A word in the two standard unipotents, so a matrix in SL2(O)."""
+    g = Mat2.identity(ctx)
+    for _ in range(steps):
+        x = ctx.element(rng.randrange(-9, 10), rng.randrange(-9, 10))
+        if rng.random() < 0.5:
+            g = g * Mat2(ctx.one, x, ctx.zero, ctx.one)
+        else:
+            g = g * Mat2(ctx.one, ctx.zero, x, ctx.one)
+    return g
+
+
 def test_action_table_matches_apply():
+    """The array rule of action equals index_of's rule (through apply)
+    for the generators, their inverses and two matrices with large
+    entries, at every level of norm <= 60 in the five fields and at the
+    three large d=2 levels."""
+    rng = random.Random(17)
+    cases = [(d, n) for d in FIELDS for n in enumerate_ideals(field(d), 60)]
+    cases += [(2, parse_ideal(field(2), text))
+              for text in ("(9+11*w)", "(19+7*w)", "(23)")]
+    for d, n in cases:
+        ctx = field(d)
+        tab = P1Table(n)
+        pres = builtin_presentation(ctx)
+        mats = [h for _, g in pres.generators for h in (g, g.inv_det_one())]
+        for h in mats + [_random_sl2(ctx, rng) for _ in range(2)]:
+            assert tab.action(h) == [tab.apply(h, x).index
+                                     for x in tab.points], (d, str(n), h)
     for d, text in [(1, "(2+1*w)"), (2, "(3+1*w)"), (3, "(2)"), (11, "(1-2*w)")]:
         ctx = field(d)
         tab = p1_table(parse_ideal(ctx, text))
-        pres = builtin_presentation(ctx)
-        for _, g in pres.generators:
-            for h in (g, g.inv_det_one()):
-                assert tab.action(h) == [tab.apply(h, x).index
-                                         for x in tab.points]
         bad = Mat2(ctx.element(2), ctx.zero, ctx.zero, ctx.one)
         with pytest.raises(BadDeterminant):
             tab.action(bad)
+
+
+def test_int64_headroom_bound_is_exact():
+    """check_int64_headroom accepts norm^2 * (|norm_w| + 2) < 2^62 and
+    rejects the next norm, on synthetic norms beyond any level built."""
+    for norm_w in (1, 2, 3):
+        top = isqrt((2**62 - 1) // (norm_w + 2))
+        check_int64_headroom(top, norm_w)
+        with pytest.raises(LevelTooLarge, match="not below 2\\^62"):
+            check_int64_headroom(top + 1, norm_w)
+
+
+def test_level_beyond_the_headroom_exits_2_before_any_array(monkeypatch, capsys):
+    """With the bound lowered, P1Table rejects the level, and the CLI
+    turns the rejection into exit code 2 with an empty stdout."""
+    from bianchicoh import cli, projline
+
+    monkeypatch.setattr(projline, "HEADROOM", 11 * 11 * 4)
+    ctx = field(2)
+    with pytest.raises(LevelTooLarge):
+        P1Table(parse_ideal(ctx, "(3+1*w)"))  # norm 11, norm_w 2
+    P1Table(parse_ideal(ctx, "(1+1*w)"))  # norm 3 stays below
+    rc = cli.main(["inspect", "dims", "--field-d", "2", "--level", "(3+1*w)"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "error: a level of norm 11 is too large" in err

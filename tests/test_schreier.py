@@ -398,26 +398,25 @@ def test_corrupted_walk_table_fails_the_relator_closure():
     for d, text, _ in FROZEN_ABELIANIZATIONS:
         ctx = field(d)
         cc = CongCtx(parse_ideal(ctx, text), ctx)
-        nxt, _ = cc._moves[cc.pres.t_id][1]
-        nxt[0], nxt[1] = nxt[1], nxt[0]
+        nxt = cc._next[2 * cc.pres.t_id + 1]
+        nxt[[0, 1]] = nxt[[1, 0]]
         with pytest.raises(ConstructionFailure):
             cc._build_relmat()
 
 
-def test_corrupted_tree_tuple_fails_the_generator_certificate():
+def test_corrupted_tree_row_fails_the_generator_certificate():
+    """Another coset's carried bottom row in coset y fails the certificate.
+
+    A determinant-2 transversal has no representation left to corrupt:
+    every T_x is a product of generators of determinant 1.
+    """
     for d, text, _ in FROZEN_ABELIANIZATIONS:
         ctx = field(d)
         cc = CongCtx(parse_ideal(ctx, text), ctx)
         y, z = cc.tree_order[-1], cc.tree_order[-2]
-        good = cc._tcoords[y]
-        # an element of SL_2(O) in the wrong coset
-        cc._tcoords[y] = cc._tcoords[z]
+        good = cc._rows[y].copy()
+        cc._rows[y] = cc._rows[z]
         with pytest.raises(ConstructionFailure):
             cc._build_sgens()
-        # a matrix of determinant 2
-        cc._tcoords[y] = tuple(2 * v if k < 4 else v
-                               for k, v in enumerate(good))
-        with pytest.raises(ConstructionFailure):
-            cc._build_sgens()
-        cc._tcoords[y] = good
+        cc._rows[y] = good
         cc._build_sgens()
