@@ -57,7 +57,7 @@ from .ideals import (
 )
 from .modlinalg import block_diag2
 from .projline import p1_table
-from .qfield import EUCLIDEAN_DS, Mat2, field
+from .qfield import EUCLIDEAN_DS, Mat2, QuadInt, field
 from .schreier import CongCtx
 
 
@@ -337,9 +337,11 @@ def _listed(mats):
 
 
 def _inspect_p1(cfg):
-    points = p1_table(_require_level(cfg)).points
+    points = p1_table(_require_level(cfg)).points.tolist()
+    ctx = cfg.ctx
     return {"size": len(points),
-            "points": [[str(x.c), str(x.d)] for x in points]}
+            "points": [[str(QuadInt(ctx, c0, c1)), str(QuadInt(ctx, d0, d1))]
+                       for c0, c1, d0, d1 in points]}
 
 
 def _inspect_cosets(cfg):

@@ -63,7 +63,6 @@ from .errors import (
 from .modlinalg import (
     MatQ,
     left_kernel,
-    mulmod,
     project_rows,
     rank,
     rref,
@@ -173,14 +172,6 @@ class LinMap:
         self.codomain = codomain
         self.mat = mat
         self.copies = copies
-
-    def apply(self, coords) -> np.ndarray:
-        """Image coordinates of a domain coordinate row vector."""
-        q = self.mat.q
-        vec = np.mod(np.asarray(coords, dtype=np.int64), q)
-        if vec.shape != (self.mat.nrows,):
-            raise ShapeMismatch(f"expected {self.mat.nrows} coordinates")
-        return mulmod(vec, self.mat.arr, q)
 
     def rank(self) -> int:
         return rank(self.mat)
@@ -403,7 +394,8 @@ def unit_letter_table(ctx):
     delta = (u0.a, u0.b, 0, 0, 0, 0, 1, 0)
     delta_inv = (ui.a, ui.b, 0, 0, 0, 0, 1, 0)
     return letter_table([delta], builtin_presentation(ctx),
-                        lambda x: (0, mat_mul_coords(ctx, x, delta_inv)))
+                        lambda xs: [(0, mat_mul_coords(ctx, x, delta_inv))
+                                    for x in xs])
 
 
 def unit_conjugation_operator(space: CohomSubspace) -> MatQ:

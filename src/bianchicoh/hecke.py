@@ -7,10 +7,12 @@ class to delta_i * gamma * delta_{sigma(i)}^{-1} and summing realizes
 the operator on functionals.
 
 Every coset certificate and lookup here runs through one rule, the
-normalization of P^1(O/l) (projline.p1_table(l).index_of): _coset_points
-maps one pair (c : d) per representative to its point, rejects a
-repeated point and a wrong count (N(l)+1 for a prime l), and returns
-by_point, point index -> representative index.  It has three callers.
+normalization of P^1(O/l) (projline.p1_table(l).locate), called once
+per column of matrices: _coset_points locates one pair (c : d) per
+representative, rejects a pair 0 mod l, a repeated point and a wrong
+count (N(l)+1 for a prime l), and returns by_point, point index ->
+representative index.  It has two callers, the two certificates below;
+_locate reads by_point.
 
 The T_l representatives, [[1, k], [0, lambda]] for k over the box of
 l.hnf() and diag(lambda, 1), are built as coordinate tuples
@@ -20,9 +22,11 @@ with gamma in GL_2(O), both kill one line of (O/lambda)^2, which is
 (-b : a), or (-d : c) for a top row 0 mod lambda, once delta is nonzero
 and singular mod lambda.  So distinct lines give distinct right cosets
 at every level, in O(N(l)) steps; hecke_cosets(l, level) only validates
-l.  _locate reads the one candidate j = by_point[line of x] by the same
-lemma and certifies it by an exact division with a unit determinant
-(_quotient_in_gamma0); a matrix 0 mod lambda raises PermutationFailure.
+l.  _locate takes a column of matrices, locates all their lines at
+once, reads the one candidate j = by_point[line of x] for each by the
+same lemma and certifies it by an exact division with a unit
+determinant (_quotient_in_gamma0); a matrix 0 mod lambda raises
+PermutationFailure.
 
 gamma01_cosets uses the bottom-row lemma (_check_bottom_rows): for
 determinant-1 elements of the level N group, gamma_i * gamma_j^{-1}
@@ -31,9 +35,9 @@ lies at level N*p iff their bottom rows are one point of P^1(O/p).
 T_l is driven by a level-one letter table, built lazily and kept once
 per prime: for each representative delta_j and each ambient letter
 g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W located on
-coordinates and W kept as the letters of fpres.matrix_to_word
-(schreier.letter_table).  Each entry is certified once: the
-exact-division locator, the step-product check of the descent,
+coordinates, one _locate call per letter, and W kept as the letters of
+fpres.matrix_to_word (schreier.letter_table).  Each entry is certified
+once: the exact-division locator, the step-product check of the descent,
 word_to_matrix of the letters equals W, W delta_k equals delta_j
 g^{+-1}, and each letter permutes the indices j.
 
@@ -67,7 +71,6 @@ from .errors import (
     ExhaustedSearch,
     NotCoprimeToLevel,
     NotPrime,
-    NotProjectivePoint,
     PermutationFailure,
     ShapeMismatch,
 )
@@ -126,45 +129,45 @@ def _quotient_in_gamma0(x: tuple, delta: tuple, lam: QuadInt):
     return x if e0 * e0 + sh * e0 * e1 + nw * e1 * e1 == 1 else None
 
 
-def _coset_points(l: PIdeal, reps, point_of) -> list[int]:
+def _coset_points(l: PIdeal, rows) -> list[int]:
     """by_point[i] = the index of the representative at point i of P^1(O/l).
 
-    point_of(rep) gives the coordinates (c0, c1, d0, d1) of its pair
-    (c : d).  The points must be pairwise distinct and as many as
-    P^1(O/l) has; a pair 0 mod l is no point.  ConstructionFailure
-    otherwise.
+    rows holds the coordinates (c0, c1, d0, d1) of one pair (c : d) per
+    representative, all located at once.  A pair 0 mod l is no point,
+    the points must be pairwise distinct, and as many as P^1(O/l) has;
+    ConstructionFailure otherwise, in that order, each naming the first
+    representative that fails.
     """
     table = p1_table(l)
-    if len(reps) != len(table):
+    pts = table.locate(rows)
+    if (pts < 0).any():
         raise ConstructionFailure(
-            f"expected {len(table)} representatives, built {len(reps)}"
-        )
+            f"representative {int(np.argmax(pts < 0))} is 0 mod {l}")
     by_point = [None] * len(table)
-    for j, rep in enumerate(reps):
-        try:
-            i = table.index_of(*point_of(rep))
-        except NotProjectivePoint:
-            raise ConstructionFailure(
-                f"representative {j} is 0 mod {l}") from None
+    for j, i in enumerate(pts.tolist()):
         if by_point[i] is not None:
             raise ConstructionFailure(
                 f"representatives {by_point[i]} and {j} share a point of "
                 f"P^1(O/{l}), and so a right coset"
             )
         by_point[i] = j
+    if pts.size != len(table):
+        raise ConstructionFailure(
+            f"expected {len(table)} representatives, built {pts.size}"
+        )
     return by_point
 
 
-def _kernel_line(l: PIdeal, x: tuple) -> tuple:
-    """(-b : a) for x = [[a, b], [c, d]], or (-d : c) when l divides a and b.
+def _kernel_line(l: PIdeal, xs) -> list[tuple]:
+    """(-b : a) for each x = [[a, b], [c, d]] of xs, or (-d : c) when l
+    divides a and b.
 
     It spans the kernel of x mod lambda when x is nonzero and singular.
     """
     ctx = l.ctx
-    a0, a1, b0, b1, c0, c1, d0, d1 = x
-    if l.contains(QuadInt(ctx, a0, a1)) and l.contains(QuadInt(ctx, b0, b1)):
-        return -d0, -d1, c0, c1
-    return -b0, -b1, a0, a1
+    return [(-d0, -d1, c0, c1) if l.contains(QuadInt(ctx, a0, a1))
+            and l.contains(QuadInt(ctx, b0, b1)) else (-b0, -b1, a0, a1)
+            for a0, a1, b0, b1, c0, c1, d0, d1 in xs]
 
 
 def _check_kernel_lines(l: PIdeal, coords) -> list[int]:
@@ -189,7 +192,7 @@ def _check_kernel_lines(l: PIdeal, coords) -> list[int]:
             raise ConstructionFailure(
                 f"representative {j} does not kill its line mod {l}"
             )
-    return _coset_points(l, coords, lambda x: _kernel_line(l, x))
+    return _coset_points(l, _kernel_line(l, coords))
 
 
 @lru_cache(maxsize=None)
@@ -221,26 +224,27 @@ def hecke_cosets(l: PIdeal, level: PIdeal) -> tuple:
     return _prime_cosets(l)[0]
 
 
-def _locate(l: PIdeal, x: tuple) -> tuple[int, tuple]:
-    """(j, gamma) with x = gamma * hecke_cosets(l)[j] and gamma in GL_2(O).
+def _locate(l: PIdeal, xs) -> list[tuple[int, tuple]]:
+    """(j, gamma) with x = gamma * hecke_cosets(l)[j] and gamma in GL_2(O),
+    for each x of xs.
 
     x and gamma are coordinate tuples.  The one candidate j is by_point
-    at the kernel line of x (kernel-line lemma), certified by exact
-    division (_quotient_in_gamma0); PermutationFailure means x is not in
-    the double coset, as when x is 0 mod lambda.
+    at the kernel line of x (kernel-line lemma), the lines of all xs
+    located at once; each is certified by exact division
+    (_quotient_in_gamma0), in order.  PermutationFailure names the first
+    x that is not in the double coset, as when x is 0 mod lambda.
     """
     coords, by_point = _prime_cosets(l)
-    try:
-        j = by_point[p1_table(l).index_of(*_kernel_line(l, x))]
-    except NotProjectivePoint:
-        quot = None
-    else:
-        quot = _quotient_in_gamma0(x, coords[j], l.gen)
-    if quot is None:
-        raise PermutationFailure(
-            f"{Mat2.from_coords(l.ctx, x)} lies in no right coset of T_{l}"
-        )
-    return j, quot
+    out = []
+    for x, i in zip(xs, p1_table(l).locate(_kernel_line(l, xs)).tolist()):
+        quot = (None if i < 0 else
+                _quotient_in_gamma0(x, coords[by_point[i]], l.gen))
+        if quot is None:
+            raise PermutationFailure(
+                f"{Mat2.from_coords(l.ctx, x)} lies in no right coset of T_{l}"
+            )
+        out.append((by_point[i], quot))
+    return out
 
 
 def _check_bottom_rows(levelN: PIdeal, p: PIdeal, reps: list[Mat2]) -> None:
@@ -256,7 +260,7 @@ def _check_bottom_rows(levelN: PIdeal, p: PIdeal, reps: list[Mat2]) -> None:
     for i, g in enumerate(reps):
         if not (g.det().is_one() and levelN.contains(g.c)):
             raise ConstructionFailure(f"representative {i} escapes level {levelN}")
-    _coset_points(p, reps, lambda g: (g.c.a, g.c.b, g.d.a, g.d.b))
+    _coset_points(p, [(g.c.a, g.c.b, g.d.a, g.d.b) for g in reps])
 
 
 def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
@@ -297,7 +301,7 @@ def hecke_letter_table(l: PIdeal):
     on the level.
     """
     return letter_table(_prime_cosets(l)[0], builtin_presentation(l.ctx),
-                        lambda x: _locate(l, x))
+                        lambda xs: _locate(l, xs))
 
 
 def hecke_matrix(l: PIdeal, space: CohomSubspace) -> LinMap:

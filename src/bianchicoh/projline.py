@@ -9,12 +9,10 @@ walks.
 Everything per point runs on integer coordinates.  A residue x0 + x1*w
 of the box of ResidueSystem is numbered x1*p + x0, with (p, q, r) the
 lattice basis of the level (PIdeal.hnf), and the points are kept as one
-int64 array of the coordinates (c0, c1, d0, d1) of their pairs.
-ring_mul and ring_reduce multiply and reduce residues, on ints and on
-int64 arrays alike; check_int64_headroom bounds the norm so that the
-array products of box residues are exact.  The P1Point objects are
-built on first use only (points), for the API edge: normalize, apply,
-base_point and inspect p1.
+int64 array of the coordinates (c0, c1, d0, d1) of their pairs
+(points).  ring_mul and ring_reduce multiply and reduce residues, on
+ints and on int64 arrays alike; check_int64_headroom bounds the norm so
+that the array products of box residues are exact.
 
 The table is built with array operations.  The class of a residue c is
 the divisor g = gcd(c, n), read off the valuations of c at the prime
@@ -32,18 +30,19 @@ primes) holds the point of each admissible w*d and -1 elsewhere; the
 class tables lie end to end in one array, and each residue c keeps its
 rule (w, the lattice of m', the offset of its table).
 
-index_of is the one normalization rule: reduce c mod n, read the rule
-of c, reduce w*d mod m' and read the table; NotProjectivePoint on -1.
-It reads list copies of the arrays.  action(g) evaluates the same rule
-on the arrays for every point at once, after one integer 4x4 product
-for (c : d) * g (right_mult), with one determinant check for the whole
-table; normalize and apply wrap index_of.  The point count is checked
-against the local formula at construction.
+locate is the one normalization rule: reduce each coordinate of the
+pairs into the box (on Python ints, so entries of any size are exact),
+read the rule of c, reduce w*d mod m' and read the table; -1 marks a
+pair that is not projective.  It runs on the arrays for a whole column
+of pairs at once.  action(g) applies it to every point, after one
+integer 4x4 product for (c : d) * g (right_mult), with one determinant
+check for the whole table.  The point count is checked against the
+local formula at construction.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .errors import (
     ZeroModulus,
 )
 from .ideals import PIdeal, factor, inverses_mod
-from .qfield import Mat2, QuadInt, format_element
+from .qfield import QuadInt, det_coords, format_element
 
 HEADROOM = 2**62
 
@@ -129,30 +128,6 @@ def _key(x0, x1, lattice):
     """Number of the residue x0 + x1*w mod the lattice (p, q, r)."""
     p, q, r = lattice
     return x1 % r * p + (x0 - x1 // r * q) % p
-
-
-class P1Point:
-    """A point (c : d) of P^1(O/n) in canonical form, with its index."""
-
-    __slots__ = ("c", "d", "index")
-
-    def __init__(self, c: QuadInt, d: QuadInt, index: int):
-        self.c = c
-        self.d = d
-        self.index = index
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, P1Point)
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.c, self.d))
-
-    def __repr__(self):
-        return f"({self.c}:{self.d})"
 
 
 class P1Table:
@@ -245,10 +220,7 @@ class P1Table:
         self._table = np.concatenate(tables)
         cs = np.repeat(cmins, [ys.size for ys in ys_of])
         ys = np.concatenate(ys_of)
-        self._points = np.stack([x0[cs], x1[cs], x0[ys], x1[ys]], axis=1)
-        # list copies for the scalar rule
-        self._scalar_rule = self._rule.T.tolist()
-        self._scalar_table = self._table.tolist()
+        self.points = np.stack([x0[cs], x1[cs], x0[ys], x1[ys]], axis=1)
         expected = 1
         for P, e in fac:
             np_ = P.norm()
@@ -259,81 +231,49 @@ class P1Table:
             )
 
     def __len__(self):
-        return len(self._points)
+        return len(self.points)
 
-    @cached_property
-    def points(self) -> list[P1Point]:
-        """The canonical points in order, as objects (built on first use)."""
-        ctx = self.ctx
-        return [P1Point(QuadInt(ctx, c0, c1), QuadInt(ctx, d0, d1), k)
-                for k, (c0, c1, d0, d1) in enumerate(self._points.tolist())]
+    def locate(self, rows) -> np.ndarray:
+        """The point of each pair (c0, c1, d0, d1) of rows; -1 marks a
+        pair that is not projective.
 
-    def index_of(self, c0: int, c1: int, d0: int, d1: int) -> int:
-        """Index of the point of (c0 + c1*w : d0 + d1*w), the one rule.
-
-        Raises NotProjectivePoint when the pair is not projective.
+        rows is a sequence of integer rows of any size, reduced into the
+        box on Python ints first, or an int64 array of box residues.
         """
-        # ring_reduce and ring_mul written out: the Hecke coset search
-        # calls this per representative
-        p, q, r, nw, sh = self.ring
-        k = c1 // r
-        w0, w1, pk, qk, rk, off = self._scalar_rule[
-            (c1 - k * r) * p + (c0 - k * q) % p]
-        be = w1 * d1
-        y1 = w0 * d1 + w1 * d0 + sh * be
-        k = y1 // rk
-        pt = self._scalar_table[off + (y1 - k * rk) * pk
-                                + (w0 * d0 - nw * be - k * qk) % pk]
-        if pt < 0:
-            raise self._not_projective(c0, c1, d0, d1)
-        return pt
-
-    def _locate(self, rows: np.ndarray) -> np.ndarray:
-        """index_of's rule on an (k, 4) array of box residues (c, d).
-
-        -1 marks a pair that is not projective.
-        """
-        w0, w1, pk, qk, rk, off = self._rule[:, rows[:, 1] * self.ring[0]
+        ring = self.ring
+        if not isinstance(rows, np.ndarray):
+            rows = np.array([ring_reduce(ring, c0, c1)
+                             + ring_reduce(ring, d0, d1)
+                             for c0, c1, d0, d1 in rows],
+                            dtype=np.int64).reshape(-1, 4)
+        w0, w1, pk, qk, rk, off = self._rule[:, rows[:, 1] * ring[0]
                                              + rows[:, 0]]
-        y0, y1 = ring_mul(self.ring, w0, w1, rows[:, 2], rows[:, 3])
+        y0, y1 = ring_mul(ring, w0, w1, rows[:, 2], rows[:, 3])
         k = y1 // rk
         return self._table[off + (y1 - k * rk) * pk
                            + (y0 - k % pk * qk) % pk]
 
-    def _not_projective(self, c0, c1, d0, d1) -> NotProjectivePoint:
+    def action(self, g: tuple) -> list[int]:
+        """Index of x*g for every point x in order, for g given by its
+        coordinates (Mat2.coords); one determinant check for all."""
         ctx = self.ctx
-        c = QuadInt(ctx, *ring_reduce(self.ring, c0, c1))
-        d = QuadInt(ctx, *ring_reduce(self.ring, d0, d1))
-        return NotProjectivePoint(
-            f"({format_element(c)}:{format_element(d)}) is not projective "
-            f"mod {self.level}"
-        )
-
-    def normalize(self, c: QuadInt, d: QuadInt) -> P1Point:
-        return self.points[self.index_of(c.a, c.b, d.a, d.b)]
-
-    def apply(self, g: Mat2, x: P1Point) -> P1Point:
-        if not g.det().is_unit():
-            raise BadDeterminant(f"determinant {g.det()} is not a unit")
-        return self.normalize(x.c * g.a + x.d * g.c, x.c * g.b + x.d * g.d)
-
-    def action(self, g: Mat2) -> list[int]:
-        """Index of x*g for every point x in order, one det check for all."""
-        if not g.det().is_unit():
-            raise BadDeterminant(f"determinant {g.det()} is not a unit")
+        det = QuadInt(ctx, *det_coords(ctx, g))
+        if not det.is_unit():
+            raise BadDeterminant(f"determinant {det} is not a unit")
         ring = self.ring
         coords = [v for i in range(0, 8, 2)
-                  for v in ring_reduce(ring, *g.coords()[i:i + 2])]
-        rows = reduce_rows(ring, self._points @ right_mult(
+                  for v in ring_reduce(ring, *g[i:i + 2])]
+        rows = reduce_rows(ring, self.points @ right_mult(
             ring[3], ring[4], tuple(coords)))
-        out = self._locate(rows)
+        out = self.locate(rows)
         if (out < 0).any():
-            raise self._not_projective(*rows[np.argmax(out < 0)].tolist())
+            c0, c1, d0, d1 = rows[np.argmax(out < 0)].tolist()
+            raise NotProjectivePoint(
+                f"({format_element(QuadInt(ctx, c0, c1))}:"
+                f"{format_element(QuadInt(ctx, d0, d1))}) is not projective "
+                f"mod {self.level}"
+            )
         return out.tolist()
-
-    def base_point(self) -> P1Point:
-        """The class of (0 : 1), the coset of Gamma_0(n) itself."""
-        return self.points[self.index_of(0, 0, 1, 0)]
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,15 @@
 """Reidemeister-Schreier data for Gamma_0(n) inside SL_2(O).
 
 Cosets are identified with P^1(O/n) through the bottom row, the base
-coset being (0:1); act[g] holds the integer action tables of each
-generator (P1Table.action, one determinant check per table) and of its
-inverse, read off as the inverse permutation.  A breadth-first spanning
-tree (moves ordered by generator id, then inverse moves) fixes a
-transversal T_x; the tree is kept as its BFS order (tree_order, base
-first) and the edge into each coset (tree_edge[y] = (parent, letter)),
-so T_y = T_parent * letter.
-Schreier generators T_x g T_y^{-1} sit on the non-tree positive edges
-(sgen_edges).
+coset being the point of (0:1) (P1Table.locate, the one normalization
+rule); act[g] holds the integer action tables of each generator
+(P1Table.action, one determinant check per table) and of its inverse,
+read off as the inverse permutation.  A breadth-first spanning tree
+(moves ordered by generator id, then inverse moves) fixes a transversal
+T_x; the tree is kept as its BFS order (tree_order, base first) and the
+edge into each coset (tree_edge[y] = (parent, letter)), so T_y =
+T_parent * letter.  Schreier generators T_x g T_y^{-1} sit on the
+non-tree positive edges (sgen_edges).
 
 The construction runs on int64 arrays.  The tree is grown one BFS
 level at a time: the targets of the frontier are taken in (frontier
@@ -55,11 +55,13 @@ they serve the tests and bench/tracing.py.
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
 table (letter_table): delta_j g^{+-1} = W delta_k, with W given by its
-letters, built and certified on coordinate tuples.  Reading the letters
-of a word gamma through the table from delta_i gives
-delta_i gamma = W_1 ... W_m delta_{sigma(i)}; cohom.letter_table_operator
-walks W_1 ... W_m in a coset table with _walk, and the closure of that
-walk certifies that the quotient lies in Gamma_0(n).
+letters, built and certified on coordinate tuples; the locator takes
+the column delta_j g^{+-1} of all j at once, one call per letter.
+Reading the letters of a word gamma through the table from delta_i
+gives delta_i gamma = W_1 ... W_m delta_{sigma(i)};
+cohom.letter_table_operator walks W_1 ... W_m in a coset table with
+_walk, and the closure of that walk certifies that the quotient lies in
+Gamma_0(n).
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ class CongCtx:
         # walk tables: row 2*gid is right mult by g, 2*gid + 1 by g^-1,
         # and a last row that stays put
         nxt = np.empty((2 * ngen + 1, ncos), dtype=np.int64)
-        for gid, m in enumerate(p._mats):
-            nxt[2 * gid] = p1.action(m)
+        for gid, g in enumerate(p._letter_coords[1]):
+            nxt[2 * gid] = p1.action(g)
         nxt[1:-1:2] = _inverse_permutations(nxt[:-1:2])
         nxt[-1] = np.arange(ncos)
         self._next = nxt
@@ -128,7 +130,7 @@ class CongCtx:
         nmov = moves.size
         step = nxt[moves]
         mult = np.concatenate(self._mult[moves], axis=1)
-        base = p1.index_of(0, 0, 1, 0)
+        base = int(p1.locate([(0, 0, 1, 0)])[0])
         self.base = base
         # the bottom row of T_x mod n, carried along the tree
         rows = np.zeros((ncos, 4), dtype=np.int64)
@@ -327,10 +329,11 @@ def _inverse_permutations(fwd: np.ndarray) -> np.ndarray:
 def letter_table(reps, pres: AmbientPresentation, locate):
     """Certified table[j][(gid, e)] = (k, letters) for reps[j] * g^e.
 
-    reps are coordinate tuples (Mat2.coords); locate(x) takes the
-    coordinates of x and returns (k, W) with x = W * reps[k] and W in
-    SL_2(O), also as coordinates.  Each entry keeps the freely reduced
-    letters of matrix_to_word(W), checked once on coordinates: their
+    reps are coordinate tuples (Mat2.coords); locate(xs) takes the
+    coordinates of the column xs[j] = reps[j] * g^e of one letter and
+    returns (k, W) for each, with xs[j] = W * reps[k] and W in SL_2(O),
+    also as coordinates.  Each entry keeps the freely reduced letters of
+    matrix_to_word(W), checked once on coordinates, in j order: their
     value is W and W * reps[k] == reps[j] * g^e (ConstructionFailure
     otherwise).  Each letter must permute the indices
     (PermutationFailure otherwise).
@@ -341,10 +344,9 @@ def letter_table(reps, pres: AmbientPresentation, locate):
     for gid in range(pres.gen_count):
         for e in (1, -1):
             g = pres._letter_coords[e][gid]
+            xs = [mat_mul_coords(ctx, dj, g) for dj in reps]
             targets = set()
-            for j, dj in enumerate(reps):
-                x = mat_mul_coords(ctx, dj, g)
-                k, w = locate(x)
+            for j, (x, (k, w)) in enumerate(zip(xs, locate(xs))):
                 word = Word(matrix_to_word(Mat2.from_coords(ctx, w), pres))
                 # through the module, so that wrappers of fpres see the call
                 if (fpres.word_to_matrix(word, pres).coords() != w

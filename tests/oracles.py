@@ -10,7 +10,7 @@ sanity-checked in test_oracles.py before anything else relies on it.
 The rest are the earlier, plainer forms of code the library now does
 faster, kept as references: the Euclidean descent on QuadInt objects
 with its letter-by-letter check (euclid_word) and its rounding rule
-(euclid_divmod_box), a coset walk through P1Table.apply (rewrite), the
+(euclid_divmod_box), a coset walk through the P^1 sweep (rewrite), the
 four-entry Hecke quotient (quotient_full), the all-pairs check that no
 two Hecke representatives share a right coset (shared_right_cosets),
 T_l and the unit conjugation operator by one located and expressed
@@ -478,6 +478,30 @@ def sweep_p1(n):
     return points, lookup
 
 
+@lru_cache(maxsize=None)
+def sweep_move(n):
+    """(base, move) on P^1(O/n) by the all-pairs sweep (sweep_p1).
+
+    base is the point of (0 : 1), and move(x, g) the point of
+    (c : d) * g = (c*a + d*c' : c*b + d*d') for the point x = (c : d)
+    and a Mat2 g = [[a, b], [c', d']]: QuadInt products, reduced by
+    ResidueSystem and looked up among all pairs.
+    """
+    from bianchicoh.ideals import ResidueSystem
+
+    points, lookup = sweep_p1(n)
+    rs = ResidueSystem(n)
+
+    def move(x, g):
+        c, d = points[x]
+        y = rs.reduce(c * g.a + d * g.c)
+        z = rs.reduce(c * g.b + d * g.d)
+        return lookup[(y.a, y.b, z.a, z.b)]
+
+    one = rs.reduce(n.ctx.one)
+    return lookup[(0, 0, one.a, one.b)], move
+
+
 def sparse_rows(rows):
     """Sparse integer rows {column: value} as modlinalg.SparseRows.
 
@@ -737,27 +761,27 @@ def euclid_word(m, p):
 def rewrite(cc, letters):
     """(end coset, sparse exponents) of letters walked from the base coset.
 
-    Moves through P1Table.apply with the generator matrices rather than
-    the integer action tables, and records +-1 on every non-tree edge
-    crossed; zeros are dropped.
+    Moves through the all-pairs sweep (sweep_move) with the generator
+    matrices rather than the integer action tables, and records +-1 on
+    every non-tree edge crossed; zeros are dropped.
     """
-    p1 = cc.cosets
+    base, move = sweep_move(cc.level)
     mats = [m for _, m in cc.pres.generators]
     index = {edge: k for k, edge in enumerate(cc.sgen_edges)}
-    pos = p1.points[cc.base]
+    pos = base
     vec = {}
     for gid, e in letters:
         if e == 1:
-            nxt = p1.apply(mats[gid], pos)
-            edge = (pos.index, gid)
+            nxt = move(pos, mats[gid])
+            edge = (pos, gid)
         else:
-            nxt = p1.apply(mats[gid].inv_det_one(), pos)
-            edge = (nxt.index, gid)
+            nxt = move(pos, mats[gid].inv_det_one())
+            edge = (nxt, gid)
         k = index.get(edge)
         if k is not None:
             vec[k] = vec.get(k, 0) + e
         pos = nxt
-    return pos.index, {k: v for k, v in vec.items() if v}
+    return pos, {k: v for k, v in vec.items() if v}
 
 
 def euclid_divmod_box(a, b):
@@ -1002,28 +1026,19 @@ def congruence_objects(level, move_order="default"):
     sgen_edges, sgens and relmat, in the shapes of the CongCtx attributes.
     """
     from bianchicoh.fpres import Word, builtin_presentation
-    from bianchicoh.ideals import ResidueSystem
     from bianchicoh.qfield import Mat2
 
     ctx = level.ctx
     pres = builtin_presentation(ctx)
-    points, lookup = sweep_p1(level)
-    rs = ResidueSystem(level)
+    base, move = sweep_move(level)
+    ncos = len(sweep_p1(level)[0])
 
     def image(g):
-        out = []
-        for c, d in points:
-            x = rs.reduce(c * g.a + d * g.c)
-            y = rs.reduce(c * g.b + d * g.d)
-            out.append(lookup[(x.a, x.b, y.a, y.b)])
-        return out
+        return [move(x, g) for x in range(ncos)]
 
     mats = [m for _, m in pres.generators]
     invs = [m.inv_det_one() for m in mats]
     act = [(image(m), image(mi)) for m, mi in zip(mats, invs)]
-    one = rs.reduce(ctx.one)
-    base = lookup[(0, 0, one.a, one.b)]
-    ncos = len(points)
     gens = list(range(pres.gen_count))
     if move_order == "reversed":
         gens.reverse()

@@ -161,7 +161,7 @@ def test_acceptance_1_hecke_partition():
             # the scan raises unless x lies in exactly one coset
             j, quot = locate_right_coset(reps, l.gen, n, x)
             assert quot * reps[j] == x
-            assert _locate(l, x.coords())[0] == j
+            assert _locate(l, [x.coords()])[0][0] == j
 
 
 @criterion(2, "injectivity of the level-raising restriction")

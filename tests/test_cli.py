@@ -532,6 +532,12 @@ FROZEN_LARGE_SHA256 = [
     (("hecke", "--field-d", "7", "--level", "(1+2*w)", "--prime", "(1+10*w)",
       "--modulus", "5"),
      "bdbe30105b21b3d2b7b18b088668a624587ba88629270d3fe2a6e96f5468db99"),
+    # P^1 at levels with many divisor classes: 10 classes and 240 points
+    # at d=1 (12), 4 classes and 360 points at d=2 (9+11*w)
+    (("p1", "--field-d", "1", "--level", "(12)"),
+     "fc0992d105a45d86965e94e33d22440d98544e233df94d829c21efa9940239d9"),
+    (("p1", "--field-d", "2", "--level", "(9+11*w)"),
+     "b784780a6edb39b409326ac438d823f10108341e36bdeb76d8aa424050bfa03c"),
 ]
 
 

@@ -70,7 +70,7 @@ def _reps(l):
 
 def _locate(l, x):
     """hecke._locate on a Mat2: (j, gamma) with x = gamma * reps[j]."""
-    j, quot = hecke._locate(l, x.coords())
+    [(j, quot)] = hecke._locate(l, [x.coords()])
     return j, Mat2.from_coords(l.ctx, quot)
 
 
@@ -236,6 +236,23 @@ def test_locator_rejects_matrices_outside_the_double_coset():
             assert scan_right_cosets(reps, lam, PIdeal(one), y) == []
             with pytest.raises(PermutationFailure):
                 _locate(l, y)
+
+
+def test_locator_is_exact_on_entries_beyond_int64():
+    """gamma = [[1, K], [0, 1]] * [[1, 0], [K + w, 1]] with K = 2^70 + 3
+    has entries of about 141 bits; gamma * delta_j locates to (j, gamma)
+    for every j, one matrix at a time and as one column."""
+    ctx = field(2)
+    l = parse_ideal(ctx, "(1+1*w)")
+    big = ctx.element(2**70 + 3)
+    gamma = (Mat2(ctx.one, big, ctx.zero, ctx.one)
+             * Mat2(ctx.one, ctx.zero, big + ctx.omega, ctx.one)).coords()
+    assert max(abs(v) for v in gamma).bit_length() > 140
+    column = [mat_mul_coords(ctx, gamma, t)
+              for t in hecke_cosets(l, PIdeal(ctx.one))]
+    want = [(j, gamma) for j in range(len(column))]
+    assert [hecke._locate(l, [x])[0] for x in column] == want
+    assert hecke._locate(l, column) == want
 
 
 def test_gamma01_cosets_count_and_level():
@@ -570,9 +587,8 @@ def test_table_quotient_must_carry_its_representative():
     coords = hecke_cosets(l, PIdeal(ctx.one))
     p = schreier.builtin_presentation(ctx)
 
-    def wrong_index(x):
-        k, w = hecke._locate(l, x)
-        return (k + 1) % len(coords), w
+    def wrong_index(xs):
+        return [((k + 1) % len(coords), w) for k, w in hecke._locate(l, xs)]
 
     with pytest.raises(ConstructionFailure):
         schreier.letter_table(coords, p, wrong_index)
@@ -731,8 +747,8 @@ def test_letter_table_rejects_representatives_sharing_a_coset():
     delta = Mat2(ctx.omega, ctx.zero, ctx.zero, ctx.one).coords()
     delta_inv = Mat2(ctx.omega.conjugate(), ctx.zero, ctx.zero, ctx.one).coords()
 
-    def locate(x):
-        return 0, mat_mul_coords(ctx, x, delta_inv)
+    def locate(xs):
+        return [(0, mat_mul_coords(ctx, x, delta_inv)) for x in xs]
 
     assert len(schreier.letter_table([delta], p, locate)) == 1
     with pytest.raises(PermutationFailure):

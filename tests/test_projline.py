@@ -1,4 +1,4 @@
-"""Projective line over O/n: enumeration, normalization, right action."""
+"""Projective line over O/n: enumeration, locate, right action."""
 
 from __future__ import annotations
 
@@ -7,17 +7,12 @@ from math import isqrt
 
 import pytest
 
-from bianchicoh.errors import (
-    BadDeterminant,
-    LevelTooLarge,
-    NotProjectivePoint,
-    ZeroModulus,
-)
+from bianchicoh.errors import BadDeterminant, LevelTooLarge, ZeroModulus
 from bianchicoh.fpres import builtin_presentation
 from bianchicoh.ideals import PIdeal, ResidueSystem, enumerate_ideals, parse_ideal
 from bianchicoh.projline import P1Table, check_int64_headroom, p1_table
 from bianchicoh.qfield import Mat2, field
-from oracles import brute_p1_count, sweep_p1
+from oracles import brute_p1_count, sweep_move, sweep_p1
 
 FIELDS = (1, 2, 3, 7, 11)
 
@@ -49,30 +44,49 @@ def test_zero_level_rejected():
         P1Table(PIdeal(field(1).zero))
 
 
-def test_normalize_is_constant_on_unit_rays():
+def _pairs(tab):
+    """The points of tab as (c, d) pairs of QuadInt."""
+    ctx = tab.ctx
+    return [(ctx.element(c0, c1), ctx.element(d0, d1))
+            for c0, c1, d0, d1 in tab.points.tolist()]
+
+
+def _rows(pairs):
+    return [(c.a, c.b, d.a, d.b) for c, d in pairs]
+
+
+def test_locate_is_constant_on_unit_rays():
     rng = random.Random(4)
     for d in (1, 3, 11):
         ctx = field(d)
         n = parse_ideal(ctx, LEVELS[d][2])
         tab = p1_table(n)
-        for pt in tab.points:
-            for u in ctx.units:
-                assert tab.normalize(pt.c * u, pt.d * u) == pt
-        # shifting by level multiples does not move the point either
-        for _ in range(30):
-            pt = rng.choice(tab.points)
+        pairs = _pairs(tab)
+        for u in ctx.units:
+            got = tab.locate(_rows([(x * u, y * u) for x, y in pairs]))
+            assert got.tolist() == list(range(len(tab)))
+        # shifting by level multiples does not move the point either, also
+        # by multiples beyond int64 (K = 2^70 + 3): locate reduces on
+        # Python ints before it builds an array
+        picks = [rng.randrange(len(tab)) for _ in range(30)]
+        shifted = []
+        for k in picks:
+            x, y = pairs[k]
             r = ctx.element(rng.randrange(-3, 4), rng.randrange(-3, 4))
-            assert tab.normalize(pt.c + n.gen * r, pt.d) == pt
+            shifted.append((x + n.gen * r, y))
+        assert tab.locate(_rows(shifted)).tolist() == picks
+        big = n.gen * ctx.element(2**70 + 3, -2**70)
+        huge = [(x + big, y - big * ctx.omega) for x, y in pairs]
+        assert tab.locate(_rows(huge)).tolist() == list(range(len(tab)))
 
 
 def test_non_projective_pairs_rejected():
     ctx = field(1)
     n = parse_ideal(ctx, "(2+1*w)")
     tab = p1_table(n)
-    with pytest.raises(NotProjectivePoint):
-        tab.normalize(ctx.zero, ctx.zero)
-    with pytest.raises(NotProjectivePoint):
-        tab.normalize(n.gen, n.gen * ctx.element(3))
+    got = tab.locate(_rows([(ctx.zero, ctx.zero),
+                            (n.gen, n.gen * ctx.element(3))]))
+    assert got.tolist() == [-1, -1]
 
 
 def test_action_is_a_permutation_and_respects_products():
@@ -93,12 +107,11 @@ def test_action_is_a_permutation_and_respects_products():
                     g = g * Mat2(ctx.one, ctx.zero, x, ctx.one)
             mats.append(g)
         for g in mats:
-            images = [tab.apply(g, pt) for pt in tab.points]
-            assert len({p.index for p in images}) == len(tab)
+            assert sorted(tab.action(g.coords())) == list(range(len(tab)))
         for g in mats[:3]:
             for h in mats[3:]:
-                for pt in tab.points:
-                    assert tab.apply(g * h, pt) == tab.apply(h, tab.apply(g, pt))
+                gx, hx = tab.action(g.coords()), tab.action(h.coords())
+                assert tab.action((g * h).coords()) == [hx[y] for y in gx]
 
 
 def test_action_requires_unit_determinant():
@@ -107,7 +120,7 @@ def test_action_requires_unit_determinant():
     tab = p1_table(n)
     bad = Mat2(ctx.element(2), ctx.zero, ctx.zero, ctx.one)
     with pytest.raises(BadDeterminant):
-        tab.apply(bad, tab.base_point())
+        tab.action(bad.coords())
 
 
 def test_base_point_stabilizer_is_gamma0():
@@ -115,31 +128,25 @@ def test_base_point_stabilizer_is_gamma0():
     ctx = field(7)
     n = parse_ideal(ctx, "(1+2*w)")
     tab = p1_table(n)
-    b = tab.base_point()
+    b = int(tab.locate([(0, 0, 1, 0)])[0])
     for x in (ctx.zero, n.gen, n.gen * ctx.omega):
         g = Mat2(ctx.one, ctx.zero, x, ctx.one)
-        assert tab.apply(g, b) == b
+        assert tab.action(g.coords())[b] == b
     h = Mat2(ctx.one, ctx.one, ctx.zero, ctx.one)
-    assert tab.apply(h, b) == b
+    assert tab.action(h.coords())[b] == b
     s = Mat2(ctx.zero, ctx.zero - ctx.one, ctx.one, ctx.zero)
-    assert tab.apply(s, b) != b
+    assert tab.action(s.coords())[b] != b
 
 
 def _assert_matches_sweep(n):
-    """Points, indices and normalize of every residue pair vs the sweep."""
+    """Points, and locate on every residue pair in one call, vs the sweep."""
     points, lookup = sweep_p1(n)
     tab = P1Table(n)
-    assert [(pt.c, pt.d) for pt in tab.points] == points, str(n)
-    assert [pt.index for pt in tab.points] == list(range(len(points)))
+    assert _pairs(tab) == points, str(n)
     reps = ResidueSystem(n).reps
-    for c in reps:
-        for d in reps:
-            expected = lookup.get((c.a, c.b, d.a, d.b))
-            if expected is None:
-                with pytest.raises(NotProjectivePoint):
-                    tab.normalize(c, d)
-            else:
-                assert tab.normalize(c, d).index == expected, (str(n), c, d)
+    rows = [(c.a, c.b, d.a, d.b) for c in reps for d in reps]
+    expected = [lookup.get(row, -1) for row in rows]
+    assert tab.locate(rows).tolist() == expected, str(n)
 
 
 def test_class_tables_match_the_all_pairs_sweep():
@@ -153,7 +160,7 @@ def test_point_order_matches_the_sweep_at_large_levels():
     for text in ("(9+11*w)", "(19+7*w)", "(23)"):
         n = parse_ideal(ctx, text)
         points, _ = sweep_p1(n)
-        assert [(pt.c, pt.d) for pt in P1Table(n).points] == points, text
+        assert _pairs(P1Table(n)) == points, text
 
 
 def _random_sl2(ctx, rng, steps=6):
@@ -168,11 +175,11 @@ def _random_sl2(ctx, rng, steps=6):
     return g
 
 
-def test_action_table_matches_apply():
-    """The array rule of action equals index_of's rule (through apply)
-    for the generators, their inverses and two matrices with large
-    entries, at every level of norm <= 60 in the five fields and at the
-    three large d=2 levels."""
+def test_action_table_matches_the_sweep():
+    """The array rule of action equals the all-pairs sweep's image of
+    every point (sweep_move) for the generators, their inverses and two
+    matrices with large entries, at every level of norm <= 60 in the
+    five fields and at the three large d=2 levels."""
     rng = random.Random(17)
     cases = [(d, n) for d in FIELDS for n in enumerate_ideals(field(d), 60)]
     cases += [(2, parse_ideal(field(2), text))
@@ -180,17 +187,18 @@ def test_action_table_matches_apply():
     for d, n in cases:
         ctx = field(d)
         tab = P1Table(n)
+        _, move = sweep_move(n)
         pres = builtin_presentation(ctx)
         mats = [h for _, g in pres.generators for h in (g, g.inv_det_one())]
         for h in mats + [_random_sl2(ctx, rng) for _ in range(2)]:
-            assert tab.action(h) == [tab.apply(h, x).index
-                                     for x in tab.points], (d, str(n), h)
+            assert tab.action(h.coords()) == [
+                move(x, h) for x in range(len(tab))], (d, str(n), h)
     for d, text in [(1, "(2+1*w)"), (2, "(3+1*w)"), (3, "(2)"), (11, "(1-2*w)")]:
         ctx = field(d)
         tab = p1_table(parse_ideal(ctx, text))
         bad = Mat2(ctx.element(2), ctx.zero, ctx.zero, ctx.one)
         with pytest.raises(BadDeterminant):
-            tab.action(bad)
+            tab.action(bad.coords())
 
 
 def test_int64_headroom_bound_is_exact():

@@ -22,6 +22,7 @@ from oracles import (
     membership,
     rewrite,
     row_dicts,
+    sweep_move,
     tc_subgroup_abelianization,
     tmats,
 )
@@ -85,9 +86,10 @@ def test_recorded_tree_reproduces_the_transversal():
 def test_transversal_carries_base_to_each_coset():
     ctx = field(1)
     cc = CongCtx(parse_ideal(ctx, "(2+1*w)"), ctx)
-    base = cc.cosets.base_point()
+    base, move = sweep_move(cc.level)
+    assert base == cc.base
     for x in range(len(cc.cosets)):
-        assert cc.cosets.apply(tmats(cc)[x], base).index == x
+        assert move(base, tmats(cc)[x]) == x
 
 
 def test_schreier_generators_lie_in_subgroup_and_match_words():
@@ -110,7 +112,7 @@ def test_relator_rows_certified_by_matrix_walk():
         ctx = field(d)
         cc = CongCtx(parse_ideal(ctx, text), ctx, move_order=move_order)
         index = {edge: k for k, edge in enumerate(cc.sgen_edges)}
-        p1 = cc.cosets
+        _, move = sweep_move(cc.level)
         pres = cc.pres
         ident = Mat2.identity(ctx)
         relmat = dense_rows(row_dicts(cc.relmat), len(cc.sgens))
@@ -118,24 +120,24 @@ def test_relator_rows_certified_by_matrix_walk():
         invs = [m.inv_det_one() for m in mats]
         rowi = 0
         for r in pres.relators:
-            for x in range(len(p1)):
-                pos = p1.points[x]
+            for x in range(len(cc.cosets)):
+                pos = x
                 prod = ident
                 vec = [0] * len(cc.sgens)
                 for gid, e in r:
                     if e == 1:
-                        nxt = p1.apply(mats[gid], pos)
-                        edge = (pos.index, gid)
+                        nxt = move(pos, mats[gid])
+                        edge = (pos, gid)
                     else:
-                        nxt = p1.apply(invs[gid], pos)
-                        edge = (nxt.index, gid)
+                        nxt = move(pos, invs[gid])
+                        edge = (nxt, gid)
                     k = index.get(edge)
                     if k is not None:
                         sm = cc.sgens[k][1]
                         prod = prod * (sm if e == 1 else sm.inv_det_one())
                         vec[k] += e
                     pos = nxt
-                assert pos.index == x
+                assert pos == x
                 assert prod == ident
                 assert vec == relmat[rowi]
                 rowi += 1
@@ -287,7 +289,8 @@ A_LEVELS = [(1, "(2+5*w)"), (2, "(3+1*w)"), (3, "(1+5*w)"), (7, "(1+2*w)"),
 
 
 def test_walk_tables_agree_with_the_apply_walk_on_the_a_levels():
-    """_walk, rewrite and express equal the P1Table.apply walk of oracles."""
+    """_walk, rewrite and express equal the walk of oracles.rewrite, which
+    moves through the all-pairs sweep of P^1 (sweep_move)."""
     rng = random.Random(43)
     for d, text in A_LEVELS:
         ctx = field(d)
@@ -356,7 +359,6 @@ def test_objects_are_built_on_first_use_only():
     h1(cc, 5)
     lazy = ("transversal", "sgens")
     assert not any(name in vars(cc) for name in lazy)
-    assert "points" not in vars(cc.cosets)
     assert len(cc.sgens) == len(cc.sgen_edges)
     assert "sgens" in vars(cc) and "transversal" in vars(cc)
 
