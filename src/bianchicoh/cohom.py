@@ -19,17 +19,20 @@ letter table (see schreier) to a LinMap.  A class is a homomorphism, so
 the image is evaluated only on the set S of Schreier generators that
 fixes a class of the full dst space (CohomSubspace.gens, the pivot
 columns of its RREF basis; h1 reads them off and _cut passes them on).
-The word of each s in S is read through the table from every followed
-representative and walked in the src coset table; the walks are paired
-with the src basis and projected onto dst.basis[:, S] in one batch
-(modlinalg.project_rows).  The lemma in its docstring shows that this
-check on S proves the image lies in dst.  The table comes from a
+The dst tree paths to the two ends of every s in S are read through the
+table once per followed representative, each shared node once, and
+walked in the src coset table; so is the one letter of each s between
+its ends.  The walks are paired with the src basis and projected onto
+dst.basis[:, S] in one batch (modlinalg.project_rows).  The lemmas in
+its docstring show that the end checks certify every quotient and that
+this check on S proves the image lies in dst.  The table comes from a
 callable that is called only when src is nonzero, so a
 zero-dimensional source gives the empty map without building a table.
 T_l (hecke) and the unit operator map a space to itself; the unit table
 holds the letters of delta g^{+-1} delta^{-1} for every ambient letter,
-built once per field and checked with word_to_matrix, so no Schreier
-generator is expressed.
+built once per field by letter_table (g^{+1} checked with
+fpres.word_coords, g^{-1} derived), so no Schreier generator is
+expressed.
 The degeneracy maps (degmaps) go from level n to level n*p; LinMap
 lives here so that degmaps can import the T_p table from hecke.
 
@@ -319,21 +322,41 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
     f runs over the src basis and i over track (default: every
     representative of the table); row k holds the dst coordinates of the
     image of src basis class k.  The image is evaluated on S = dst.gens
-    only.  The word of s = T_x g T_y^{-1} in S comes from
-    dst.cc.sgen_word.  From each followed i its letters are read
-    through the table, (j, W) = table[j][letter], so that
-    reps[i] s = W_1 ... W_m reps[j_m], and each W is walked on in the src
-    coset table from its base, adding into the row of s.  Each walk must
-    end at the src base (ConstructionFailure), and the end indices j_m
-    must be the followed set (PermutationFailure).  The values on S are
-    projected onto dst.basis[:, S] (ProjectionFailure, naming `what`).
-    table is called for the letter table only when src is nonzero; a
-    zero-dimensional src gives the empty map at once.
+    only, each s = T_x g T_y^{-1} of S from the two tree paths to its
+    ends x and y = x * g and the letter g between them.  The walks run
+    in the src coset table (src.cc._walk) from its base.
+
+    Shared-prefix walk.  The nodes on the tree paths to the ends of S
+    are visited once each, every node after its parent.  At a node z
+    the walk keeps, for each followed i, the pair (j, pos) with
+    reps[i] T_z = A reps[j] and pos = base * A: the tree step h into z
+    reads (k, W) = table[j][h] and walks W on from pos, adding its
+    visits, summed over i, to the step of z.  For s on (x, g) and each
+    followed i, (k, W) = table[j_x(i)][(g, +1)] is walked from
+    pos_x(i); sigma(i) is the followed representative whose pair at y
+    has index k.  There must be one for each i and they must be the
+    followed set (PermutationFailure), and the walk must end at
+    pos_y(sigma(i)) (ConstructionFailure).  The row of s is the visits
+    of these g-walks plus the steps on the path to x minus the steps on
+    the path to y.  The values on S are projected onto dst.basis[:, S]
+    (ProjectionFailure, naming `what`).  table is called for the letter
+    table only when src is nonzero; a zero-dimensional src gives the
+    empty map at once.
+
+    Closure lemma: with A = A_x(i) and V = A_y(sigma(i)) as above,
+    reps[i] s reps[sigma(i)]^{-1} = A W V^{-1}, and this lies in
+    Gamma_0(n) at the src level iff base * A * W = base * V, because
+    every letter permutes the cosets.  So the end check proves what
+    walking the whole word of s from each i and asking it to close at
+    the base proved, and the row is the walk of A W V^{-1}: the visits
+    of A, then of W from pos, then of V^{-1}, summed over i, where the
+    visits of A_x(i) and of A_y(sigma(i)) sum to the steps on the two
+    paths because sigma permutes the followed set.
 
     Lemma: the check on S proves that the image lies in dst.  The
     kernel-line certificate of the representatives, the letter_table
-    certificate of every entry and the closure of each walk show that
-    each walked value is f(reps[i] s reps[sigma(i)]^{-1}), with that
+    certificate of every entry and the closure lemma show that each
+    walked value is f(reps[i] s reps[sigma(i)]^{-1}), with that
     quotient in Gamma_0(n) at the src level.  So the image is the
     standard Hecke sum, a homomorphism on the dst group, and lies in
     the full H^1 of dst.  Restriction to S is injective on that space,
@@ -349,30 +372,65 @@ def letter_table_operator(src: CohomSubspace, dst: CohomSubspace, table,
         return LinMap(src, dst, MatQ(q, empty))
     cc = dst.cc
     tab = table()
-    if track is None:
-        track = range(len(tab))
-    followed = sorted(track)
+    track = list(range(len(tab)) if track is None else track)
     walk = src.cc._walk
-    base = src.cc.base
-    rows = []
-    for s in dst.gens:
-        word = cc.sgen_word(s).letters
+    edges = [cc.sgen_edges[s] for s in dst.gens]
+    ends = [(x, cc.act[gid][0][x]) for x, gid in edges]
+    # the nodes of the paths to every end, each after its parent
+    slot = {cc.base: 0}
+    nodes = [cc.base]
+    for z in (z for pair in ends for z in pair):
+        path = []
+        while z not in slot:
+            path.append(z)
+            z = cc.tree_edge[z][0]
+        for z in reversed(path):
+            slot[z] = len(nodes)
+            nodes.append(z)
+    # the pair (j, pos) of every followed i at each node, and the steps
+    js = [track]
+    ps = [[src.cc.base] * len(track)]
+    steps = [{}]
+    for z in nodes[1:]:
+        parent, letter = cc.tree_edge[z]
+        at = slot[parent]
         vec = {}
-        ends = []
-        for i in track:
-            j, pos = i, base
-            for letter in word:
-                j, w = tab[j][letter]
-                pos = walk(w, pos, vec)[0]
-            if pos != base:
+        jz, pz = [], []
+        for j, pos in zip(js[at], ps[at]):
+            k, w = tab[j][letter]
+            jz.append(k)
+            pz.append(walk(w, pos, vec)[0])
+        js.append(jz)
+        ps.append(pz)
+        steps.append(vec)
+    rows = []
+    for s, (x, gid), (_, y) in zip(dst.gens, edges, ends):
+        at_y = {k: t for t, k in enumerate(js[slot[y]])}
+        pos_y = ps[slot[y]]
+        vec = {}
+        hit = set()
+        for j, pos in zip(js[slot[x]], ps[slot[x]]):
+            k, w = tab[j][(gid, 1)]
+            t = at_y.get(k)
+            if t is None:
+                raise PermutationFailure(
+                    f"generator {s} leaves the followed representatives")
+            if walk(w, pos, vec)[0] != pos_y[t]:
                 raise ConstructionFailure(
                     f"quotient walk of generator {s} did not close")
-            ends.append(j)
-        if sorted(ends) != followed:
+            hit.add(t)
+        if len(hit) != len(track):
             raise PermutationFailure(
                 f"generator {s} does not permute the representatives")
         rows.append(vec)
-    images = sparse_values(src.basis, rows).arr
+    vals = sparse_values(src.basis, rows + steps).arr
+    # the steps summed along each path, parents first
+    paths = vals[:, len(rows):].T.copy()
+    for at, z in enumerate(nodes[1:], 1):
+        paths[at] = (paths[at] + paths[slot[cc.tree_edge[z][0]]]) % q
+    xs = [slot[x] for x, _ in ends]
+    ys = [slot[y] for _, y in ends]
+    images = (vals[:, :len(rows)] + paths[xs].T - paths[ys].T) % q
     onto = MatQ(q, dst.basis.arr[:, list(dst.gens)])
     coords, bad = project_rows(onto, images)
     if bad is not None:

@@ -1,12 +1,12 @@
 """Degeneracy maps between cohomology at level n and level n*p.
 
 Both maps take the path of T_l: each is one validation of the level
-pair plus one call of cohom.letter_table_operator, which reads the
-words of the generating set S of the level-n*p space through a
+pair plus one call of cohom.letter_table_operator, which reads the tree
+paths of the generating set S of the level-n*p space through a
 level-one letter table, walks the quotients in the level-n coset table
-(every walk must close), projects the images onto the destination basis
-on S and returns the LinMap (the empty one on a zero-dimensional
-source, without building the table).  The plain restriction is the
+(every quotient must close, by its closure lemma), projects the images
+onto the destination basis on S and returns the LinMap (the empty one
+on a zero-dimensional source, without building the table).  The plain restriction is the
 one-representative identity table; the twisted map follows the last
 representative diag(pi, 1) of the T_p table (the twist-chain lemma in
 twisted_map).  The combined map alpha stacks the two; its kernel is the
@@ -79,7 +79,8 @@ def twisted_map(src: CohomSubspace, dst: CohomSubspace) -> LinMap:
 
     and its walk from the level-n base closes exactly when it lies in
     Gamma_0(n).  So walking gamma from delta must end at delta, and the
-    walk must close.  Every element of Gamma_0(n*p) passes both checks:
+    walk must close; letter_table_operator checks both at the two ends
+    of gamma = T_x g T_y^{-1} (its closure lemma).  Every element of Gamma_0(n*p) passes both checks:
     its conjugate M is integral, so delta_k = (W_1 ... W_m)^{-1} M delta
     shares a right coset of SL_2(O) with delta, which the certified
     representatives allow only for delta_k = delta; and M lies in

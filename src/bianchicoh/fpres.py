@@ -8,15 +8,16 @@ product is -I, with S^4 and centrality relators [S^2, g] added once.
 Every stored relator is machine-checked to evaluate to the identity, so
 a transcription slip fails loudly at construction time.
 
-Words go to matrices by word_to_matrix, which multiplies the letters on
-coordinate tuples, each run of one repeated letter taken as a single
-power.  Matrices go to letters by matrix_to_word, the Euclidean
-algorithm on the bottom row run on integer coordinates: while the
-lower-left entry is nonzero, split off T_q S^{-1}, whose product is
-[[-q, 1], [-1, 0]]; the terminal matrix is diag(u, u^{-1}) T_x =
-[[u, u*x], [0, u^{-1}]].  The letters of T_q are t^a u^b for
-q = a + b*w, and those of diag(u, u^{-1}) come from a table that
-builtin_presentation checks once per field with word_to_matrix.  So
+Words go to coordinate tuples by word_coords, which multiplies the
+letters, each run of one repeated letter taken as a single power;
+word_to_matrix wraps it into a Mat2.  Matrices go to letters by
+matrix_to_word, the Euclidean algorithm on the bottom row run on
+integer coordinates: while the lower-left entry is nonzero, split off
+T_q S^{-1}, whose product is [[-q, 1], [-1, 0]]; the terminal matrix
+is diag(u, u^{-1}) T_x = [[u, u*x], [0, u^{-1}]].  The letters of T_q
+are t^a u^b for q = a + b*w, and those of diag(u, u^{-1}) come from a
+table that builtin_presentation checks once per field with
+word_to_matrix.  So
 the product of the closed forms is the value of the letters, and
 matrix_to_word checks that product against the input on every call, two
 ring products per step, in place of evaluating the word.  The descent,
@@ -221,20 +222,25 @@ def builtin_presentation(ctx: FieldCtx) -> AmbientPresentation:
     return p
 
 
-def word_to_matrix(w: Word, p: AmbientPresentation) -> Mat2:
-    """Exact product of the letters; each run of one letter is one power.
+def word_coords(letters, p: AmbientPresentation) -> tuple:
+    """Exact product of the letters as a coordinate tuple (Mat2.coords).
 
-    The product runs on coordinate tuples (qfield.mat_mul_coords); one
-    Mat2 is built at the end.
+    Each run of one letter is one power (qfield.mat_pow_coords); the
+    empty word gives the identity.
     """
     ctx = p.ctx
     out = None
-    for (g, e), run in groupby(w):
+    for (g, e), run in groupby(letters):
         if not 0 <= g < p.gen_count:
             raise BadGeneratorId(f"generator id {g} out of range")
         step = mat_pow_coords(ctx, p._letter_coords[e][g], len(list(run)))
         out = step if out is None else mat_mul_coords(ctx, out, step)
-    return Mat2.from_coords(ctx, out or (1, 0, 0, 0, 0, 0, 1, 0))
+    return out or (1, 0, 0, 0, 0, 0, 1, 0)
+
+
+def word_to_matrix(w: Word, p: AmbientPresentation) -> Mat2:
+    """Exact product of the letters of w as a Mat2 (word_coords)."""
+    return Mat2.from_coords(p.ctx, word_coords(w, p))
 
 
 def _unit_diag_letters(p: AmbientPresentation, u: QuadInt) -> list:

@@ -34,23 +34,30 @@ lies at level N*p iff their bottom rows are one point of P^1(O/p).
 
 T_l is driven by a level-one letter table, built lazily and kept once
 per prime: for each representative delta_j and each ambient letter
-g^{+-1}, delta_j g^{+-1} = W delta_k, with k and W located on
-coordinates, one _locate call per letter, and W kept as the letters of
-fpres.matrix_to_word (schreier.letter_table).  Each entry is certified
-once: the exact-division locator, the step-product check of the descent,
-word_to_matrix of the letters equals W, W delta_k equals delta_j
-g^{+-1}, and each letter permutes the indices j.
+g^{+-1}, delta_j g^{+-1} = W delta_k (schreier.letter_table).  Only
+the forward half is located: delta_j g for every j, one _locate call
+per generator, with W kept as the letters of fpres.matrix_to_word.
+Each such entry is certified once: the exact-division locator, the
+step-product check of the descent, the value of the letters on
+coordinates (fpres.word_coords) equals W, W delta_k equals delta_j g,
+and each generator permutes the indices j.  The g^{-1} entry of delta_k
+is then (j, the inverse letters of W), since delta_k g^{-1} = W^{-1}
+delta_j; so (N(l)+1) * gen_count quotients are descended per prime,
+half of the entries.
 
 cohom.letter_table_operator evaluates T_l on the generating set S of
-the space (CohomSubspace.gens) only, reading the word of each s in S
-through the table, with no matrix arithmetic per generator; on a
+the space (CohomSubspace.gens) only, with no matrix arithmetic per
+generator: it follows every representative down the tree paths to the
+two ends x and y = x * g of each s in S, each node shared by several
+paths once, and walks the table entry of g from x; on a
 zero-dimensional space it returns the empty map without building the
-table.  Each call certifies that every quotient walk closes, which puts
-the quotient in Gamma_0(n); that sigma is a bijection; and that every
-image projects back onto the basis on S, which by the lemma in its
-docstring proves it lies in the space (ProjectionFailure otherwise).
-The twisted degeneracy map (degmaps.twisted_map) reads the same table
-for l = p, following only its last representative diag(lambda, 1).
+table.  Each call certifies that every g-walk ends where the path to y
+does, which puts the quotient in Gamma_0(n) (the closure lemma in its
+docstring); that sigma is a bijection; and that every image projects
+back onto the basis on S, which proves it lies in the space
+(ProjectionFailure otherwise).  The twisted degeneracy map
+(degmaps.twisted_map) reads the same table for l = p, following only
+its last representative diag(lambda, 1).
 
 The Eisenstein check asks whether T_l - (N(l)+1) is nilpotent on a
 subspace for ray-trivial l, which is the finite-level meaning of
@@ -296,9 +303,9 @@ def gamma01_cosets(levelN: PIdeal, p: PIdeal) -> list[Mat2]:
 def hecke_letter_table(l: PIdeal):
     """Level-one letter table of T_l, built once per prime and field.
 
-    reps[j] * g^{+-1} = W * reps[k] is located by _locate: the
-    representatives and the index read off x mod lambda do not depend
-    on the level.
+    reps[j] * g = W * reps[k] is located by _locate (the g^{-1} entries
+    are derived by letter_table): the representatives and the index
+    read off x mod lambda do not depend on the level.
     """
     return letter_table(_prime_cosets(l)[0], builtin_presentation(l.ctx),
                         lambda xs: _locate(l, xs))

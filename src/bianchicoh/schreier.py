@@ -22,12 +22,11 @@ builtin_presentation certifies to be 1, so M = T_x g T_y^{-1} has
 determinant 1 and lies in Gamma_0(n) exactly when its lower-left entry
 c'*d_y - d'*c_y lies in n, with (c', d') the bottom row of T_x g.  Every
 edge is checked so at once, ConstructionFailure otherwise.  The objects
-are built on first use only, from tree_edge: transversal (Words), the
-word of one Schreier generator (sgen_word) and sgens ((Word, Mat2)
-pairs, the matrices evaluated from the words).
-cohom.letter_table_operator reads sgen_word for the generators it
-evaluates on; sgens serves only the tests and bench/tracing.py.
-Counting generators needs none of them: len(sgen_edges).
+are built on first use only, from tree_edge: transversal (Words) and
+sgens ((Word, Mat2) pairs, the matrices evaluated from the words).  No
+package code reads them: sgens serves only the tests and
+bench/tracing.py, and the operators walk tree_edge itself.  Counting
+generators needs none of them: len(sgen_edges).
 
 Rewriting walks letters through the coset action and
 collects signed visits to non-tree edges, which is all that survives
@@ -55,13 +54,16 @@ they serve the tests and bench/tracing.py.
 An operator f -> sum_i f(delta_i gamma delta_{sigma(i)}^{-1}) whose
 representatives are permuted by SL_2(O) comes as a level-one letter
 table (letter_table): delta_j g^{+-1} = W delta_k, with W given by its
-letters, built and certified on coordinate tuples; the locator takes
-the column delta_j g^{+-1} of all j at once, one call per letter.
-Reading the letters of a word gamma through the table from delta_i
-gives delta_i gamma = W_1 ... W_m delta_{sigma(i)};
-cohom.letter_table_operator walks W_1 ... W_m in a coset table with
-_walk, and the closure of that walk certifies that the quotient lies in
-Gamma_0(n).
+letters.  Only the forward half is located and certified, on
+coordinate tuples: the locator takes the column delta_j g of all j at
+once, one call per generator, and the g^{-1} entry of delta_k is
+(j, W^{-1}) with the inverse letters.  Reading the letters of a word
+gamma through the table from delta_i gives delta_i gamma = W_1 ... W_m
+delta_{sigma(i)}.  cohom.letter_table_operator reads the tree path to
+each end of a Schreier generator once per representative, walking the
+W of every step in a coset table with _walk; the walk of the
+generator's own letter must end where the path to its other end does,
+which certifies that the quotient lies in Gamma_0(n).
 """
 
 from __future__ import annotations
@@ -77,7 +79,13 @@ from .errors import (
     PermutationFailure,
     ZeroModulus,
 )
-from .fpres import AmbientPresentation, Word, builtin_presentation, matrix_to_word
+from .fpres import (
+    AmbientPresentation,
+    Word,
+    builtin_presentation,
+    matrix_to_word,
+    word_coords,
+)
 from .ideals import PIdeal
 from .modlinalg import SparseRows
 from .projline import P1Table, reduce_rows, right_mult, ring_mul, ring_reduce
@@ -224,17 +232,12 @@ class CongCtx:
             words[y] = words[x] * Word([letter])
         return words
 
-    def sgen_word(self, s: int) -> Word:
-        """The word T_x g T_y^{-1} of Schreier generator s."""
-        x, gid = self.sgen_edges[s]
-        words = self.transversal
-        return (words[x] * Word([(gid, 1)])
-                * words[self.act[gid][0][x]].inverse())
-
     @cached_property
     def sgens(self) -> list[tuple[Word, Mat2]]:
         """(word, matrix) of every Schreier generator T_x g T_y^{-1}."""
-        words = [self.sgen_word(s) for s in range(len(self.sgen_edges))]
+        tw = self.transversal
+        words = [tw[x] * Word([(gid, 1)]) * tw[self.act[gid][0][x]].inverse()
+                 for x, gid in self.sgen_edges]
         # through the module, so that wrappers of fpres see the calls
         return [(w, fpres.word_to_matrix(w, self.pres)) for w in words]
 
@@ -330,36 +333,43 @@ def letter_table(reps, pres: AmbientPresentation, locate):
     """Certified table[j][(gid, e)] = (k, letters) for reps[j] * g^e.
 
     reps are coordinate tuples (Mat2.coords); locate(xs) takes the
-    coordinates of the column xs[j] = reps[j] * g^e of one letter and
+    coordinates of the column xs[j] = reps[j] * g of one generator and
     returns (k, W) for each, with xs[j] = W * reps[k] and W in SL_2(O),
-    also as coordinates.  Each entry keeps the freely reduced letters of
-    matrix_to_word(W), checked once on coordinates, in j order: their
-    value is W and W * reps[k] == reps[j] * g^e (ConstructionFailure
-    otherwise).  Each letter must permute the indices
-    (PermutationFailure otherwise).
+    also as coordinates.  Only the g^{+1} column is located: each entry
+    keeps the freely reduced letters of matrix_to_word(W), checked once
+    on coordinates, in j order: their value (word_coords) is W and
+    W * reps[k] == reps[j] * g (ConstructionFailure otherwise).  Each
+    generator must permute the indices (PermutationFailure otherwise).
+
+    The g^{-1} column is derived: reps[j] g = W reps[k] exactly when
+    reps[k] g^{-1} = W^{-1} reps[j], so table[k][(gid, -1)] = (j, the
+    inverse letters of W), whose value is W^{-1} because every inverse
+    letter is the exact inverse of its letter; the inverse of a
+    permutation is one.
     """
     ctx = pres.ctx
     nreps = len(reps)
     table: list[dict] = [{} for _ in range(nreps)]
     for gid in range(pres.gen_count):
-        for e in (1, -1):
-            g = pres._letter_coords[e][gid]
-            xs = [mat_mul_coords(ctx, dj, g) for dj in reps]
-            targets = set()
-            for j, (x, (k, w)) in enumerate(zip(xs, locate(xs))):
-                word = Word(matrix_to_word(Mat2.from_coords(ctx, w), pres))
-                # through the module, so that wrappers of fpres see the call
-                if (fpres.word_to_matrix(word, pres).coords() != w
-                        or mat_mul_coords(ctx, w, reps[k]) != x):
-                    raise ConstructionFailure(
-                        f"table word of representative {j} and letter "
-                        f"{pres.names[gid]}^{e} does not give its quotient"
-                    )
-                table[j][(gid, e)] = (k, word.letters)
-                targets.add(k)
-            if len(targets) != nreps:
-                raise PermutationFailure(
-                    f"letter {pres.names[gid]}^{e} does not permute the "
-                    f"representatives"
+        g = pres._letter_coords[1][gid]
+        xs = [mat_mul_coords(ctx, dj, g) for dj in reps]
+        targets = set()
+        for j, (x, (k, w)) in enumerate(zip(xs, locate(xs))):
+            m = Mat2.from_coords(ctx, w)
+            letters = Word(matrix_to_word(m, pres)).letters
+            if (word_coords(letters, pres) != w
+                    or mat_mul_coords(ctx, w, reps[k]) != x):
+                raise ConstructionFailure(
+                    f"table word of representative {j} and letter "
+                    f"{pres.names[gid]} does not give its quotient"
                 )
+            table[j][(gid, 1)] = (k, letters)
+            table[k][(gid, -1)] = (j, tuple((h, -e)
+                                            for h, e in reversed(letters)))
+            targets.add(k)
+        if len(targets) != nreps:
+            raise PermutationFailure(
+                f"letter {pres.names[gid]} does not permute the "
+                f"representatives"
+            )
     return table

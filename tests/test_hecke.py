@@ -646,8 +646,10 @@ def _lengthen_one_word(monkeypatch, n):
 def test_lengthened_table_word_fails_at_construction(monkeypatch):
     """A trailing letter on the word of any one entry fails letter_table.
 
-    letter_table asks matrix_to_word once per entry, so lengthening call
-    n for every n reaches every entry: of the T_(1+1*w) table at d=2, of
+    letter_table asks matrix_to_word once per g^{+1} entry, (N(l)+1) *
+    gen_count times for T_l and gen_count times for the unit table; the
+    g^{-1} column is derived from those words.  So lengthening call n
+    for every n reaches every descent: of the T_(1+1*w) table at d=2, of
     each A-configuration T_p table and of each unit table.  The walks of
     S cannot be trusted to catch it: an extra t after a chain that ends
     at the base keeps the walk closed, because t fixes the base coset.
@@ -657,10 +659,11 @@ def test_lengthened_table_word_fails_at_construction(monkeypatch):
                       (3, "(1+1*w)"), (7, "(0+1*w)"), (11, "(0+1*w)")):
         ctx = field(d)
         l = parse_ideal(ctx, p_text)
+        gen_count = schreier.builtin_presentation(ctx).gen_count
         builds.append((lambda l=l: hecke.hecke_letter_table.__wrapped__(l),
-                       (l.norm() + 1) * 2 * schreier.builtin_presentation(ctx).gen_count))
+                       (l.norm() + 1) * gen_count))
         builds.append((lambda ctx=ctx: unit_letter_table.__wrapped__(ctx),
-                       2 * schreier.builtin_presentation(ctx).gen_count))
+                       gen_count))
     for build, entries in builds:
         for n in range(entries):
             _lengthen_one_word(monkeypatch, n)
@@ -770,3 +773,96 @@ def test_letter_table_permutes_the_representatives_and_is_memoized():
                     g = p._mats[gid] if e == 1 else p._invs[gid]
                     w = word_to_matrix(Word(letters), p)
                     assert w * reps[k] == reps[j] * g
+
+
+# the auxiliary prime of each acceptance A-configuration
+A_PRIMES = {1: "(1+1*w)", 2: "(0+1*w)", 3: "(1+1*w)", 7: "(0+1*w)",
+            11: "(0+1*w)"}
+
+
+def test_every_entry_of_both_signs_gives_its_quotient():
+    """The derived g^{-1} column is judged with Mat2, like the located one.
+
+    letter_table locates only delta_j g and fills delta_k g^{-1} from
+    the inverse letters.  Here every entry of both signs is multiplied
+    out as Mat2 objects: W reps[k] == reps[j] g for e = +1 and
+    W reps[k] g == reps[j] for e = -1, so no inverse matrix is formed;
+    and each letter column is a permutation of the indices.  On the T_l
+    tables of the five A-configuration primes, of one prime of norm
+    >= 37 at d=2 and at d=7, and on the five unit tables.
+    """
+    cases = []
+    for d, p_text in A_PRIMES.items():
+        ctx = field(d)
+        cases.append((ctx, parse_ideal(ctx, p_text)))
+        u0 = cohom._unit_conj_generator(ctx)
+        cases.append((ctx, Mat2(u0, ctx.zero, ctx.zero, ctx.one)))
+    for d in (2, 7):
+        ctx = field(d)
+        cases.append((ctx, next(l for l in primes_by_norm(ctx, 80)
+                                if l.norm() >= 37)))
+    for ctx, what in cases:
+        p = schreier.builtin_presentation(ctx)
+        if isinstance(what, Mat2):
+            table, reps = unit_letter_table(ctx), [what]
+        else:
+            table, reps = hecke.hecke_letter_table(what), _reps(what)
+        assert len(table) == len(reps)
+        for gid, g in enumerate(p._mats):
+            for e in (1, -1):
+                column = [table[j][(gid, e)] for j in range(len(reps))]
+                assert sorted(k for k, _ in column) == list(range(len(reps)))
+                for j, (k, letters) in enumerate(column):
+                    w = word_to_matrix(Word(letters), p)
+                    if e == 1:
+                        assert w * reps[k] == reps[j] * g, (ctx.d, j, gid)
+                    else:
+                        assert w * reps[k] * g == reps[j], (ctx.d, j, gid)
+    assert sum(isinstance(what, PIdeal) and what.norm() >= 37
+               for _, what in cases) == 2
+
+
+def _tree_path(cc, z):
+    """The cosets on the tree path from z up to the base, both included."""
+    path = [z]
+    while z != cc.base:
+        z = cc.tree_edge[z][0]
+        path.append(z)
+    return path
+
+
+def test_corrupted_shared_prefix_step_is_caught():
+    """A wrong k in a tree step that two paths of one s share raises.
+
+    letter_table_operator walks a node shared by the paths to both ends
+    x and y of a generator s once, so a wrong index there moves both
+    ends of s alike.  With every representative followed, the parent's
+    indices are a permutation, so the step into z reads (j, h) for every
+    j; ReadLog confirms it.  A wrong k makes two representatives share
+    an index from z on, which the sigma check at some generator catches.
+    """
+    ctx = field(2)
+    cc = CongCtx(parse_ideal(ctx, "(3+1*w)"), ctx)
+    full = h1(cc, 5)
+    table = hecke.hecke_letter_table(parse_ideal(ctx, "(1+1*w)"))
+    nreps = len(table)
+    shared = set()
+    for s in full.gens:
+        x, gid = cc.sgen_edges[s]
+        shared |= (set(_tree_path(cc, x))
+                   & set(_tree_path(cc, cc.act[gid][0][x])))
+    shared.discard(cc.base)
+    assert shared
+    read = set()
+    logged = [ReadLog(j, entries, read) for j, entries in enumerate(table)]
+    want = letter_table_operator(full, full, lambda: logged, "Hecke image")
+    assert want.mat == oracles.hecke_matrix(parse_ideal(ctx, "(1+1*w)"), full)
+    for z in sorted(shared):
+        letter = cc.tree_edge[z][1]
+        assert {(j, letter) for j in range(nreps)} <= read
+        for j in range(nreps):
+            bad = copy_table(table)
+            k, letters = bad[j][letter]
+            bad[j][letter] = ((k + 1) % nreps, letters)
+            with pytest.raises((ConstructionFailure, PermutationFailure)):
+                letter_table_operator(full, full, lambda: bad, "Hecke image")
